@@ -4,10 +4,11 @@
 //! connectivity-preserving cable set and runs it both ways — frozen
 //! before injection starts, and as in-run link-fail events at 5 µs with
 //! traffic already in flight (flow engine: mid-run re-route and re-rate;
-//! packet engine: drop plus timeout/reroute retransmission, see
-//! `--retransmit`). `--engine` restricts the engine columns, `--traces N`
-//! overrides the draws per sweep point, and `--csv PATH` records the
-//! per-draw samples with a frozen/midrun `mode` column.
+//! packet engine: drop plus timeout/reroute retransmission, chosen by
+//! the spec's `[failures] retransmit` key). `--engine` restricts the
+//! engine columns, `--traces N` overrides the draws per sweep point, and
+//! `--csv PATH` records the per-draw samples with a frozen/midrun `mode`
+//! column.
 
 use hxbench::HarnessArgs;
 

@@ -23,9 +23,26 @@ use hammingmesh::hxalloc::experiments::{
 use hammingmesh::hxsim::apps::Alltoall;
 use hammingmesh::hxsim::SimStats;
 use hammingmesh::prelude::*;
+use hxserve::cli::{self, FlagSpec};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
+
+/// perf_smoke's flags, parsed as strictly as the shared table: unknown
+/// flags and missing values exit 2.
+const FLAGS: &[FlagSpec] = &[
+    FlagSpec {
+        name: "--out",
+        value: Some("DIR"),
+        help: "directory for the BENCH_*.json files and figure CSVs (default: .)",
+    },
+    FlagSpec {
+        name: "--quick",
+        value: None,
+        help: "shrink the packet-engine scenarios so a debug build stays fast \
+               (the smoke tests run it this way; CI runs the full release version)",
+    },
+];
 
 struct EngineRun {
     wall_s: f64,
@@ -66,25 +83,29 @@ fn json_scenario(out: &mut String, name: &str, desc: &str, packet: &EngineRun, f
 }
 
 fn main() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let flags = match cli::parse_flags(&argv, &[FLAGS]) {
+        Ok((flags, positional)) if positional.is_empty() => flags,
+        Ok((_, positional)) => {
+            eprintln!("unexpected argument {:?} (try --help)", positional[0]);
+            std::process::exit(2);
+        }
+        Err(msg) => {
+            eprintln!("{msg}");
+            std::process::exit(2);
+        }
+    };
     let mut out_dir = PathBuf::from(".");
     let mut quick = false;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--out" => out_dir = PathBuf::from(it.next().expect("--out needs a directory")),
-            // Shrink the packet-engine scenarios so the binary stays fast
-            // under the debug profile (the smoke tests run it this way);
-            // CI's perf job runs the full release version.
+    for (flag, value) in flags {
+        match flag.as_str() {
+            "--out" => out_dir = PathBuf::from(value.unwrap_or_default()),
             "--quick" => quick = true,
-            // Accepted for smoke-test CLI uniformity.
-            "--traces" | "--seed" => {
-                let _ = it.next();
-            }
-            "--help" | "-h" => {
-                eprintln!("options: --out DIR  --quick");
+            _ => {
+                // `--help`, which parse_flags recognizes in every table.
+                print!("{}", cli::help_text("perf_smoke [options]", &[FLAGS]));
                 std::process::exit(0);
             }
-            other => eprintln!("ignoring unknown argument {other:?}"),
         }
     }
     std::fs::create_dir_all(&out_dir).expect("create output directory");

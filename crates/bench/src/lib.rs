@@ -40,40 +40,31 @@ pub struct HarnessArgs {
 impl HarnessArgs {
     /// Parse the process arguments. Unknown flags and malformed values
     /// are hard errors (message on stderr, exit 2); `--help` prints the
-    /// shared flag table and exits 0. A `--threads N` override is applied
-    /// to the sweep pool immediately (flag > `RAYON_NUM_THREADS` env >
-    /// all cores).
+    /// shared flag table and exits 0.
     pub fn parse() -> Self {
-        let argv: Vec<String> = std::env::args().skip(1).collect();
-        let flags = match cli::parse_flags(&argv, &[COMMON_FLAGS, HARNESS_FLAGS]) {
-            Ok((flags, positional)) => {
-                if let Some(p) = positional.first() {
-                    eprintln!("unexpected argument {p:?} (try --help)");
-                    std::process::exit(2);
-                }
-                flags
-            }
-            Err(msg) => {
-                eprintln!("{msg}");
-                std::process::exit(2);
-            }
-        };
-        let mut out = Self {
-            full: false,
-            traces: None,
-            seed: 0xC0FFEE,
-            engine: None,
-            mode: None,
-            csv: None,
-            metrics_out: None,
-            trace_out: None,
-        };
         let fail = |msg: String| -> ! {
             eprintln!("{msg}");
             std::process::exit(2);
         };
-        for (flag, value) in &flags {
-            let value = value.as_deref().unwrap_or("");
+        let argv: Vec<String> = std::env::args().skip(1).collect();
+        let (common, flags, positional) = match cli::parse_common(&argv, HARNESS_FLAGS) {
+            Ok(parsed) => parsed,
+            Err(msg) => fail(msg),
+        };
+        if let Some(p) = positional.first() {
+            fail(format!("unexpected argument {p:?} (try --help)"));
+        }
+        let mut out = Self {
+            full: common.overrides.full,
+            traces: common.overrides.traces,
+            seed: common.overrides.seed.unwrap_or(hxserve::spec::DEFAULT_SEED),
+            engine: common.overrides.engine,
+            mode: None,
+            csv: None,
+            metrics_out: common.metrics_out,
+            trace_out: common.trace_out,
+        };
+        for (flag, value) in flags {
             match flag.as_str() {
                 "--help" => {
                     print!(
@@ -82,35 +73,8 @@ impl HarnessArgs {
                     );
                     std::process::exit(0);
                 }
-                "--full" => out.full = true,
-                "--traces" => match value.parse() {
-                    Ok(n) => out.traces = Some(n),
-                    Err(_) => fail(format!("--traces needs an integer, got {value:?}")),
-                },
-                "--seed" => match value.parse() {
-                    Ok(s) => out.seed = s,
-                    Err(_) => fail(format!("--seed needs an integer, got {value:?}")),
-                },
-                "--engine" => match value.parse() {
-                    Ok(e) => out.engine = Some(e),
-                    Err(msg) => fail(msg),
-                },
-                "--threads" => match value.parse::<usize>() {
-                    Ok(n) if n > 0 => cli::apply_threads(n),
-                    _ => fail(format!("--threads needs a positive integer, got {value:?}")),
-                },
-                "--rates" => match value.parse() {
-                    Ok(m) => cli::apply_rates(m),
-                    Err(msg) => fail(msg),
-                },
-                "--retransmit" => match value.parse() {
-                    Ok(p) => cli::apply_retransmit(p),
-                    Err(msg) => fail(msg),
-                },
-                "--mode" => out.mode = Some(value.to_string()),
-                "--csv" => out.csv = Some(std::path::PathBuf::from(value)),
-                "--metrics-out" => out.metrics_out = Some(std::path::PathBuf::from(value)),
-                "--trace-out" => out.trace_out = Some(std::path::PathBuf::from(value)),
+                "--mode" => out.mode = value,
+                "--csv" => out.csv = value.map(std::path::PathBuf::from),
                 other => fail(format!("unhandled flag {other:?}")),
             }
         }

@@ -104,27 +104,12 @@ fn fig10_routed_is_thread_count_invariant() {
 /// mid-run [`FailureSchedule`] through one of the engines (flow re-route
 /// and re-rate, packet drop and retransmit), and the whole recovery
 /// machinery must still collect in grid order at any thread count. The
-/// rate-solver leg extends the differential suite's bitwise claim to the
-/// mid-run epoch path: re-rating flows around in-run link events with the
-/// O(affected) incremental solver must not change a byte of the table or
-/// the per-draw CSV relative to the full solver.
+/// rate-solver half of the pin runs in-process: the mid-run option of
+/// `tests/flow_incremental_equiv.rs` replays drawn cable sets as
+/// schedules under both `RateMode`s and compares them bitwise.
 #[test]
 fn fig10_midrun_is_thread_and_rate_solver_invariant() {
-    let exe = env!("CARGO_BIN_EXE_fig10_midrun");
-    assert_thread_count_invariant(exe, &["--rates", "incremental"], true);
-    let (inc, csv_inc) = run(exe, &["--rates", "incremental"], 1, true);
-    let (full, csv_full) = run(exe, &["--rates", "full"], 1, true);
-    assert!(
-        inc == full,
-        "fig10_midrun: stdout differs between --rates incremental and --rates full\n\
-         --- incremental ---\n{}\n--- full ---\n{}",
-        String::from_utf8_lossy(&inc),
-        String::from_utf8_lossy(&full),
-    );
-    assert_eq!(
-        csv_inc, csv_full,
-        "fig10_midrun: CSV differs between --rates incremental and --rates full"
-    );
+    assert_thread_count_invariant(env!("CARGO_BIN_EXE_fig10_midrun"), &[], true);
 }
 
 /// Fig. 11's (topology x message-size) alltoall grid: independent cells
@@ -154,44 +139,11 @@ fn fig13_allreduce_is_thread_count_invariant() {
     assert_thread_count_invariant(env!("CARGO_BIN_EXE_fig13_allreduce"), &[], false);
 }
 
-/// The incremental max-min solver through the full driver stack: fig11
-/// under `--rates incremental` must be thread-count invariant like every
-/// other sweep, and — the differential suite's bitwise-equivalence claim,
-/// held end to end at the stdout level — switching the solver to
-/// `--rates full` must not change a single byte of the printed table.
-#[test]
-fn fig11_alltoall_is_rate_solver_invariant() {
-    let exe = env!("CARGO_BIN_EXE_fig11_alltoall");
-    assert_thread_count_invariant(exe, &["--rates", "incremental"], false);
-    let (inc, _) = run(exe, &["--rates", "incremental"], 1, false);
-    let (full, _) = run(exe, &["--rates", "full"], 1, false);
-    assert!(
-        inc == full,
-        "fig11: stdout differs between --rates incremental and --rates full\n\
-         --- incremental ---\n{}\n--- full ---\n{}",
-        String::from_utf8_lossy(&inc),
-        String::from_utf8_lossy(&full),
-    );
-}
-
-/// Same two properties for fig13, the headline allreduce grid.
-#[test]
-fn fig13_allreduce_is_rate_solver_invariant() {
-    let exe = env!("CARGO_BIN_EXE_fig13_allreduce");
-    assert_thread_count_invariant(exe, &["--rates", "incremental"], false);
-    let (inc, _) = run(exe, &["--rates", "incremental"], 1, false);
-    let (full, _) = run(exe, &["--rates", "full"], 1, false);
-    assert!(
-        inc == full,
-        "fig13: stdout differs between --rates incremental and --rates full",
-    );
-}
-
 /// Run `exe` with `--metrics-out`/`--trace-out` under the given thread
-/// count and rate-solver mode; returns the two artifact documents.
-fn run_telemetry(exe: &str, args: &[&str], threads: u32, rates: &str) -> (String, String) {
+/// count; returns the two artifact documents.
+fn run_telemetry(exe: &str, args: &[&str], threads: u32) -> (String, String) {
     let stem = format!(
-        "hx_tel_{}_{threads}_{rates}_{}",
+        "hx_tel_{}_{threads}_{}",
         std::process::id(),
         std::path::Path::new(exe)
             .file_name()
@@ -202,7 +154,6 @@ fn run_telemetry(exe: &str, args: &[&str], threads: u32, rates: &str) -> (String
     let trace_path = std::env::temp_dir().join(format!("{stem}.trace.json"));
     let out = Command::new(exe)
         .args(args)
-        .args(["--rates", rates])
         .args(["--metrics-out", metrics_path.to_str().unwrap()])
         .args(["--trace-out", trace_path.to_str().unwrap()])
         .env("RAYON_NUM_THREADS", threads.to_string())
@@ -210,7 +161,7 @@ fn run_telemetry(exe: &str, args: &[&str], threads: u32, rates: &str) -> (String
         .unwrap_or_else(|e| panic!("failed to spawn {exe}: {e}"));
     assert!(
         out.status.success(),
-        "{exe} with {threads} thread(s), --rates {rates} exited with {:?}\n--- stderr ---\n{}",
+        "{exe} with {threads} thread(s) exited with {:?}\n--- stderr ---\n{}",
         out.status.code(),
         String::from_utf8_lossy(&out.stderr),
     );
@@ -222,11 +173,12 @@ fn run_telemetry(exe: &str, args: &[&str], threads: u32, rates: &str) -> (String
 }
 
 /// Assert `--metrics-out`/`--trace-out` artifacts are byte-identical at
-/// 1 vs 4 threads AND under `--rates full` vs `incremental`, and that the
-/// trace parses as Chrome trace-event JSON with events in it.
+/// 1 vs 4 threads, and that the trace parses as Chrome trace-event JSON
+/// with events in it. Solver-mode invariance of everything the engine
+/// reports is pinned in-process by `tests/flow_incremental_equiv.rs`.
 fn assert_telemetry_invariant(exe: &str, args: &[&str]) {
-    let (m1, t1) = run_telemetry(exe, args, 1, "incremental");
-    let (m4, t4) = run_telemetry(exe, args, 4, "incremental");
+    let (m1, t1) = run_telemetry(exe, args, 1);
+    let (m4, t4) = run_telemetry(exe, args, 4);
     assert!(
         m1 == m4,
         "{exe}: metrics artifact differs between 1 and 4 threads"
@@ -234,15 +186,6 @@ fn assert_telemetry_invariant(exe: &str, args: &[&str]) {
     assert!(
         t1 == t4,
         "{exe}: trace artifact differs between 1 and 4 threads"
-    );
-    let (mf, tf) = run_telemetry(exe, args, 4, "full");
-    assert!(
-        m1 == mf,
-        "{exe}: metrics artifact differs between --rates incremental and full"
-    );
-    assert!(
-        t1 == tf,
-        "{exe}: trace artifact differs between --rates incremental and full"
     );
     let events = validate_chrome_trace(&t1)
         .unwrap_or_else(|e| panic!("{exe}: trace artifact is not valid Chrome trace JSON: {e}"));
@@ -255,8 +198,7 @@ fn assert_telemetry_invariant(exe: &str, args: &[&str]) {
 
 /// The telemetry tentpole's determinism claim, held end to end for the
 /// fig11 sweep: metrics and trace artifacts are byte-identical at any
-/// thread count and under either max-min solver scope, and the trace
-/// loads as Chrome trace-event JSON.
+/// thread count, and the trace loads as Chrome trace-event JSON.
 #[test]
 fn fig11_telemetry_artifacts_are_thread_and_solver_invariant() {
     assert_telemetry_invariant(env!("CARGO_BIN_EXE_fig11_alltoall"), &[]);

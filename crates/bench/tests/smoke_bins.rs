@@ -152,3 +152,50 @@ fn perf_smoke() {
     assert!(json.contains("\"fig11_alltoall\"") && json.contains("\"wall_speedup\""));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Unknown flags are usage errors (exit 2) in every binary, before any
+/// work runs. That includes `--rates`, `--retransmit` and `--threads`:
+/// a run is configured by the common flags and its spec only. perf_smoke
+/// has a table of its own (`--out DIR`, `--quick`).
+#[test]
+fn unknown_flags_exit_2() {
+    let perf_smoke = env!("CARGO_BIN_EXE_perf_smoke");
+    let bins = [
+        env!("CARGO_BIN_EXE_fig7_workload_cdf"),
+        env!("CARGO_BIN_EXE_fig8_utilization"),
+        env!("CARGO_BIN_EXE_fig9_upper_traffic"),
+        env!("CARGO_BIN_EXE_fig10_failures"),
+        env!("CARGO_BIN_EXE_fig10_midrun"),
+        env!("CARGO_BIN_EXE_fig11_alltoall"),
+        env!("CARGO_BIN_EXE_fig12_permutation"),
+        env!("CARGO_BIN_EXE_fig13_allreduce"),
+        env!("CARGO_BIN_EXE_fig14_reduction_scaling"),
+        env!("CARGO_BIN_EXE_fig15_dnn_savings"),
+        env!("CARGO_BIN_EXE_fig16_disjoint_rings"),
+        env!("CARGO_BIN_EXE_table2"),
+        env!("CARGO_BIN_EXE_ablations"),
+        env!("CARGO_BIN_EXE_dnn_iteration_times"),
+        env!("CARGO_BIN_EXE_cluster_sweep"),
+        perf_smoke,
+    ];
+    let mut cases: Vec<(&str, Vec<&str>)> = Vec::new();
+    for exe in bins {
+        for flag in ["--bogus", "--rates", "--retransmit", "--threads"] {
+            cases.push((exe, vec![flag, "1"]));
+        }
+    }
+    cases.push((perf_smoke, vec!["--traces", "1"]));
+    cases.push((perf_smoke, vec!["--out"]));
+    for (exe, args) in cases {
+        let out = Command::new(exe)
+            .args(&args)
+            .output()
+            .unwrap_or_else(|e| panic!("failed to spawn {exe}: {e}"));
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{exe} {args:?} must exit 2\n--- stderr ---\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+}

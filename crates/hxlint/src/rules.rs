@@ -39,8 +39,10 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         code: "D002",
-        summary: "no ambient entropy or wall-clock in library code (thread_rng, RandomState, \
-                  Instant::now, SystemTime::now); randomness must thread from a CLI seed",
+        summary: "no ambient entropy, wall-clock or process environment in library code \
+                  (thread_rng, RandomState, Instant::now, SystemTime::now, std::env::{var, var_os, \
+                  vars, vars_os, set_var, remove_var}); randomness must thread from a CLI seed and \
+                  configuration arrive as an explicit value",
         scope: "library (non-bin, non-test, non-bench) code of every crate",
     },
     RuleInfo {
@@ -95,6 +97,10 @@ fn finding(rule: &'static str, t: &Token, message: String) -> RawFinding {
         message,
     }
 }
+
+/// The `std::env` functions that read or write the process environment
+/// (D002). `args`, `temp_dir` and `current_dir` stay legal.
+const ENV_ACCESS: &[&str] = &["var", "var_os", "vars", "vars_os", "set_var", "remove_var"];
 
 /// `toks[i]` starts the path segment sequence `a :: b`?
 fn path_seq(toks: &[Token], i: usize, b: &str) -> bool {
@@ -170,6 +176,35 @@ pub(crate) fn scan(toks: &[Token], in_test: &[bool], cx: &FileCx) -> Vec<RawFind
                          must come from the event loop, wall-clock belongs in bins"
                     ),
                 ));
+            }
+            "env"
+                if lib_code
+                    && !tested
+                    && toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
+                    && toks.get(i + 2).is_some_and(|t| t.is_punct(':')) =>
+            {
+                // `env::var(..)`, or a grouped import `env::{var, ..}`.
+                let rest = &toks[i + 3..];
+                let named = if rest.first().is_some_and(|t| t.is_punct('{')) {
+                    let end = rest.iter().position(|t| t.is_punct('}'));
+                    &rest[..end.unwrap_or(rest.len())]
+                } else {
+                    &rest[..rest.len().min(1)]
+                };
+                for f in named {
+                    let Tok::Ident(name) = &f.tok else { continue };
+                    if ENV_ACCESS.contains(&name.as_str()) {
+                        out.push(finding(
+                            "D002",
+                            f,
+                            format!(
+                                "`env::{name}` touches the process environment in library \
+                                 code: configuration must arrive as an explicit value (flag or \
+                                 spec); only a binary may read or set environment variables"
+                            ),
+                        ));
+                    }
+                }
             }
             "par_iter" | "into_par_iter" | "par_bridge" => par_chain = true,
             "sum" | "fold" | "reduce"

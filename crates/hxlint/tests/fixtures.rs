@@ -56,6 +56,19 @@ fn d002_fires_on_wall_clock_driven_samplers() {
 }
 
 #[test]
+fn d002_fires_on_process_environment_access() {
+    let bad = lint("d002_env_bad", "hxsim", FileKind::Lib);
+    // The grouped import's `var_os` and `vars` (it is what brings their
+    // bare call sites in scope), then `var`, `set_var` and `remove_var`.
+    assert_eq!(rules(&bad), ["D002"; 5], "{bad:?}");
+    assert_eq!(bad[0].line, 4, "{bad:?}");
+    assert!(bad[0].message.contains("environment"), "{bad:?}");
+    assert!(lint("d002_env_clean", "hxsim", FileKind::Lib).is_empty());
+    // A binary's `main` owns its environment.
+    assert!(lint("d002_env_bad", "bench", FileKind::Bin).is_empty());
+}
+
+#[test]
 fn d002_does_not_cover_bins() {
     // Bins own the wall-clock (benchmark timing, progress output).
     assert!(lint("d002_bad", "bench", FileKind::Bin).is_empty());

@@ -3,7 +3,12 @@
 //!
 //! One table, two consumers — so `--help` output, value metavars, and the
 //! "unknown flag" behavior (exit 2, no silent ignoring) can never drift
-//! between the scenario service and the fifteen figure binaries.
+//! between the scenario service and the fifteen figure binaries. The
+//! common flags are matched in one function, [`parse_common`]; every
+//! other setting of a run lives in its scenario spec.
+
+use crate::Overrides;
+use std::path::PathBuf;
 
 /// One flag: name, optional value metavar, help line.
 pub struct FlagSpec {
@@ -35,24 +40,6 @@ pub const COMMON_FLAGS: &[FlagSpec] = &[
         name: "--engine",
         value: Some("packet|flow"),
         help: "simulation backend override (default: flow)",
-    },
-    FlagSpec {
-        name: "--threads",
-        value: Some("N"),
-        help: "sweep-pool worker threads; overrides RAYON_NUM_THREADS (default: all cores)",
-    },
-    FlagSpec {
-        name: "--rates",
-        value: Some("full|incremental"),
-        help: "flow-engine max-min solver scope; bitwise-equivalent, full is the \
-               reference for differential tests (default: incremental)",
-    },
-    FlagSpec {
-        name: "--retransmit",
-        value: Some("timeout|reroute"),
-        help: "packet-engine recovery for packets dropped by mid-run link \
-               failures: capped-exponential-backoff timeout, or a fast \
-               NACK-style reroute (default: timeout)",
     },
     FlagSpec {
         name: "--metrics-out",
@@ -144,6 +131,44 @@ pub fn parse_flags(
     Ok((flags, positional))
 }
 
+/// The [`COMMON_FLAGS`], parsed: scenario overrides plus the telemetry
+/// artifact destinations.
+#[derive(Clone, Debug, Default)]
+pub struct CommonArgs {
+    pub overrides: Overrides,
+    pub metrics_out: Option<PathBuf>,
+    pub trace_out: Option<PathBuf>,
+}
+
+/// Parse `args` against [`COMMON_FLAGS`] plus the consumer's own `extra`
+/// table. The common flags fold into [`CommonArgs`]; the consumer's own
+/// flags (and `--help`) come back as `(flag, value)` pairs in argument
+/// order, followed by the positional arguments. Unknown flags, missing
+/// values, and malformed common values are errors — callers print the
+/// message and exit 2.
+pub fn parse_common(
+    args: &[String],
+    extra: &[FlagSpec],
+) -> Result<(CommonArgs, ParsedFlags, Vec<String>), String> {
+    let (flags, positional) = parse_flags(args, &[COMMON_FLAGS, extra])?;
+    let mut common = CommonArgs::default();
+    let mut own = ParsedFlags::new();
+    for (flag, value) in flags {
+        let v = value.as_deref().unwrap_or("");
+        let int_err = |_| format!("{flag} needs an integer, got {v:?}");
+        match flag.as_str() {
+            "--full" => common.overrides.full = true,
+            "--traces" => common.overrides.traces = Some(v.parse().map_err(int_err)?),
+            "--seed" => common.overrides.seed = Some(v.parse().map_err(int_err)?),
+            "--engine" => common.overrides.engine = Some(v.parse()?),
+            "--metrics-out" => common.metrics_out = Some(PathBuf::from(v)),
+            "--trace-out" => common.trace_out = Some(PathBuf::from(v)),
+            _ => own.push((flag, value)),
+        }
+    }
+    Ok((common, own, positional))
+}
+
 /// Render the `--help` text for a usage line and a set of flag tables.
 pub fn help_text(usage: &str, tables: &[&[FlagSpec]]) -> String {
     let mut out = format!("usage: {usage}\n\noptions:\n");
@@ -157,36 +182,6 @@ pub fn help_text(usage: &str, tables: &[&[FlagSpec]]) -> String {
     out
 }
 
-/// Apply a `--threads N` override by setting `RAYON_NUM_THREADS`, which
-/// the vendored pool re-reads on every parallel call. Precedence:
-/// `--threads` flag > inherited `RAYON_NUM_THREADS` > all cores.
-pub fn apply_threads(n: usize) {
-    std::env::set_var("RAYON_NUM_THREADS", n.to_string());
-}
-
-/// Apply a `--rates full|incremental` override by setting `HX_RATES`,
-/// which `hxsim::SimConfig::default()` resolves via
-/// `hxsim::RateMode::from_env()` — the sweep drivers construct their
-/// `SimConfig`s internally, so the env var is the one channel that
-/// reaches every simulation a process runs. Precedence: `--rates` flag >
-/// inherited `HX_RATES` > incremental.
-pub fn apply_rates(mode: hammingmesh::hxsim::RateMode) {
-    let name = match mode {
-        hammingmesh::hxsim::RateMode::Full => "full",
-        hammingmesh::hxsim::RateMode::Incremental => "incremental",
-    };
-    std::env::set_var("HX_RATES", name);
-}
-
-/// Apply a `--retransmit timeout|reroute` override by setting
-/// `HX_RETRANSMIT`, resolved by `hxsim::RetransmitPolicy::from_env()`
-/// inside `hxsim::SimConfig::default()` — the same env channel as
-/// [`apply_rates`], for the same reason. Precedence: `--retransmit` flag
-/// > inherited `HX_RETRANSMIT` > timeout.
-pub fn apply_retransmit(policy: hammingmesh::hxsim::RetransmitPolicy) {
-    std::env::set_var("HX_RETRANSMIT", policy.as_str());
-}
-
 /// Apply `--metrics-out` / `--trace-out`: enable exactly the channels
 /// that have a destination, so instrumented code costs one branch when
 /// neither flag is given. Call before any simulation is constructed —
@@ -198,7 +193,7 @@ pub fn apply_telemetry(metrics_out: Option<&std::path::Path>, trace_out: Option<
 
 /// Write the collected telemetry artifacts after a run. Paths mirror
 /// [`apply_telemetry`]; a `None` channel writes nothing. Both files are
-/// byte-identical across thread counts and `--rates` modes.
+/// byte-identical across thread counts.
 pub fn write_telemetry(
     metrics_out: Option<&std::path::Path>,
     trace_out: Option<&std::path::Path>,
@@ -250,6 +245,27 @@ mod tests {
     fn missing_value_is_an_error() {
         let err = parse_flags(&argv(&["--seed"]), &[COMMON_FLAGS]).unwrap_err();
         assert!(err.contains("needs a value"), "{err}");
+    }
+
+    #[test]
+    fn common_flags_fold_and_own_flags_pass_through() {
+        let (common, own, pos) = parse_common(
+            &argv(&[
+                "--full", "--seed", "7", "--csv", "x.csv", "--engine", "packet", "s.toml",
+            ]),
+            HARNESS_FLAGS,
+        )
+        .unwrap();
+        assert!(common.overrides.full);
+        assert_eq!(common.overrides.seed, Some(7));
+        assert_eq!(
+            common.overrides.engine,
+            Some(hammingmesh::hxsim::EngineKind::Packet)
+        );
+        assert_eq!(own, vec![("--csv".to_string(), Some("x.csv".to_string()))]);
+        assert_eq!(pos, argv(&["s.toml"]));
+        let err = parse_common(&argv(&["--traces", "many"]), &[]).unwrap_err();
+        assert!(err.contains("--traces needs an integer"), "{err}");
     }
 
     #[test]

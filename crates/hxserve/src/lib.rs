@@ -18,7 +18,12 @@
 //!   ([`toml`]), same no-crates.io regime as `hxlint`'s lexer.
 //! * **Deterministic at any thread count.** Cells run concurrently on the
 //!   vendored rayon pool but are reassembled in plan order, so every
-//!   output byte is independent of `--threads`.
+//!   output byte is independent of `RAYON_NUM_THREADS`.
+//! * **The spec is the whole input.** Every setting that changes a
+//!   result is a spec key or a common flag resolved into the cells
+//!   (`--full`, `--traces`, `--seed`, `--engine`); nothing reaches the
+//!   engines through the process environment, so the cache key covers
+//!   everything a cell depends on.
 //! * **Content-addressed memoization.** Completed cells are cached on
 //!   disk keyed on (spec source hash, cell descriptor, failure-set
 //!   fingerprint) — byte-identical specs hit, any spec edit misses, and

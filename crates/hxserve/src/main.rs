@@ -9,8 +9,8 @@
 //! runs over unchanged specs are served from the cell cache and emit
 //! byte-identical output.
 
-use hxserve::cli::{self, COMMON_FLAGS, SERVE_FLAGS};
-use hxserve::{exec, render, ExecOptions, Overrides, Scenario};
+use hxserve::cli::{self, CommonArgs, COMMON_FLAGS, SERVE_FLAGS};
+use hxserve::{exec, render, ExecOptions, Scenario};
 use std::io::Write as _;
 use std::path::PathBuf;
 
@@ -22,12 +22,10 @@ enum Format {
 }
 
 struct ServeArgs {
-    overrides: Overrides,
+    common: CommonArgs,
     format: Format,
     cache_dir: Option<PathBuf>,
     stats: Option<PathBuf>,
-    metrics_out: Option<PathBuf>,
-    trace_out: Option<PathBuf>,
     specs: Vec<PathBuf>,
 }
 
@@ -58,17 +56,15 @@ fn parse_cli() -> ServeArgs {
             "unknown command {command:?} (expected run or batch)"
         ));
     }
-    let (flags, positional) = match cli::parse_flags(&argv[1..], &[COMMON_FLAGS, SERVE_FLAGS]) {
+    let (common, flags, positional) = match cli::parse_common(&argv[1..], SERVE_FLAGS) {
         Ok(parsed) => parsed,
         Err(msg) => fail_usage(&msg),
     };
     let mut out = ServeArgs {
-        overrides: Overrides::default(),
+        common,
         format: Format::Jsonl,
         cache_dir: Some(PathBuf::from("target/hxserve-cache")),
         stats: None,
-        metrics_out: None,
-        trace_out: None,
         specs: positional.iter().map(PathBuf::from).collect(),
     };
     let mut no_cache = false;
@@ -79,33 +75,6 @@ fn parse_cli() -> ServeArgs {
                 print!("{}", usage());
                 std::process::exit(0);
             }
-            "--full" => out.overrides.full = true,
-            "--traces" => match value.parse() {
-                Ok(n) => out.overrides.traces = Some(n),
-                Err(_) => fail_usage(&format!("--traces needs an integer, got {value:?}")),
-            },
-            "--seed" => match value.parse() {
-                Ok(s) => out.overrides.seed = Some(s),
-                Err(_) => fail_usage(&format!("--seed needs an integer, got {value:?}")),
-            },
-            "--engine" => match value.parse() {
-                Ok(e) => out.overrides.engine = Some(e),
-                Err(msg) => fail_usage(&msg),
-            },
-            "--threads" => match value.parse::<usize>() {
-                Ok(n) if n > 0 => cli::apply_threads(n),
-                _ => fail_usage(&format!(
-                    "--threads needs a positive integer, got {value:?}"
-                )),
-            },
-            "--rates" => match value.parse() {
-                Ok(m) => cli::apply_rates(m),
-                Err(msg) => fail_usage(&msg),
-            },
-            "--retransmit" => match value.parse() {
-                Ok(p) => cli::apply_retransmit(p),
-                Err(msg) => fail_usage(&msg),
-            },
             "--format" => {
                 out.format = match value {
                     "jsonl" => Format::Jsonl,
@@ -119,15 +88,16 @@ fn parse_cli() -> ServeArgs {
             "--cache-dir" => out.cache_dir = Some(PathBuf::from(value)),
             "--no-cache" => no_cache = true,
             "--stats" => out.stats = Some(PathBuf::from(value)),
-            "--metrics-out" => out.metrics_out = Some(PathBuf::from(value)),
-            "--trace-out" => out.trace_out = Some(PathBuf::from(value)),
             other => fail_usage(&format!("unhandled flag {other:?}")),
         }
     }
     if no_cache {
         out.cache_dir = None;
     }
-    cli::apply_telemetry(out.metrics_out.as_deref(), out.trace_out.as_deref());
+    cli::apply_telemetry(
+        out.common.metrics_out.as_deref(),
+        out.common.trace_out.as_deref(),
+    );
     match (command.as_str(), out.specs.len()) {
         ("run", 1) => {}
         ("run", n) => fail_usage(&format!("run takes exactly one spec, got {n}")),
@@ -161,7 +131,7 @@ fn main() {
                 std::process::exit(1);
             }
         };
-        let plan = scenario.resolve(&args.overrides);
+        let plan = scenario.resolve(&args.common.overrides);
         let mut lock = stdout.lock();
         if args.format == Format::Csv {
             if let Some(header) = render::csv_header(&plan) {
@@ -199,7 +169,10 @@ fn main() {
     // so `--stats` consumers can see what the flags cost end to end.
     #[allow(clippy::disallowed_methods)] // bin-side wall-clock; results never read it
     let t0 = std::time::Instant::now();
-    if let Err(e) = cli::write_telemetry(args.metrics_out.as_deref(), args.trace_out.as_deref()) {
+    if let Err(e) = cli::write_telemetry(
+        args.common.metrics_out.as_deref(),
+        args.common.trace_out.as_deref(),
+    ) {
         eprintln!("hxserve: cannot write telemetry artifacts: {e}");
         std::process::exit(1);
     }

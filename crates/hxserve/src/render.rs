@@ -244,7 +244,7 @@ pub fn csv_row(plan: &Plan, row: &CellRow) -> Option<String> {
         }
         (
             Style::FailureBlocks,
-            CellKind::MidrunAlltoall { failures, draw },
+            CellKind::MidrunAlltoall { failures, draw, .. },
             CellOutput::Bandwidth(b),
         ) => Some(format!(
             "{},{},midrun,{failures},{draw},{:.4},{},{}",
@@ -311,7 +311,7 @@ pub fn jsonl_row(plan: &Plan, row: &CellRow) -> String {
                 row.failure_set_id
             );
         }
-        CellKind::MidrunAlltoall { failures, draw } => {
+        CellKind::MidrunAlltoall { failures, draw, .. } => {
             let ints = |v: &[u64]| {
                 v.iter()
                     .map(|t| t.to_string())
@@ -509,6 +509,7 @@ title = "t"
         row.spec.kind = CellKind::MidrunAlltoall {
             failures: 4,
             draw: 1,
+            retransmit: hammingmesh::hxsim::RetransmitPolicy::Timeout,
         };
         row.spec.midrun = Some(crate::spec::MidrunTimes {
             fail_at_ps: vec![1_000_000],

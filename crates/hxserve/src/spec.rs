@@ -28,6 +28,8 @@
 //!
 //! [failures]                # failures pattern only; optional
 //! mode = "frozen"           # frozen | midrun | compare (frozen vs midrun columns)
+//! retransmit = "timeout"    # midrun/compare only: packet-engine recovery of
+//!                           # packets dropped on a failed cable (timeout | reroute)
 //!
 //! [failures.schedule]       # required for midrun/compare modes
 //! fail_at_ps = [5000000]    # fail instants, paired with the drawn cables
@@ -49,7 +51,7 @@
 
 use crate::toml::{self, Doc, Section, SpecError, Value};
 use hammingmesh::experiments::AllreduceAlgo;
-use hammingmesh::hxsim::EngineKind;
+use hammingmesh::hxsim::{EngineKind, RetransmitPolicy};
 use hammingmesh::topologies::TopologyChoice;
 
 /// The default RNG seed, shared with the figure harness (`HarnessArgs`).
@@ -193,6 +195,9 @@ pub struct FailurePolicy {
     /// `[Frozen]` (default), `[Midrun]`, or `[Frozen, Midrun]` for
     /// `mode = "compare"` side-by-side columns.
     pub modes: Vec<FailureMode>,
+    /// How the packet engine recovers packets dropped by a mid-run
+    /// failure (`retransmit`; only legal when a midrun mode is swept).
+    pub retransmit: RetransmitPolicy,
     pub times: MidrunTimes,
 }
 
@@ -200,6 +205,7 @@ impl Default for FailurePolicy {
     fn default() -> Self {
         FailurePolicy {
             modes: vec![FailureMode::Frozen],
+            retransmit: RetransmitPolicy::Timeout,
             times: MidrunTimes::default(),
         }
     }
@@ -298,6 +304,7 @@ pub enum CellKind {
     MidrunAlltoall {
         failures: usize,
         draw: usize,
+        retransmit: RetransmitPolicy,
     },
 }
 
@@ -314,7 +321,11 @@ impl CellSpec {
             CellKind::FailedAlltoall { failures, draw } => {
                 format!("failed_alltoall:f={failures},draw={draw}")
             }
-            CellKind::MidrunAlltoall { failures, draw } => {
+            CellKind::MidrunAlltoall {
+                failures,
+                draw,
+                retransmit,
+            } => {
                 let j = |v: &[u64]| {
                     v.iter()
                         .map(|t| t.to_string())
@@ -327,7 +338,7 @@ impl CellSpec {
                     // hxlint: allow(P001) expand_cells sets `midrun` on every MidrunAlltoall cell
                     .expect("midrun cells carry times");
                 format!(
-                    "midrun_alltoall:f={failures},draw={draw},fail={},repair={}",
+                    "midrun_alltoall:f={failures},draw={draw},retransmit={retransmit},fail={},repair={}",
                     j(&t.fail_at_ps),
                     j(&t.repair_at_ps)
                 )
@@ -821,6 +832,13 @@ impl Scenario {
         if self.failures != FailurePolicy::default() {
             let _ = writeln!(out, "\n[failures]");
             let _ = writeln!(out, "mode = {}", toml::quote(self.failures.mode_name()));
+            if self.failures.modes.contains(&FailureMode::Midrun) {
+                let _ = writeln!(
+                    out,
+                    "retransmit = {}",
+                    toml::quote(self.failures.retransmit.as_str())
+                );
+            }
             let t = &self.failures.times;
             if !t.fail_at_ps.is_empty() {
                 let _ = writeln!(out, "\n[failures.schedule]");
@@ -904,7 +922,7 @@ impl Scenario {
 fn parse_failures(doc: &Doc) -> Result<FailurePolicy, SpecError> {
     let mut policy = FailurePolicy::default();
     if let Some(sec) = doc.section("failures") {
-        unknown_key_check(sec, &["mode"])?;
+        unknown_key_check(sec, &["mode", "retransmit"])?;
         if let Some(modes) = want_enum(sec, "mode", |s| match s {
             "frozen" => Ok(vec![FailureMode::Frozen]),
             "midrun" => Ok(vec![FailureMode::Midrun]),
@@ -914,6 +932,18 @@ fn parse_failures(doc: &Doc) -> Result<FailurePolicy, SpecError> {
             )),
         })? {
             policy.modes = modes;
+        }
+        if let Some(e) = sec.get("retransmit") {
+            if !policy.modes.contains(&FailureMode::Midrun) {
+                return Err(SpecError::at(
+                    e.line,
+                    "`retransmit` needs mode \"midrun\" or \"compare\": \
+                     frozen failures drop no packets",
+                ));
+            }
+        }
+        if let Some(retransmit) = want_enum(sec, "retransmit", |s| s.parse())? {
+            policy.retransmit = retransmit;
         }
     }
     if let Some(sec) = doc.section("failures.schedule") {
@@ -1091,6 +1121,7 @@ fn expand_cells(plan: &Plan) -> Vec<CellSpec> {
                                         CellKind::MidrunAlltoall {
                                             failures: f,
                                             draw: d,
+                                            retransmit: plan.failures.retransmit,
                                         },
                                         Some(plan.failures.times.clone()),
                                     ),
@@ -1227,7 +1258,8 @@ title = "midrun"
             plan.cells[2].kind,
             CellKind::MidrunAlltoall {
                 failures: 0,
-                draw: 0
+                draw: 0,
+                retransmit: RetransmitPolicy::Timeout,
             }
         );
         assert_eq!(
@@ -1242,6 +1274,7 @@ title = "midrun"
         let d_mid = plan.cells[6].descriptor();
         assert!(d_frozen.contains("failed_alltoall:f=1"), "{d_frozen}");
         assert!(d_mid.contains("midrun_alltoall:f=1"), "{d_mid}");
+        assert!(d_mid.contains("retransmit=timeout"), "{d_mid}");
         assert!(d_mid.contains("fail=1000000"), "{d_mid}");
         assert_ne!(d_frozen, d_mid);
     }

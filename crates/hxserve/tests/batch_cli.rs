@@ -128,31 +128,83 @@ fn second_batch_pass_is_cached_and_byte_identical() {
     assert!(!body.contains("cached"));
 }
 
-/// The cell cache key deliberately excludes the max-min solver mode:
-/// `--rates full` and `--rates incremental` are proven bitwise-equivalent
-/// (tests/flow_incremental_equiv.rs), so cells computed under one mode
-/// are valid hits under the other. A cold pass with the full solver
-/// followed by a warm pass with the incremental solver must behave
-/// exactly like a same-mode re-run: >=90% hits, byte-identical JSONL.
+/// A small mid-run packet-engine spec whose dropped packets make the
+/// two recovery policies finish at different times; `{retransmit}`
+/// stands for the optional `retransmit` line.
+const MIDRUN: &str = r#"
+[scenario]
+name = "midrun"
+pattern = "failures"
+engine = "packet"
+
+[topology]
+set = ["hx2mesh", "torus"]
+endpoints = 16
+
+[sweep]
+bytes = [32768]
+failed_cables = [2]
+draws = 1
+
+[failures]
+mode = "midrun"
+{retransmit}
+
+[failures.schedule]
+fail_at_ps = [1000000]
+
+[output]
+style = "failure_blocks"
+title = "midrun"
+"#;
+
+/// The packet-engine recovery policy is a spec key, so switching it
+/// changes the hashed spec source and every cell key: a cache warmed
+/// under the timeout policy must serve none of its records to the
+/// reroute spec, whose output must equal its own uncached run.
 #[test]
-fn rate_solver_switch_keeps_cache_warm() {
-    let dir = Workdir::new("rates");
-    std::fs::write(dir.path("a.toml"), SPEC_A).unwrap();
-    std::fs::write(dir.path("b.toml"), SPEC_B).unwrap();
+fn retransmit_switch_never_hits_the_other_policys_records() {
+    let dir = Workdir::new("retransmit");
+    let spec = dir.path("midrun.toml");
+    let run = |extra: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_hxserve"))
+            .arg("run")
+            .arg(&spec)
+            .args(extra)
+            .output()
+            .expect("spawn hxserve");
+        assert!(
+            out.status.success(),
+            "hxserve run {extra:?} exited with {:?}\n--- stderr ---\n{}",
+            out.status.code(),
+            String::from_utf8_lossy(&out.stderr),
+        );
+        out.stdout
+    };
+    let cache = dir.path("cache");
+    let cached = ["--cache-dir", cache.to_str().unwrap()];
+    let stats_path = dir.path("stats.json");
 
-    let (cold_out, cold_stats) = run_batch(&dir, "cold", &["--rates", "full"]);
-    let cells = stat(&cold_stats, "cells");
-    assert_eq!(stat(&cold_stats, "cache_hits"), 0);
+    std::fs::write(&spec, MIDRUN.replace("{retransmit}", "")).unwrap();
+    let timeout_out = run(&cached);
 
-    let (warm_out, warm_stats) = run_batch(&dir, "warm", &["--rates", "incremental"]);
-    let hits = stat(&warm_stats, "cache_hits");
-    assert!(
-        hits * 10 >= cells * 9,
-        "solver switch must not cool the cache: {hits}/{cells} hits"
-    );
+    std::fs::write(
+        &spec,
+        MIDRUN.replace("{retransmit}", "retransmit = \"reroute\""),
+    )
+    .unwrap();
+    let reroute_out = run(&[&cached[..], &["--stats", stats_path.to_str().unwrap()]].concat());
+    let stats = std::fs::read_to_string(&stats_path).expect("stats written");
+    assert_eq!(stat(&stats, "cache_hits"), 0, "{stats}");
     assert_eq!(
-        warm_out, cold_out,
-        "incremental warm pass must replay the full-solver cold pass byte for byte"
+        reroute_out,
+        run(&["--no-cache"]),
+        "the reroute run must match its own uncached output"
+    );
+    // Without this the test could not see a stale hit.
+    assert_ne!(
+        reroute_out, timeout_out,
+        "the two policies must differ on this spec"
     );
 }
 
@@ -261,6 +313,9 @@ fn cli_errors_are_exit_code_2() {
         &["run", "x.toml", "--wat"],            // unknown flag
         &["run", "x.toml", "--format", "yaml"], // bad enum value
         &["run", "x.toml", "--traces"],         // missing value
+        &["run", "x.toml", "--rates", "full"],  // unknown flags
+        &["run", "x.toml", "--retransmit", "reroute"],
+        &["run", "x.toml", "--threads", "2"],
     ];
     for args in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_hxserve"))
@@ -285,7 +340,6 @@ fn cli_errors_are_exit_code_2() {
         "--traces",
         "--seed",
         "--engine",
-        "--threads",
         "--format",
         "--no-cache",
     ] {

@@ -23,41 +23,16 @@ use std::collections::{BinaryHeap, VecDeque};
 /// unchanged component's membership is unchanged by definition — the two
 /// modes produce bitwise-identical rates, completion times, and stats
 /// (solver-effort counters aside); `tests/flow_incremental_equiv.rs`
-/// pins that equivalence differentially. Ignored by the packet engine.
+/// pins that equivalence differentially. Runs use `Incremental`; `Full`
+/// is the oracle those tests compare against. Ignored by the packet
+/// engine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RateMode {
-    /// Refill every component on each dirty epoch (reference solver).
+    /// Refill every component on each dirty epoch (the differential
+    /// tests' reference solver).
     Full,
     /// Refill only components that contain a change seed (default).
     Incremental,
-}
-
-impl std::str::FromStr for RateMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "full" => Ok(RateMode::Full),
-            "incremental" => Ok(RateMode::Incremental),
-            _ => Err(format!(
-                "unknown rate mode {s:?} (expected full|incremental)"
-            )),
-        }
-    }
-}
-
-impl RateMode {
-    /// Resolve the ambient default: the `HX_RATES` environment variable
-    /// (set by the shared `--rates` CLI flag, see `hxserve::cli`) when
-    /// valid, otherwise [`RateMode::Incremental`]. Reading configuration
-    /// from the environment is deterministic (same run, same value) —
-    /// the D002 house rule only bans entropy and wall-clock.
-    pub fn from_env() -> Self {
-        match std::env::var("HX_RATES") {
-            Ok(v) => v.parse().unwrap_or(RateMode::Incremental),
-            Err(_) => RateMode::Incremental,
-        }
-    }
 }
 
 /// Engine configuration. Defaults follow App. F of the paper.
@@ -119,10 +94,10 @@ impl Default for SimConfig {
             use_waypoints: true,
             seed: 0x5eed,
             max_time_ps: Time::MAX,
-            rate_mode: RateMode::from_env(),
+            rate_mode: RateMode::Incremental,
             trace_rates: false,
             failures: crate::FailureSchedule::default(),
-            retransmit: crate::RetransmitPolicy::from_env(),
+            retransmit: RetransmitPolicy::Timeout,
         }
     }
 }
@@ -458,11 +433,6 @@ impl<'n> Engine<'n> {
             .filter(|m| m.delivered_packets < m.num_packets)
             .count();
         self.stats.undelivered_messages = undelivered;
-        if undelivered > 0 && std::env::var("HXSIM_DEBUG").is_ok() {
-            for line in self.dump_stuck() {
-                eprintln!("[hxsim stuck] {line}");
-            }
-        }
         for n in &self.nodes {
             for p in &n.out {
                 self.stats.total_link_busy_ps += p.busy_ps;
@@ -1072,53 +1042,6 @@ impl<'n> Engine<'n> {
 /// Extra field kept out of the struct literal above for clarity.
 #[allow(dead_code)]
 trait EngineGuard {}
-
-impl Engine<'_> {
-    /// Diagnostic: describe packets still in flight (for deadlock hunts).
-    pub fn dump_stuck(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        for (i, p) in self.packets.iter().enumerate() {
-            if self.free_packets.contains(&(i as u32)) {
-                continue;
-            }
-            let m = &self.msgs[p.msg as usize];
-            if m.delivered_packets >= m.num_packets {
-                continue;
-            }
-            out.push(format!(
-                "pkt{} msg{} {}->{} vc{} held={:?} waypoint={:?}",
-                i, p.msg, m.info.src_rank, m.info.dst_rank, p.vc, p.held, p.waypoint
-            ));
-        }
-        for (ni, n) in self.nodes.iter().enumerate() {
-            for (pi, op) in n.out.iter().enumerate() {
-                if op.queues.iter().any(|q| !q.is_empty()) {
-                    out.push(format!(
-                        "node{} port{} queues={:?} stalled_mask={:#b} busy_until={}",
-                        ni, pi, op.queues, op.stalled_mask, op.busy_until
-                    ));
-                }
-            }
-            if !n.nic_pending.is_empty() {
-                out.push(format!("node{} nic_pending={:?}", ni, n.nic_pending));
-            }
-            for (si, w) in n.waiters.iter().enumerate() {
-                if !w.is_empty() {
-                    out.push(format!(
-                        "node{} slot{} (port {}, vc {}) occ={} waiters={:?}",
-                        ni,
-                        si,
-                        si / self.num_vcs,
-                        si % self.num_vcs,
-                        n.in_occ[si],
-                        w
-                    ));
-                }
-            }
-        }
-        out
-    }
-}
 
 struct EngineProbe<'a> {
     nodes: &'a [NodeState],

@@ -94,9 +94,9 @@ impl FailureSchedule {
 }
 
 /// How the packet engine's sender recovers a packet dropped on a failed
-/// cable. Selected by the shared `--retransmit` CLI flag (via the
-/// `HX_RETRANSMIT` environment variable, mirroring `--rates`/`HX_RATES`);
-/// ignored by the flow engine, whose fluid flows re-route losslessly.
+/// cable ([`crate::SimConfig::retransmit`]; scenario specs select it with
+/// `[failures] retransmit = "timeout" | "reroute"`). Ignored by the flow
+/// engine, whose fluid flows re-route losslessly.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum RetransmitPolicy {
     /// Sender-side retransmission timer: the dropped packet re-injects
@@ -115,16 +115,6 @@ impl RetransmitPolicy {
         match self {
             RetransmitPolicy::Timeout => "timeout",
             RetransmitPolicy::Reroute => "reroute",
-        }
-    }
-
-    /// Resolve the ambient default from `HX_RETRANSMIT` (set by the
-    /// shared `--retransmit` flag), falling back to [`Self::Timeout`].
-    /// Environment reads are deterministic — same run, same value.
-    pub fn from_env() -> Self {
-        match std::env::var("HX_RETRANSMIT") {
-            Ok(v) => v.parse().unwrap_or(RetransmitPolicy::Timeout),
-            Err(_) => RetransmitPolicy::Timeout,
         }
     }
 }

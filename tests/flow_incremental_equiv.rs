@@ -6,7 +6,13 @@
 //! solver modes. Everything an application or a figure sweep can observe
 //! must match **bitwise**: completion times, per-epoch max-min rates
 //! (`SimStats::rate_trace`, recorded on every dirty epoch in either
-//! mode), and all delivery counters.
+//! mode), and all delivery and failure counters.
+//!
+//! The patterns include the figure sweeps' two less direct paths: a
+//! collective schedule (disjoint-rings or 2D-torus allreduce replayed by
+//! `ScheduleApp`, as Fig. 13 runs it) and, as an option on any pattern,
+//! the drawn failure set replayed mid-run as a `FailureSchedule` on the
+//! pristine network (as `hxserve`'s mid-run cells and Fig. 10 run it).
 //!
 //! The four solver-effort counters (`rate_recomputes*`,
 //! `rate_touched_flows`) are deliberately *excluded* from the bitwise
@@ -16,12 +22,15 @@
 //! For those the suite instead pins the direction of the O(affected)
 //! claim: incremental effort never exceeds full effort.
 
+use hammingmesh::hxcollect::simapp::ScheduleApp;
+use hammingmesh::hxcollect::{disjoint_rings_allreduce, torus2d_allreduce, ELEM_BYTES};
 use hammingmesh::hxnet::route::ShortestPathRouter;
 use hammingmesh::hxnet::Network;
 use hammingmesh::hxsim::apps::{Alltoall, MessageBlast, Permutation, UniformRandom};
-use hammingmesh::hxsim::{Application, FlowEngine, RateMode, SimConfig, SimStats};
+use hammingmesh::hxsim::{Application, FailureSchedule, FlowEngine, RateMode, SimConfig, SimStats};
 use hammingmesh::prelude::*;
 use proptest::prelude::*;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 /// The topology x router combinations under test — the same portfolio the
@@ -67,6 +76,10 @@ fn net_for(idx: usize) -> Network {
     }
 }
 
+/// Ranks of the collective-schedule pattern: a 4x4 logical grid, placed
+/// on a seeded subset of the machine so schedules stay small everywhere.
+const COLLECTIVE_RANKS: usize = 16;
+
 /// One fully-specified random scenario: everything needed to rebuild the
 /// identical simulation any number of times (per mode, per replica).
 #[derive(Clone, Copy, Debug)]
@@ -75,15 +88,54 @@ struct Scenario {
     kind: usize,
     bytes: u64,
     failures: usize,
+    /// Inject the drawn cables mid-run instead of before the run.
+    midrun: bool,
     seed: u64,
 }
 
 impl Scenario {
-    fn build_net(&self) -> Network {
+    /// The network and the run's failure schedule. Frozen scenarios fail
+    /// the drawn cables up front; mid-run ones restore them and replay
+    /// the same set as one fail instant (plus a repair on odd seeds)
+    /// while traffic is in flight.
+    fn build_net(&self) -> (Network, FailureSchedule) {
         let mut net = net_for(self.net_idx);
         let mut rng = rand::rngs::StdRng::seed_from_u64(self.seed);
         net.fail_random_cables(self.failures, &mut rng);
-        net
+        let mut sched = FailureSchedule::new();
+        if self.midrun {
+            let drawn: Vec<_> = net
+                .topo
+                .cables()
+                .into_iter()
+                .filter(|&(n, p)| net.topo.link_failed(n, p))
+                .collect();
+            let fail_at = 200_000 * (1 + self.seed % 8);
+            for (n, p) in drawn {
+                net.topo.restore_link(n, p);
+                sched = sched.fail(fail_at, n, p);
+                if !self.seed.is_multiple_of(2) {
+                    sched = sched.repair(fail_at + 2_000_000, n, p);
+                }
+            }
+        }
+        (net, sched)
+    }
+
+    /// The collective-schedule pattern: a disjoint-rings or 2D-torus
+    /// allreduce of `bytes` per rank and its seeded placement.
+    fn collective(&self, p: usize) -> (Schedule, Vec<u32>) {
+        let elems = (self.bytes / ELEM_BYTES).max(COLLECTIVE_RANKS as u64 * 4) as usize;
+        let sched = if self.seed.is_multiple_of(2) {
+            disjoint_rings_allreduce(4, 4, elems).0
+        } else {
+            torus2d_allreduce(4, 4, elems, true)
+        };
+        let mut rng = rand::rngs::StdRng::seed_from_u64(self.seed ^ 0xC011);
+        let mut placement: Vec<u32> = (0..p as u32).collect();
+        placement.shuffle(&mut rng);
+        placement.truncate(COLLECTIVE_RANKS);
+        (sched, placement)
     }
 
     fn build_app(&self) -> Box<dyn Application> {
@@ -117,14 +169,22 @@ impl Scenario {
     }
 
     fn run(&self, mode: RateMode) -> SimStats {
-        let net = self.build_net();
-        let mut app = self.build_app();
+        let (net, failures) = self.build_net();
         let cfg = SimConfig {
             rate_mode: mode,
             trace_rates: true,
             max_time_ps: 500_000_000_000,
+            failures,
             ..Default::default()
         };
+        if self.kind == 4 {
+            let (sched, placement) = self.collective(net.num_ranks());
+            let mut app = ScheduleApp::with_mapping(&sched, placement);
+            let stats = FlowEngine::new(&net, cfg).run(&mut app);
+            assert!(app.is_done(), "{self:?}: schedule did not complete");
+            return stats;
+        }
+        let mut app = self.build_app();
         FlowEngine::new(&net, cfg).run(app.as_mut())
     }
 }
@@ -144,6 +204,11 @@ fn assert_equiv(full: &SimStats, inc: &SimStats) {
     assert_eq!(full.rank_recv_done_ps, inc.rank_recv_done_ps);
     assert_eq!(full.rank_recv_bytes, inc.rank_recv_bytes);
     assert_eq!(full.node_forwarded, inc.node_forwarded);
+    assert_eq!(full.link_fail_events, inc.link_fail_events);
+    assert_eq!(full.link_repair_events, inc.link_repair_events);
+    assert_eq!(full.flows_rerouted, inc.flows_rerouted);
+    assert_eq!(full.flow_stall_ps, inc.flow_stall_ps);
+    assert_eq!(full.error, inc.error);
     assert_eq!(
         full.rate_trace, inc.rate_trace,
         "per-epoch max-min rates diverged"
@@ -174,17 +239,18 @@ proptest! {
     #[test]
     fn prop_incremental_matches_full_bitwise(
         net_idx in 0usize..7,
-        kind in 0usize..4,
+        kind in 0usize..5,
         bytes in prop_oneof![
             64u64..2048,             // latency-bound small messages
             (16u64 << 10)..(64 << 10), // the figures' mid sizes
             (1u64 << 20)..(2 << 20),   // bandwidth-bound MiB class
         ],
-        failures in 0usize..5,
+        failure_set in (0usize..5, prop_oneof![Just(false), Just(true)]),
         seed in 0u64..10_000,
         threads in 1usize..4,
     ) {
-        let sc = Scenario { net_idx, kind, bytes, failures, seed };
+        let (failures, midrun) = failure_set;
+        let sc = Scenario { net_idx, kind, bytes, failures, midrun, seed };
         let full = sc.run(RateMode::Full);
         let inc = sc.run(RateMode::Incremental);
         // A universally timed-out suite would verify nothing: scenarios
