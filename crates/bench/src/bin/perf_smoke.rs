@@ -1,31 +1,36 @@
-//! CI perf-smoke harness: runs the Fig. 11 (alltoall) and Fig. 13
-//! (allreduce) headline scenarios at quick scale on **both** simulation
-//! backends, records wall-clock and simulated time to `BENCH_sim.json`,
-//! emits the figure sweeps as CSV artifacts (flow engine, so the sweep
-//! stays cheap even in CI), and benchmarks the thread pool: the Fig. 8 /
-//! Fig. 9 Monte-Carlo trace sweeps run once at 1 thread and once at the
-//! environment thread count, and `BENCH_par.json` records the measured
-//! parallel speedup plus a bitwise identical-results check.
+//! CI perf-smoke harness: the repo's speed claims, measured and judged in
+//! one run. It times the Fig. 11 (alltoall) and Fig. 13 (allreduce)
+//! headline scenarios on **both** simulation backends, the
+//! Table-II-scale `flow_scale` run, the cost of telemetry and of an
+//! armed-but-inert failure schedule, the Fig. 8 / Fig. 9 Monte-Carlo
+//! trace sweeps at 1 thread and at the environment thread count, and the
+//! allocator on a 1,000×1,000 board mesh.
 //!
 //! ```sh
 //! perf_smoke --out bench-artifacts
 //! ```
 //!
-//! The JSON files double as the PR-level perf gates: `BENCH_sim.json`'s
-//! `wall_speedup` documents how much faster the flow-level fast path is
-//! than the packet engine, and `BENCH_par.json`'s `speedup` documents
-//! what multi-core execution buys on the trace sweeps (CI enforces
-//! >= 1.5x when the runner has >= 4 cores).
+//! Every scenario becomes one record of the same shape in
+//! `BENCH_smoke.json`: a name, a one-line description, a flat map of
+//! named numbers, an `ok` flag for its correctness condition (always
+//! enforced), and threshold gates `{value, min|max, pass}` under one
+//! `enforced` flag. The document is written and checked for valid JSON
+//! first; then every failed check is printed with its scenario, value,
+//! observed number and limit, and the run exits 1. Usage errors exit 2.
+//! The traced telemetry run also writes `fig11_flow.trace.json`, a
+//! Perfetto-loadable sample.
 
 use hammingmesh::hxalloc::experiments::{
     fig8_strategies, fig8_utilization, fig9_upper_traffic, Distribution,
 };
 use hammingmesh::hxsim::apps::Alltoall;
-use hammingmesh::hxsim::SimStats;
+use hammingmesh::hxsim::FailureSchedule;
 use hammingmesh::prelude::*;
 use hxserve::cli::{self, FlagSpec};
+use hxserve::render::fmt_bytes;
+use hxtelemetry::{collect, trace::escape_json};
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// perf_smoke's flags, parsed as strictly as the shared table: unknown
@@ -34,52 +39,152 @@ const FLAGS: &[FlagSpec] = &[
     FlagSpec {
         name: "--out",
         value: Some("DIR"),
-        help: "directory for the BENCH_*.json files and figure CSVs (default: .)",
+        help: "directory for BENCH_smoke.json and the sample trace (default: .)",
     },
     FlagSpec {
         name: "--quick",
         value: None,
         help: "shrink the packet-engine scenarios so a debug build stays fast \
+               and record the wall-clock gates unenforced \
                (the smoke tests run it this way; CI runs the full release version)",
     },
 ];
 
-struct EngineRun {
-    wall_s: f64,
-    sim_ps: u64,
-    bw_fraction: f64,
-    clean: bool,
+/// One scenario's record; every scenario renders with these fields.
+struct Scenario {
+    name: &'static str,
+    description: String,
+    metrics: Vec<(&'static str, f64)>,
+    /// The correctness condition, checked on every run.
+    ok: bool,
+    /// Judged only when `enforced`; always recorded with their verdict.
+    gates: Vec<Gate>,
+    enforced: bool,
 }
 
-fn run_both(mut f: impl FnMut(EngineKind) -> Measurement) -> (EngineRun, EngineRun) {
-    let mut one = |engine| {
-        #[allow(clippy::disallowed_methods)] // wall-clock is this bin's product
-        let t0 = Instant::now();
-        let m = f(engine);
-        EngineRun {
-            wall_s: t0.elapsed().as_secs_f64(),
-            sim_ps: m.time_ps,
-            bw_fraction: m.bw_fraction,
-            clean: m.clean,
+/// A threshold on one of its scenario's metrics.
+enum Gate {
+    Min(&'static str, f64),
+    Max(&'static str, f64),
+}
+
+impl Gate {
+    /// `(metric, "min" | "max", limit)`.
+    fn parts(&self) -> (&'static str, &'static str, f64) {
+        match *self {
+            Gate::Min(value, limit) => (value, "min", limit),
+            Gate::Max(value, limit) => (value, "max", limit),
         }
-    };
-    (one(EngineKind::Packet), one(EngineKind::Flow))
+    }
+
+    /// The gate's verdict on `s` (a missing or NaN metric fails).
+    fn pass(&self, s: &Scenario) -> bool {
+        let observed = s.metric(self.parts().0);
+        match *self {
+            Gate::Min(_, limit) => observed >= limit,
+            Gate::Max(_, limit) => observed <= limit,
+        }
+    }
 }
 
-fn json_scenario(out: &mut String, name: &str, desc: &str, packet: &EngineRun, flow: &EngineRun) {
-    let speedup = packet.wall_s / flow.wall_s.max(1e-9);
-    writeln!(out, "    \"{name}\": {{").unwrap();
-    writeln!(out, "      \"scenario\": \"{desc}\",").unwrap();
-    for (engine, r) in [("packet", packet), ("flow", flow)] {
-        writeln!(
-            out,
-            "      \"{engine}\": {{\"wall_s\": {:.4}, \"sim_ps\": {}, \"bw_fraction\": {:.4}, \"clean\": {}}},",
-            r.wall_s, r.sim_ps, r.bw_fraction, r.clean
-        )
-        .unwrap();
+impl Scenario {
+    fn metric(&self, name: &str) -> f64 {
+        self.metrics
+            .iter()
+            .find(|(k, _)| *k == name)
+            .map_or(f64::NAN, |&(_, v)| v)
     }
-    writeln!(out, "      \"wall_speedup\": {speedup:.1}").unwrap();
-    out.push_str("    }");
+}
+
+/// A JSON number with at most four decimals. NaN and infinities render
+/// as-is, so the document fails [`hxtelemetry::validate_json`].
+fn num(x: f64) -> String {
+    let s = format!("{x:.4}");
+    s.trim_end_matches('0').trim_end_matches('.').to_string()
+}
+
+/// The one writer: the `BENCH_smoke.json` document.
+fn render(quick: bool, cores: usize, threads: usize, scenarios: &[Scenario]) -> String {
+    let scale = if quick { "reduced (--quick)" } else { "quick" };
+    let mut out = format!(
+        "{{\n  \"generated_by\": \"perf_smoke\",\n  \"scale\": \"{scale}\",\n  \
+         \"cores\": {cores},\n  \"threads\": {threads},\n  \"scenarios\": ["
+    );
+    for (i, s) in scenarios.iter().enumerate() {
+        let metrics: Vec<String> = s
+            .metrics
+            .iter()
+            .map(|(k, v)| format!("\"{}\": {}", escape_json(k), num(*v)))
+            .collect();
+        let gates: Vec<String> = s
+            .gates
+            .iter()
+            .map(|g| {
+                let (value, bound, limit) = g.parts();
+                format!(
+                    "{{\"value\": \"{}\", \"{bound}\": {}, \"pass\": {}}}",
+                    escape_json(value),
+                    num(limit),
+                    g.pass(s)
+                )
+            })
+            .collect();
+        write!(
+            out,
+            "{}\n    {{\"name\": \"{}\", \"description\": \"{}\",\n      \
+             \"metrics\": {{{}}},\n      \"ok\": {}, \"enforced\": {}, \"gates\": [{}]}}",
+            if i == 0 { "" } else { "," },
+            escape_json(s.name),
+            escape_json(&s.description),
+            metrics.join(", "),
+            s.ok,
+            s.enforced,
+            gates.join(", ")
+        )
+        .expect("write to String");
+    }
+    out.push_str("\n  ]\n}\n");
+    out
+}
+
+/// The one checker: every failed check, in document order. A false `ok`
+/// always fails; a gate fails only when its scenario is `enforced`.
+fn check(scenarios: &[Scenario]) -> Vec<String> {
+    let mut failures = Vec::new();
+    for s in scenarios {
+        if !s.ok {
+            failures.push(format!("{}: correctness check failed (ok = false)", s.name));
+        }
+        for g in s.gates.iter().filter(|g| s.enforced && !g.pass(s)) {
+            let (value, bound, limit) = g.parts();
+            failures.push(format!(
+                "{}: {value} = {} breaks its {bound} of {}",
+                s.name,
+                num(s.metric(value)),
+                num(limit)
+            ));
+        }
+    }
+    failures
+}
+
+/// Run `f`, returning its result and its wall-clock seconds.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    #[allow(clippy::disallowed_methods)] // wall-clock is this bin's product
+    let t0 = Instant::now();
+    let out = f();
+    (out, t0.elapsed().as_secs_f64())
+}
+
+/// The best wall of `runs` runs of `f`, and whether every run returned true.
+fn best_of(runs: u32, mut f: impl FnMut() -> bool) -> (f64, bool) {
+    let (mut best, mut ok) = (f64::INFINITY, true);
+    for _ in 0..runs {
+        let (clean, wall) = timed(&mut f);
+        best = best.min(wall);
+        ok &= clean;
+    }
+    (best, ok)
 }
 
 fn main() {
@@ -109,6 +214,10 @@ fn main() {
         }
     }
     std::fs::create_dir_all(&out_dir).expect("create output directory");
+    let cores = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    let threads = rayon::current_num_threads();
 
     // Headline scenarios: quick topology scale (Hx2Mesh, 64 endpoints)
     // at the paper's headline message sizes — the largest size of the
@@ -121,260 +230,89 @@ fn main() {
         (1 << 20, 64 << 20)
     };
     let net = TopologyChoice::Hx2Mesh.build_scaled(64);
-    eprintln!("[perf_smoke] fig11_alltoall scenario on {}", net.name);
-    let (a2a_packet, a2a_flow) =
-        run_both(|engine| experiments::alltoall_bandwidth_on(&net, a2a_bytes, 2, engine));
-    eprintln!(
-        "[perf_smoke] alltoall packet {:.2}s / flow {:.2}s -> {:.0}x",
-        a2a_packet.wall_s,
-        a2a_flow.wall_s,
-        a2a_packet.wall_s / a2a_flow.wall_s.max(1e-9)
-    );
-    eprintln!("[perf_smoke] fig13_allreduce scenario on {}", net.name);
-    let (ar_packet, ar_flow) = run_both(|engine| {
-        experiments::allreduce_bandwidth_on(&net, AllreduceAlgo::DisjointRings, ar_bytes, engine)
-    });
-    eprintln!(
-        "[perf_smoke] allreduce packet {:.2}s / flow {:.2}s -> {:.0}x",
-        ar_packet.wall_s,
-        ar_flow.wall_s,
-        ar_packet.wall_s / ar_flow.wall_s.max(1e-9)
-    );
-
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"generated_by\": \"perf_smoke\",\n");
-    json.push_str(if quick {
-        "  \"scale\": \"reduced (--quick)\",\n"
-    } else {
-        "  \"scale\": \"quick\",\n"
-    });
-    json.push_str("  \"scenarios\": {\n");
-    json_scenario(
-        &mut json,
-        "fig11_alltoall",
-        &format!(
-            "balanced-shift alltoall, {}/pair, Hx2Mesh 64 endpoints",
-            hxbench::fmt_bytes(a2a_bytes)
-        ),
-        &a2a_packet,
-        &a2a_flow,
-    );
-    json.push_str(",\n");
-    json_scenario(
-        &mut json,
-        "fig13_allreduce",
-        &format!(
-            "disjoint-rings allreduce, {}/rank, Hx2Mesh 64 endpoints",
-            hxbench::fmt_bytes(ar_bytes)
-        ),
-        &ar_packet,
-        &ar_flow,
-    );
-    json.push_str(",\n");
-    json_flow_scale(&mut json, quick);
-    json.push_str("\n  }\n}\n");
-    let json_path = out_dir.join("BENCH_sim.json");
-    std::fs::write(&json_path, &json).expect("write BENCH_sim.json");
-    eprintln!("[perf_smoke] wrote {}", json_path.display());
-
-    // Figure sweeps as CSV artifacts, on the flow engine (cheap).
-    let sizes_a2a: &[u64] = if quick {
-        &[32 << 10]
-    } else {
-        &[32 << 10, 256 << 10, 1 << 20]
-    };
-    let mut csv = String::from("topology,engine,bytes,bw_fraction,sim_ps,clean\n");
-    for choice in TopologyChoice::all() {
-        let net = choice.build_scaled(64);
-        for &s in sizes_a2a {
-            let m = experiments::alltoall_bandwidth_on(&net, s, 2, EngineKind::Flow);
-            writeln!(
-                csv,
-                "{},flow,{},{:.4},{},{}",
-                choice.name(),
-                s,
-                m.bw_fraction,
-                m.time_ps,
-                m.clean
+    let mut scenarios = vec![
+        Scenario {
+            gates: vec![Gate::Min("wall_speedup", 10.0)],
+            enforced: !quick,
+            ..engine_pair(
+                "fig11_alltoall",
+                format!(
+                    "balanced-shift alltoall, {}/pair, Hx2Mesh 64 endpoints, packet vs flow engine",
+                    fmt_bytes(a2a_bytes)
+                ),
+                |engine| experiments::alltoall_bandwidth_on(&net, a2a_bytes, 2, engine),
             )
-            .unwrap();
-        }
-    }
-    let p = out_dir.join("fig11_alltoall.csv");
-    std::fs::write(&p, &csv).expect("write fig11 csv");
-    eprintln!("[perf_smoke] wrote {}", p.display());
-
-    let sizes_ar: &[u64] = if quick {
-        &[256 << 10]
-    } else {
-        &[256 << 10, 1 << 20, 4 << 20]
-    };
-    let mut csv = String::from("topology,engine,algorithm,bytes,bw_fraction,sim_ps,clean\n");
-    for choice in TopologyChoice::all() {
-        let net = choice.build_scaled(64);
-        for algo in [AllreduceAlgo::DisjointRings, AllreduceAlgo::Torus2D] {
-            for &s in sizes_ar {
-                let m = experiments::allreduce_bandwidth_on(&net, algo, s, EngineKind::Flow);
-                writeln!(
-                    csv,
-                    "{},flow,{:?},{},{:.4},{},{}",
-                    choice.name(),
-                    algo,
-                    s,
-                    m.bw_fraction,
-                    m.time_ps,
-                    m.clean
+        },
+        engine_pair(
+            "fig13_allreduce",
+            format!(
+                "disjoint-rings allreduce, {}/rank, Hx2Mesh 64 endpoints, packet vs flow engine",
+                fmt_bytes(ar_bytes)
+            ),
+            |engine| {
+                experiments::allreduce_bandwidth_on(
+                    &net,
+                    AllreduceAlgo::DisjointRings,
+                    ar_bytes,
+                    engine,
                 )
-                .unwrap();
-            }
-        }
+            },
+        ),
+        flow_scale(quick),
+        telemetry_overhead(&out_dir, quick, &net, a2a_bytes),
+        fault_inert(quick, &net, a2a_bytes),
+    ];
+    scenarios.extend(parallel_sweeps(quick, cores, threads));
+    scenarios.push(alloc_1000x1000(quick));
+
+    let doc = render(quick, cores, threads, &scenarios);
+    let mut failures = Vec::new();
+    if let Err(e) = hxtelemetry::validate_json(&doc) {
+        failures.push(format!("BENCH_smoke.json is not valid JSON: {e}"));
     }
-    let p = out_dir.join("fig13_allreduce.csv");
-    std::fs::write(&p, &csv).expect("write fig13 csv");
-    eprintln!("[perf_smoke] wrote {}", p.display());
-
-    write_bench_obs(&out_dir, quick, &net, a2a_bytes);
-    write_bench_fault(&out_dir, quick, &net, a2a_bytes);
-    write_bench_par(&out_dir, quick);
+    let path = out_dir.join("BENCH_smoke.json");
+    std::fs::write(&path, &doc).expect("write BENCH_smoke.json");
+    eprintln!("[perf_smoke] wrote {}", path.display());
+    failures.extend(check(&scenarios));
+    if !failures.is_empty() {
+        for f in &failures {
+            eprintln!("[perf_smoke] FAILED {f}");
+        }
+        std::process::exit(1);
+    }
 }
 
-/// The mid-run failure machinery's no-op gate: the fig11 alltoall flow
-/// run with no schedule — the baseline configuration every figure sweep
-/// uses — against the same run with a [`hammingmesh::hxsim::FailureSchedule`] armed whose
-/// events all land far beyond the horizon. The no-schedule run IS the
-/// baseline, so this gate pins the cost of carrying schedule support in
-/// the engines at all; an armed-but-inert schedule costs one comparison
-/// per epoch-loop iteration and must sit within measurement noise
-/// (<= 1.05x). `BENCH_fault.json` records both walls and the gate.
-fn write_bench_fault(out_dir: &std::path::Path, quick: bool, net: &Network, bytes: u64) {
-    use hammingmesh::hxsim::FailureSchedule;
-    let wall = |sched: &FailureSchedule| -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..3 {
-            #[allow(clippy::disallowed_methods)] // wall-clock is this bin's product
-            let t0 = Instant::now();
-            let m = experiments::alltoall_bandwidth_cfg(
-                net,
-                bytes,
-                2,
-                EngineKind::Flow,
-                SimConfig {
-                    failures: sched.clone(),
-                    ..SimConfig::default()
-                },
-            );
-            assert!(m.clean, "fig11 flow run did not deliver all traffic");
-            best = best.min(t0.elapsed().as_secs_f64());
-        }
-        best
-    };
-    let baseline = wall(&FailureSchedule::default());
-    let (node, port) = net.topo.cables()[0];
-    const BEYOND_HORIZON_PS: u64 = 1_000_000_000_000_000;
-    let armed = FailureSchedule::new()
-        .fail(BEYOND_HORIZON_PS, node, port)
-        .repair(BEYOND_HORIZON_PS + 1_000, node, port);
-    let armed_wall = wall(&armed);
-    let ratio = armed_wall / baseline.max(1e-9);
+/// A packet-vs-flow scenario: both engines' walls, simulated times and
+/// bandwidth fractions, and the flow engine's wall-clock speedup. `ok`
+/// when both runs deliver all traffic; no gates of its own.
+fn engine_pair(
+    name: &'static str,
+    description: String,
+    mut run: impl FnMut(EngineKind) -> Measurement,
+) -> Scenario {
+    eprintln!("[perf_smoke] {name}: {description}");
+    let (packet, packet_wall) = timed(|| run(EngineKind::Packet));
+    let (flow, flow_wall) = timed(|| run(EngineKind::Flow));
+    let speedup = packet_wall / flow_wall.max(1e-9);
     eprintln!(
-        "[perf_smoke] fault: no-schedule {baseline:.3}s, armed-inert {armed_wall:.3}s \
-         ({ratio:.3}x)"
+        "[perf_smoke] {name}: packet {packet_wall:.2}s / flow {flow_wall:.2}s -> {speedup:.0}x"
     );
-    let mut json = String::new();
-    json.push_str("{\n  \"generated_by\": \"perf_smoke\",\n");
-    json.push_str(
-        "  \"scenario\": \"balanced-shift alltoall, flow engine, Hx2Mesh 64 endpoints, \
-         min-of-3 walls in one process; armed schedule fires beyond the horizon\",\n",
-    );
-    writeln!(json, "  \"no_schedule_wall_s\": {baseline:.4},").unwrap();
-    writeln!(json, "  \"armed_inert_wall_s\": {armed_wall:.4},").unwrap();
-    writeln!(json, "  \"ratio\": {ratio:.4},").unwrap();
-    writeln!(
-        json,
-        "  \"gate\": {{\"max_ratio\": 1.05, \"enforced\": {}}}",
-        !quick
-    )
-    .unwrap();
-    json.push_str("}\n");
-    let path = out_dir.join("BENCH_fault.json");
-    std::fs::write(&path, &json).expect("write BENCH_fault.json");
-    eprintln!("[perf_smoke] wrote {}", path.display());
-}
-
-/// The observability overhead gate: the fig11 alltoall flow run measured
-/// three ways in one process — telemetry disabled (the baseline and the
-/// "tracing off" leg, proving the disabled instrumentation is one branch
-/// per site), then with both channels on. `BENCH_obs.json` records the
-/// walls and the ratio gates (off <= 1.05x, on <= 1.25x); the traced run
-/// also emits `fig11_flow.trace.json`, a Perfetto-loadable sample
-/// artifact, validated against the Chrome trace-event schema before it
-/// is written.
-fn write_bench_obs(out_dir: &std::path::Path, quick: bool, net: &Network, bytes: u64) {
-    use hxtelemetry::collect;
-    let wall = |runs: u32| -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..runs {
-            #[allow(clippy::disallowed_methods)] // wall-clock is this bin's product
-            let t0 = Instant::now();
-            let m = experiments::alltoall_bandwidth_on(net, bytes, 2, EngineKind::Flow);
-            assert!(m.clean, "fig11 flow run did not deliver all traffic");
-            best = best.min(t0.elapsed().as_secs_f64());
-        }
-        best
-    };
-    collect::set_trace_enabled(false);
-    collect::set_metrics_enabled(false);
-    let baseline = wall(3);
-    let off = wall(3);
-    collect::set_trace_enabled(true);
-    collect::set_metrics_enabled(true);
-    collect::reset();
-    let on = {
-        let _scope = collect::scope("obs/fig11_flow");
-        wall(3)
-    };
-    let trace = collect::render_trace().expect("render trace");
-    let events = hxtelemetry::validate_chrome_trace(&trace)
-        .expect("traced fig11 run must emit valid Chrome trace JSON");
-    collect::set_trace_enabled(false);
-    collect::set_metrics_enabled(false);
-    collect::reset();
-    let trace_path = out_dir.join("fig11_flow.trace.json");
-    std::fs::write(&trace_path, &trace).expect("write sample trace artifact");
-    eprintln!(
-        "[perf_smoke] wrote {} ({events} events)",
-        trace_path.display()
-    );
-
-    let off_ratio = off / baseline.max(1e-9);
-    let on_ratio = on / baseline.max(1e-9);
-    eprintln!(
-        "[perf_smoke] obs: baseline {baseline:.3}s, tracing-off {off:.3}s ({off_ratio:.3}x), \
-         tracing-on {on:.3}s ({on_ratio:.3}x)"
-    );
-    let mut json = String::new();
-    json.push_str("{\n  \"generated_by\": \"perf_smoke\",\n");
-    json.push_str(
-        "  \"scenario\": \"balanced-shift alltoall, flow engine, Hx2Mesh 64 endpoints, \
-         min-of-3 walls in one process\",\n",
-    );
-    writeln!(json, "  \"baseline_wall_s\": {baseline:.4},").unwrap();
-    writeln!(json, "  \"tracing_off_wall_s\": {off:.4},").unwrap();
-    writeln!(json, "  \"tracing_on_wall_s\": {on:.4},").unwrap();
-    writeln!(json, "  \"off_ratio\": {off_ratio:.4},").unwrap();
-    writeln!(json, "  \"on_ratio\": {on_ratio:.4},").unwrap();
-    writeln!(json, "  \"trace_events\": {events},").unwrap();
-    writeln!(
-        json,
-        "  \"gate\": {{\"max_off_ratio\": 1.05, \"max_on_ratio\": 1.25, \"enforced\": {}}}",
-        !quick
-    )
-    .unwrap();
-    json.push_str("}\n");
-    let path = out_dir.join("BENCH_obs.json");
-    std::fs::write(&path, &json).expect("write BENCH_obs.json");
-    eprintln!("[perf_smoke] wrote {}", path.display());
+    Scenario {
+        name,
+        description,
+        metrics: vec![
+            ("packet_wall_s", packet_wall),
+            ("packet_sim_ps", packet.time_ps as f64),
+            ("packet_bw_fraction", packet.bw_fraction),
+            ("flow_wall_s", flow_wall),
+            ("flow_sim_ps", flow.time_ps as f64),
+            ("flow_bw_fraction", flow.bw_fraction),
+            ("wall_speedup", speedup),
+        ],
+        ok: packet.clean && flow.clean,
+        gates: Vec::new(),
+        enforced: false,
+    }
 }
 
 /// ROADMAP item 1's scale gate: a Table-II-scale Hx4Mesh alltoall on one
@@ -383,11 +321,12 @@ fn write_bench_obs(out_dir: &std::path::Path, quick: bool, net: &Network, bytes:
 /// (16384 ranks × 8 shifts ≈ 131k messages; the untruncated pattern
 /// would be 2.7·10⁸), while each shift remains a full permutation of the
 /// uniform all-pairs traffic. Records wall-clock, the solver-effort
-/// split from [`SimStats`], and the share of recompute epochs the
-/// O(affected) incremental solver kept component-scoped — CI gates that
-/// share at ≥ 0.9 and the wall-clock under the step budget. `--quick`
-/// shrinks to 1024 endpoints so the debug-profile smoke tests stay fast.
-fn json_flow_scale(out: &mut String, quick: bool) {
+/// split from [`hammingmesh::hxsim::SimStats`], and the share of
+/// recompute epochs the O(affected) incremental solver kept
+/// component-scoped — gated at ≥ 0.9, with the wall-clock under the step
+/// budget. `--quick` shrinks to 1024 endpoints so the debug-profile smoke
+/// tests stay fast.
+fn flow_scale(quick: bool) -> Scenario {
     let (endpoints, shifts, bytes): (usize, u32, u64) = if quick {
         (1024, 4, 64 << 10)
     } else {
@@ -401,10 +340,7 @@ fn json_flow_scale(out: &mut String, quick: bool) {
     // epoch into a full refill and defeats the O(affected) solver this
     // step exists to measure.
     let mut app = Alltoall::with_shifts(endpoints, bytes, 1, shifts);
-    #[allow(clippy::disallowed_methods)] // wall-clock is this bin's product
-    let t0 = Instant::now();
-    let stats: SimStats = FlowEngine::new(&net, SimConfig::default()).run(&mut app);
-    let wall_s = t0.elapsed().as_secs_f64();
+    let (stats, wall_s) = timed(|| FlowEngine::new(&net, SimConfig::default()).run(&mut app));
     let messages = endpoints as u64 * shifts as u64;
     let comp_share =
         stats.rate_recomputes_component as f64 / (stats.rate_recomputes as f64).max(1.0);
@@ -416,98 +352,185 @@ fn json_flow_scale(out: &mut String, quick: bool) {
         stats.rate_recomputes_component,
         100.0 * comp_share
     );
-    assert!(stats.clean(), "flow_scale run did not complete: {stats:?}");
-    writeln!(out, "    \"flow_scale\": {{").unwrap();
-    writeln!(
-        out,
-        "      \"scenario\": \"shift-capped alltoall, Hx4Mesh {endpoints} endpoints, \
-         {shifts} shifts x {}/pair, flow engine, 1 core\",",
-        hxbench::fmt_bytes(bytes)
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "      \"endpoints\": {endpoints}, \"shifts\": {shifts}, \"messages\": {messages},"
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "      \"flow\": {{\"wall_s\": {wall_s:.4}, \"sim_ps\": {}, \"clean\": {}}},",
-        stats.finish_ps,
-        stats.clean()
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "      \"rate_recomputes\": {}, \"rate_recomputes_full\": {}, \
-         \"rate_recomputes_component\": {}, \"rate_touched_flows\": {},",
-        stats.rate_recomputes,
-        stats.rate_recomputes_full,
-        stats.rate_recomputes_component,
-        stats.rate_touched_flows
-    )
-    .unwrap();
-    writeln!(out, "      \"component_fill_share\": {comp_share:.4},").unwrap();
-    // The wall budget is generous against the measured time (see
-    // BENCH_sim.json in-tree) so CI noise cannot flake the gate; the
-    // component-share gate is the real O(affected) regression tripwire.
-    writeln!(
-        out,
-        "      \"gate\": {{\"min_component_share\": 0.9, \"max_wall_s\": 120.0, \
-         \"enforced\": {}}}",
-        !quick
-    )
-    .unwrap();
-    out.push_str("    }");
+    Scenario {
+        name: "flow_scale",
+        description: format!(
+            "shift-capped alltoall, Hx4Mesh {endpoints} endpoints, {shifts} shifts x {}/pair, \
+             flow engine, 1 core",
+            fmt_bytes(bytes)
+        ),
+        metrics: vec![
+            ("endpoints", endpoints as f64),
+            ("shifts", shifts as f64),
+            ("messages", messages as f64),
+            ("wall_s", wall_s),
+            ("sim_ps", stats.finish_ps as f64),
+            ("rate_recomputes", stats.rate_recomputes as f64),
+            ("rate_recomputes_full", stats.rate_recomputes_full as f64),
+            (
+                "rate_recomputes_component",
+                stats.rate_recomputes_component as f64,
+            ),
+            ("rate_touched_flows", stats.rate_touched_flows as f64),
+            ("component_fill_share", comp_share),
+        ],
+        ok: stats.clean(),
+        // The wall budget is generous against the measured time (see
+        // BENCH_smoke.json in-tree) so CI noise cannot flake the gate;
+        // the component-share gate is the real O(affected) regression
+        // tripwire.
+        gates: vec![
+            Gate::Min("component_fill_share", 0.9),
+            Gate::Max("wall_s", 120.0),
+        ],
+        enforced: !quick,
+    }
+}
+
+/// The observability overhead gate: the fig11 alltoall flow run measured
+/// three ways in one process — telemetry disabled (the baseline and the
+/// "tracing off" leg, proving the disabled instrumentation is one branch
+/// per site), then with both channels on; gated at off ≤ 1.05×, on ≤
+/// 1.25×. The traced run also writes `fig11_flow.trace.json`, a
+/// Perfetto-loadable sample, and must emit at least one event that passes
+/// the Chrome trace-event schema check.
+fn telemetry_overhead(out_dir: &Path, quick: bool, net: &Network, bytes: u64) -> Scenario {
+    let wall = || {
+        best_of(3, || {
+            experiments::alltoall_bandwidth_on(net, bytes, 2, EngineKind::Flow).clean
+        })
+    };
+    collect::set_trace_enabled(false);
+    collect::set_metrics_enabled(false);
+    let (baseline, baseline_ok) = wall();
+    let (off, off_ok) = wall();
+    collect::set_trace_enabled(true);
+    collect::set_metrics_enabled(true);
+    collect::reset();
+    let (on, on_ok) = {
+        let _scope = collect::scope("obs/fig11_flow");
+        wall()
+    };
+    let trace = collect::render_trace().expect("render trace");
+    collect::set_trace_enabled(false);
+    collect::set_metrics_enabled(false);
+    collect::reset();
+    let events = hxtelemetry::validate_chrome_trace(&trace).unwrap_or_else(|e| {
+        eprintln!("[perf_smoke] fig11_flow.trace.json is not a valid Chrome trace: {e}");
+        0
+    });
+    let trace_path = out_dir.join("fig11_flow.trace.json");
+    std::fs::write(&trace_path, &trace).expect("write sample trace artifact");
+    eprintln!(
+        "[perf_smoke] wrote {} ({events} events)",
+        trace_path.display()
+    );
+    let off_ratio = off / baseline.max(1e-9);
+    let on_ratio = on / baseline.max(1e-9);
+    eprintln!(
+        "[perf_smoke] obs: baseline {baseline:.3}s, tracing-off {off:.3}s ({off_ratio:.3}x), \
+         tracing-on {on:.3}s ({on_ratio:.3}x)"
+    );
+    Scenario {
+        name: "telemetry_overhead",
+        description: "balanced-shift alltoall, flow engine, Hx2Mesh 64 endpoints, \
+                      min-of-3 walls in one process: telemetry off, off again, on"
+            .into(),
+        metrics: vec![
+            ("baseline_wall_s", baseline),
+            ("tracing_off_wall_s", off),
+            ("tracing_on_wall_s", on),
+            ("off_ratio", off_ratio),
+            ("on_ratio", on_ratio),
+            ("trace_events", events as f64),
+        ],
+        ok: baseline_ok && off_ok && on_ok && events >= 1,
+        gates: vec![Gate::Max("off_ratio", 1.05), Gate::Max("on_ratio", 1.25)],
+        enforced: !quick,
+    }
+}
+
+/// The mid-run failure machinery's no-op gate: the fig11 alltoall flow
+/// run with no schedule — the baseline configuration every figure sweep
+/// uses — against the same run with a [`FailureSchedule`] armed whose
+/// events all land far beyond the horizon. The no-schedule run IS the
+/// baseline, so this gate pins the cost of carrying schedule support in
+/// the engines at all; an armed-but-inert schedule costs one comparison
+/// per epoch-loop iteration and must sit within measurement noise
+/// (≤ 1.05×).
+fn fault_inert(quick: bool, net: &Network, bytes: u64) -> Scenario {
+    let wall = |sched: &FailureSchedule| {
+        best_of(3, || {
+            let cfg = SimConfig {
+                failures: sched.clone(),
+                ..SimConfig::default()
+            };
+            experiments::alltoall_bandwidth_cfg(net, bytes, 2, EngineKind::Flow, cfg).clean
+        })
+    };
+    let (baseline, baseline_ok) = wall(&FailureSchedule::default());
+    let (node, port) = net.topo.cables()[0];
+    const BEYOND_HORIZON_PS: u64 = 1_000_000_000_000_000;
+    let armed = FailureSchedule::new()
+        .fail(BEYOND_HORIZON_PS, node, port)
+        .repair(BEYOND_HORIZON_PS + 1_000, node, port);
+    let (armed_wall, armed_ok) = wall(&armed);
+    let ratio = armed_wall / baseline.max(1e-9);
+    eprintln!(
+        "[perf_smoke] fault: no-schedule {baseline:.3}s, armed-inert {armed_wall:.3}s \
+         ({ratio:.3}x)"
+    );
+    Scenario {
+        name: "fault_inert",
+        description: "balanced-shift alltoall, flow engine, Hx2Mesh 64 endpoints, \
+                      min-of-3 walls in one process; armed schedule fires beyond the horizon"
+            .into(),
+        metrics: vec![
+            ("no_schedule_wall_s", baseline),
+            ("armed_inert_wall_s", armed_wall),
+            ("ratio", ratio),
+        ],
+        ok: baseline_ok && armed_ok,
+        gates: vec![Gate::Max("ratio", 1.05)],
+        enforced: !quick,
+    }
 }
 
 /// Benchmark the thread pool under the rayon shim: the Fig. 8 and Fig. 9
-/// Monte-Carlo trace sweeps — the workloads ISSUE/ROADMAP name as the
-/// parallelization targets — once at `RAYON_NUM_THREADS=1` and once at
-/// the environment thread count, asserting the two runs produce bitwise
-/// identical samples (the pool's index-ordered collection contract) and
-/// recording the wall-clock speedup in `BENCH_par.json`.
+/// Monte-Carlo trace sweeps once at `RAYON_NUM_THREADS=1` and once at
+/// the environment thread count. `ok` when the two runs produce bitwise
+/// identical samples (the pool's index-ordered collection contract); the
+/// ≥ 1.5× speedup gate is enforced only when the parallel leg actually
+/// ran ≥ 4 wide on ≥ 4 cores — below that the speedup is unearnable —
+/// and not under `--quick`, whose millisecond sweeps measure spawn cost.
 ///
 /// The vendored shim re-reads `RAYON_NUM_THREADS` on every parallel call,
 /// which is what lets one process measure both configurations.
-fn write_bench_par(out_dir: &std::path::Path, quick: bool) {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+fn parallel_sweeps(quick: bool, cores: usize, threads: usize) -> [Scenario; 2] {
     let saved = std::env::var("RAYON_NUM_THREADS").ok();
-    let threads = rayon::current_num_threads();
     // Sized so the sequential leg runs a few hundred ms in release: long
-    // enough that the CI speedup gate measures compute, not timer noise
-    // or thread spawn cost, short enough to stay a smoke test.
+    // enough that the speedup gate measures compute, not timer noise or
+    // thread spawn cost, short enough to stay a smoke test.
     let (fig8_traces, fig9_traces) = if quick { (60, 6) } else { (4000, 200) };
     let strategies = fig8_strategies();
     let full_stack = strategies[5];
     let locality_stack = strategies[3];
 
-    let run_fig8 = || fig8_utilization(16, 16, fig8_traces, full_stack, 0xC0FFEE);
-    let run_fig9 = || fig9_upper_traffic(64, 64, fig9_traces, locality_stack, 0xC0FFEE);
-    let timed = |f: &dyn Fn() -> Vec<Distribution>| {
-        #[allow(clippy::disallowed_methods)] // wall-clock is this bin's product
-        let t0 = Instant::now();
-        let d = f();
-        (d, t0.elapsed().as_secs_f64())
+    let run_fig8 = || vec![fig8_utilization(16, 16, fig8_traces, full_stack, 0xC0FFEE)];
+    let run_fig9 = || {
+        let (a, b) = fig9_upper_traffic(64, 64, fig9_traces, locality_stack, 0xC0FFEE);
+        vec![a, b]
     };
 
     std::env::set_var("RAYON_NUM_THREADS", "1");
-    let (d8_seq, w8_seq) = timed(&|| vec![run_fig8()]);
-    let (d9_seq, w9_seq) = timed(&|| {
-        let (a, b) = run_fig9();
-        vec![a, b]
-    });
+    let (d8_seq, w8_seq) = timed(run_fig8);
+    let (d9_seq, w9_seq) = timed(run_fig9);
     match &saved {
         Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
         None => std::env::remove_var("RAYON_NUM_THREADS"),
     }
-    let (d8_par, w8_par) = timed(&|| vec![run_fig8()]);
-    let (d9_par, w9_par) = timed(&|| {
-        let (a, b) = run_fig9();
-        vec![a, b]
-    });
+    let (d8_par, w8_par) = timed(run_fig8);
+    let (d9_par, w9_par) = timed(run_fig9);
 
     let identical = |a: &[Distribution], b: &[Distribution]| {
         a.len() == b.len()
@@ -519,46 +542,117 @@ fn write_bench_par(out_dir: &std::path::Path, quick: bool) {
                         .all(|(p, q)| p.to_bits() == q.to_bits())
             })
     };
-    let id8 = identical(&d8_seq, &d8_par);
-    let id9 = identical(&d9_seq, &d9_par);
-    assert!(
-        id8 && id9,
-        "parallel sweep results diverged from sequential (fig8: {id8}, fig9: {id9})"
-    );
-
-    let mut json = String::new();
-    json.push_str("{\n  \"generated_by\": \"perf_smoke\",\n");
-    writeln!(json, "  \"cores\": {cores},").unwrap();
-    writeln!(json, "  \"threads\": {threads},").unwrap();
-    json.push_str("  \"sweeps\": {\n");
-    for (name, traces, seq, par, id, comma) in [
-        ("fig8_utilization", fig8_traces, w8_seq, w8_par, id8, ","),
-        ("fig9_upper_traffic", fig9_traces, w9_seq, w9_par, id9, ""),
-    ] {
-        writeln!(
-            json,
-            "    \"{name}\": {{\"traces\": {traces}, \"wall_s_1thread\": {seq:.4}, \
-             \"wall_s_par\": {par:.4}, \"speedup\": {:.2}, \"identical_results\": {id}}}{comma}",
-            seq / par.max(1e-9)
-        )
-        .unwrap();
+    let sweep = |name, what: &str, traces: usize, seq: f64, par: f64, ok| {
+        let speedup = seq / par.max(1e-9);
         eprintln!(
-            "[perf_smoke] {name}: {seq:.2}s @1 thread, {par:.2}s @{threads} -> {:.2}x",
-            seq / par.max(1e-9)
+            "[perf_smoke] {name}: {seq:.2}s @1 thread, {par:.2}s @{threads} -> {speedup:.2}x"
         );
+        Scenario {
+            name,
+            description: format!("{what}, {traces} traces, 1 thread vs {threads}"),
+            metrics: vec![
+                ("traces", traces as f64),
+                ("wall_s_1thread", seq),
+                ("wall_s_par", par),
+                ("speedup", speedup),
+            ],
+            ok,
+            gates: vec![Gate::Min("speedup", 1.5)],
+            enforced: !quick && cores >= 4 && threads >= 4,
+        }
+    };
+    [
+        sweep(
+            "fig8_utilization",
+            "Fig. 8 allocation sweep, 16x16 boards, full heuristic stack",
+            fig8_traces,
+            w8_seq,
+            w8_par,
+            identical(&d8_seq, &d8_par),
+        ),
+        sweep(
+            "fig9_upper_traffic",
+            "Fig. 9 upper-tier traffic sweep, 64x64 boards, locality stack",
+            fig9_traces,
+            w9_seq,
+            w9_par,
+            identical(&d9_seq, &d9_par),
+        ),
+    ]
+}
+
+/// The paper's allocator scalability claim (§IV-A): a 1,000×1,000 HxMesh
+/// allocates in under a second. Times building the empty mesh and placing
+/// one 100×100 job without heuristics, best of 3.
+fn alloc_1000x1000(quick: bool) -> Scenario {
+    let (wall_s, ok) = best_of(3, || {
+        let mut mesh = BoardMesh::new(1000, 1000);
+        mesh.allocate(1, 100, 100, Heuristics::none()).is_ok()
+    });
+    eprintln!("[perf_smoke] alloc_1000x1000: {wall_s:.3}s");
+    Scenario {
+        name: "alloc_1000x1000",
+        description: "one 100x100 job on an empty 1000x1000 board mesh, no heuristics, \
+                      min of 3 runs"
+            .into(),
+        metrics: vec![("wall_s", wall_s)],
+        ok,
+        gates: vec![Gate::Max("wall_s", 1.0)],
+        enforced: !quick,
     }
-    json.push_str("  },\n");
-    // Enforce only when the parallel leg actually ran >= 4 wide: a
-    // RAYON_NUM_THREADS cap below 4 (or a small machine) makes the
-    // speedup unearnable, so the gate must no-op there.
-    writeln!(
-        json,
-        "  \"gate\": {{\"min_speedup\": 1.5, \"enforced\": {}}}",
-        cores >= 4 && threads >= 4
-    )
-    .unwrap();
-    json.push_str("}\n");
-    let path = out_dir.join("BENCH_par.json");
-    std::fs::write(&path, &json).expect("write BENCH_par.json");
-    eprintln!("[perf_smoke] wrote {}", path.display());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn fig11(speedup: f64, ok: bool, enforced: bool) -> Scenario {
+        Scenario {
+            name: "fig11_alltoall",
+            description: "test".into(),
+            metrics: vec![("wall_speedup", speedup)],
+            ok,
+            gates: vec![Gate::Min("wall_speedup", 10.0)],
+            enforced,
+        }
+    }
+
+    #[test]
+    fn enforced_failing_gate_is_reported_with_scenario_value_and_limit() {
+        let failures = check(&[fig11(4.5, true, true)]);
+        assert_eq!(
+            failures,
+            ["fig11_alltoall: wall_speedup = 4.5 breaks its min of 10"]
+        );
+        assert!(check(&[fig11(40.5, true, true)]).is_empty());
+    }
+
+    #[test]
+    fn unenforced_failing_gate_is_recorded_but_does_not_fail() {
+        let scenarios = [fig11(4.5, true, false)];
+        assert!(check(&scenarios).is_empty());
+        let doc = render(true, 2, 2, &scenarios);
+        assert!(
+            doc.contains(
+                "\"enforced\": false, \"gates\": [{\"value\": \"wall_speedup\", \
+                 \"min\": 10, \"pass\": false}]"
+            ),
+            "{doc}"
+        );
+        assert_eq!(hxtelemetry::validate_json(&doc), Ok(()));
+    }
+
+    #[test]
+    fn false_ok_fails_even_when_gates_are_unenforced() {
+        let failures = check(&[fig11(40.5, false, false)]);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].starts_with("fig11_alltoall: "), "{failures:?}");
+    }
+
+    #[test]
+    fn non_finite_metrics_make_the_document_invalid() {
+        let doc = render(false, 1, 1, &[fig11(f64::NAN, true, true)]);
+        assert!(hxtelemetry::validate_json(&doc).is_err(), "{doc}");
+        assert_eq!(check(&[fig11(f64::NAN, true, true)]).len(), 1);
+    }
 }

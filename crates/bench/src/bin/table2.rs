@@ -7,7 +7,8 @@
 //! default, the paper-size 1,024-endpoint "small cluster" with `--full`).
 
 use hammingmesh::prelude::*;
-use hxbench::{fmt_bytes, header, timed, HarnessArgs};
+use hxbench::{header, timed, HarnessArgs};
+use hxserve::render::fmt_bytes;
 
 fn main() {
     let args = HarnessArgs::parse();

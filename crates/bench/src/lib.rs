@@ -165,8 +165,3 @@ pub fn timed<T>(label: &str, f: impl FnOnce() -> T) -> T {
     eprintln!("[{label}] {:.2}s", t0.elapsed().as_secs_f64());
     out
 }
-
-/// Human-readable byte size for axes.
-pub fn fmt_bytes(b: u64) -> String {
-    hxserve::render::fmt_bytes(b)
-}

@@ -126,7 +126,9 @@ fn cluster_sweep_csv_is_complete_and_deterministic() {
     assert_eq!(body, run("b"), "same seed must reproduce the CSV exactly");
 }
 
-/// The CI perf-smoke harness must run and emit its three artifacts.
+/// The CI perf-smoke harness must run and write exactly its two
+/// artifacts: one valid BENCH document naming every scenario, and the
+/// sample trace.
 #[test]
 fn perf_smoke() {
     let dir = std::env::temp_dir().join(format!("hx_perf_smoke_{}", std::process::id()));
@@ -140,16 +142,29 @@ fn perf_smoke() {
         out.status.code(),
         String::from_utf8_lossy(&out.stderr)
     );
-    for f in [
-        "BENCH_sim.json",
-        "fig11_alltoall.csv",
-        "fig13_allreduce.csv",
+    let mut written: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    written.sort();
+    assert_eq!(written, ["BENCH_smoke.json", "fig11_flow.trace.json"]);
+    let json = std::fs::read_to_string(dir.join("BENCH_smoke.json")).unwrap();
+    hxtelemetry::validate_json(&json).unwrap_or_else(|e| panic!("{e}\n{json}"));
+    for name in [
+        "fig11_alltoall",
+        "fig13_allreduce",
+        "flow_scale",
+        "telemetry_overhead",
+        "fault_inert",
+        "fig8_utilization",
+        "fig9_upper_traffic",
+        "alloc_1000x1000",
     ] {
-        let p = dir.join(f);
-        assert!(p.exists(), "missing artifact {}", p.display());
+        assert!(
+            json.contains(&format!("{{\"name\": \"{name}\"")),
+            "{name} missing:\n{json}"
+        );
     }
-    let json = std::fs::read_to_string(dir.join("BENCH_sim.json")).unwrap();
-    assert!(json.contains("\"fig11_alltoall\"") && json.contains("\"wall_speedup\""));
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -95,10 +95,6 @@ impl BoardMesh {
         }
     }
 
-    pub fn dims(&self) -> (usize, usize) {
-        (self.x, self.y)
-    }
-
     pub fn total_boards(&self) -> usize {
         self.x * self.y
     }

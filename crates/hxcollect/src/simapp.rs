@@ -14,8 +14,6 @@ pub struct ScheduleApp<'s> {
     sched: &'s Schedule,
     /// Schedule rank -> simulator rank (job placement).
     mapping: Vec<u32>,
-    /// Simulator rank -> schedule rank.
-    inverse: BTreeMap<u32, u32>,
     /// Remaining dependency count per (rank, op).
     indeg: Vec<Vec<u32>>,
     /// Reverse dependency lists per (rank, op).
@@ -95,7 +93,6 @@ impl<'s> ScheduleApp<'s> {
         Self {
             sched,
             mapping,
-            inverse,
             indeg,
             dependents,
             send_match,
@@ -106,11 +103,6 @@ impl<'s> ScheduleApp<'s> {
 
     pub fn is_done(&self) -> bool {
         self.remaining == 0
-    }
-
-    /// Schedule rank running on a given simulator rank, if any.
-    pub fn schedule_rank_of(&self, sim_rank: u32) -> Option<u32> {
-        self.inverse.get(&sim_rank).copied()
     }
 
     /// Encode (schedule rank, op idx) into a simulator tag.

@@ -6,9 +6,9 @@
 //! level (§III-D: "fat trees are tapered beginning from the second level"
 //! means the reduction shows between level 1 and level 2).
 
+use crate::cable_link;
 use crate::graph::{Cable, Network, NodeId, PortId, Topology};
 use crate::route::{FailoverTable, Hop, Router, UpDownTable};
-use crate::{cable_link, CABLE_LATENCY_PS, PS_PER_BYTE_400G};
 
 /// Parameters of a fat tree. Use the preset constructors for the paper's
 /// exact App. C configurations.
@@ -322,13 +322,6 @@ pub fn single_switch(n: usize, name: &str) -> Network {
         endpoints,
         name: name.to_string(),
     }
-}
-
-/// Sanity helper used in tests: total serialization rate through the tree's
-/// bisection, for comparing tapering factors.
-pub fn uplink_bytes_per_ps(params: &FatTreeParams) -> f64 {
-    (params.num_leaves() * params.leaf_up) as f64 / PS_PER_BYTE_400G
-        * (CABLE_LATENCY_PS as f64 * 0.0 + 1.0)
 }
 
 #[cfg(test)]

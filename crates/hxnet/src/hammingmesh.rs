@@ -320,7 +320,6 @@ impl HxMeshParams {
             a: self.a as u16,
             b: self.b as u16,
             x: self.x as u16,
-            y: self.y as u16,
             coords,
             ports,
             acc_at,
@@ -351,7 +350,6 @@ pub struct HxMeshRouter {
     a: u16,
     b: u16,
     x: u16,
-    y: u16,
     /// Coordinates per accelerator node index.
     coords: Vec<HxCoord>,
     /// E,W,N,S port ids per accelerator node index.
@@ -371,11 +369,6 @@ pub struct HxMeshRouter {
 const LAST_VC: u8 = 2;
 
 impl HxMeshRouter {
-    /// `(a, b, x, y)` dimensions of the mesh this router serves.
-    pub fn dims(&self) -> (u16, u16, u16, u16) {
-        (self.a, self.b, self.x, self.y)
-    }
-
     #[inline]
     fn acc(&self, bi: u16, bj: u16, r: u16, c: u16) -> NodeId {
         let (a, b, x) = (self.a as usize, self.b as usize, self.x as usize);

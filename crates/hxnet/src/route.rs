@@ -374,13 +374,6 @@ impl UpDownTable {
         self.up.contains_key(&node)
     }
 
-    /// Whether `target` is reachable going down from `node`.
-    pub fn reaches_down(&self, node: NodeId, target: NodeId) -> bool {
-        self.down
-            .get(&node)
-            .is_some_and(|m| m.contains_key(&target))
-    }
-
     /// Appends up/down candidates at `node` for `target` on the given VC.
     /// Returns `true` if any candidate was produced.
     pub fn candidates(&self, node: NodeId, target: NodeId, vc: u8, out: &mut Vec<Hop>) -> bool {

@@ -164,18 +164,6 @@ impl HistogramU64 {
         self.min_seen = self.min_seen.min(other.min_seen);
         self.max_seen = self.max_seen.max(other.max_seen);
     }
-
-    /// Non-empty buckets as `(lower, upper, count)`, ascending.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| {
-                let (lo, hi) = bucket_bounds(i);
-                (lo, hi, c)
-            })
-    }
 }
 
 #[cfg(test)]

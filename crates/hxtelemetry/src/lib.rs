@@ -28,4 +28,4 @@ pub mod trace;
 pub use collect::{scope, ScopeGuard};
 pub use hist::HistogramU64;
 pub use registry::{CounterId, GaugeId, HistId, Registry, Sample, Sampler};
-pub use trace::{validate_chrome_trace, TraceEvent, TraceSink};
+pub use trace::{validate_chrome_trace, validate_json, TraceEvent, TraceSink};

@@ -132,7 +132,7 @@ impl TraceSink {
 }
 
 /// Escape a string for embedding in a JSON string literal.
-pub(crate) fn escape_json(s: &str) -> String {
+pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -221,8 +221,9 @@ pub fn write_chrome_trace<W: Write>(w: &mut W, scopes: &[(&str, &[TraceEvent])])
 }
 
 // ---------------------------------------------------------------------------
-// Minimal trace-event schema validator (used by tests and the determinism
-// harness). Hand-rolled so the workspace stays dependency-free.
+// Minimal JSON syntax check and trace-event schema validator (used by tests,
+// the determinism harness and perf_smoke). Hand-rolled so the workspace
+// stays dependency-free.
 // ---------------------------------------------------------------------------
 
 struct Cursor<'a> {
@@ -387,11 +388,8 @@ impl Value {
     }
 }
 
-/// Validate that `text` parses as JSON and conforms to the Chrome
-/// trace-event container format: a root object with a `traceEvents` array
-/// whose elements each carry a string `name`, a string `ph`, and numeric
-/// `ts`/`pid`. Returns the number of events on success.
-pub fn validate_chrome_trace(text: &str) -> Result<usize, String> {
+/// Parse `text` as exactly one JSON value.
+fn parse_json(text: &str) -> Result<Value, String> {
     let mut cur = Cursor {
         b: text.as_bytes(),
         i: 0,
@@ -401,6 +399,22 @@ pub fn validate_chrome_trace(text: &str) -> Result<usize, String> {
     if cur.i != cur.b.len() {
         return Err(format!("trailing bytes after JSON document at {}", cur.i));
     }
+    Ok(root)
+}
+
+/// Validate that `text` is one well-formed JSON document. `NaN` and
+/// `inf`, which JSON has no literal for, are rejected.
+pub fn validate_json(text: &str) -> Result<(), String> {
+    parse_json(text).map(drop)
+}
+
+/// Validate that `text` parses as JSON (the [`validate_json`] syntax
+/// check) and conforms to the Chrome trace-event container format: a root
+/// object with a `traceEvents` array whose elements each carry a string
+/// `name`, a string `ph`, and numeric `ts`/`pid`. Returns the number of
+/// events on success.
+pub fn validate_chrome_trace(text: &str) -> Result<usize, String> {
+    let root = parse_json(text)?;
     let events = match root.get("traceEvents") {
         Some(Value::Array(items)) => items,
         Some(_) => return Err("traceEvents is not an array".into()),
@@ -481,6 +495,24 @@ mod tests {
             "truncated document"
         );
         assert_eq!(validate_chrome_trace("{\"traceEvents\":[]}"), Ok(0));
+    }
+
+    #[test]
+    fn json_syntax_check_accepts_documents_and_rejects_non_json() {
+        assert_eq!(
+            validate_json("{\"a\": [1, 2.5, -3e2, \"s\\\"\", true, null], \"b\": {}}\n"),
+            Ok(())
+        );
+        for bad in [
+            "{\"a\": NaN}",
+            "[inf]",
+            "{\"a\": 1,}",
+            "[1] [2]",
+            "{\"a\" 1}",
+            "",
+        ] {
+            assert!(validate_json(bad).is_err(), "accepted {bad:?}");
+        }
     }
 
     #[test]

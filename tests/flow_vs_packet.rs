@@ -18,7 +18,7 @@
 //! overlapping it per packet, and congested tori, where per-packet
 //! adaptivity beats fixed fluid routes. Large-message scenarios — the
 //! regime the flow engine exists for — agree within a few percent (see
-//! BENCH_sim.json). These bands are asserted here and documented in
+//! BENCH_smoke.json). These bands are asserted here and documented in
 //! README.md; tighten them only together.
 //!
 //! ## Known fidelity weak spots (named band pins)
@@ -197,7 +197,7 @@ use hammingmesh::hxsim::apps::Alltoall;
 
 /// The flow engine's raison d'être: at the paper's Fig. 11 message sizes
 /// it must beat the packet engine by a wide margin on wall-clock time.
-/// The CI perf-smoke job records the full numbers in BENCH_sim.json; this
+/// The CI perf-smoke job records the full numbers in BENCH_smoke.json; this
 /// is a cheap in-tree guard at a smaller scale (16 ranks, so the packet
 /// side stays fast even under the debug profile).
 #[test]
