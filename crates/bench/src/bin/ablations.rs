@@ -43,15 +43,10 @@ fn main() {
         let net = p.build();
         let inv = Inventory::from_network(&net, 1);
         let a2a = timed(&format!("taper {taper} a2a"), || {
-            experiments::alltoall_bandwidth_on(&net, a2a_msg, 2, engine)
+            experiments::alltoall_bandwidth(&net, a2a_msg, 2, engine, SimConfig::default())
         });
         let ar = timed(&format!("taper {taper} ared"), || {
-            experiments::allreduce_bandwidth_on(
-                &net,
-                AllreduceAlgo::DisjointRings,
-                ared_msg,
-                engine,
-            )
+            experiments::allreduce_bandwidth(&net, AllreduceAlgo::DisjointRings, ared_msg, engine)
         });
         println!(
             "{:>8} {:>9} {:>9} {:>10.1}% {:>11.1}%",
@@ -74,15 +69,10 @@ fn main() {
         let p = HxMeshParams::square(board, side);
         let net = p.build();
         let a2a = timed(&format!("hx{board} a2a"), || {
-            experiments::alltoall_bandwidth_on(&net, a2a_msg, 2, engine)
+            experiments::alltoall_bandwidth(&net, a2a_msg, 2, engine, SimConfig::default())
         });
         let ar = timed(&format!("hx{board} ared"), || {
-            experiments::allreduce_bandwidth_on(
-                &net,
-                AllreduceAlgo::DisjointRings,
-                ared_msg,
-                engine,
-            )
+            experiments::allreduce_bandwidth(&net, AllreduceAlgo::DisjointRings, ared_msg, engine)
         });
         println!(
             "{:>8} {:>9.1}% {:>10.1}% {:>11.1}%",

@@ -240,7 +240,15 @@ fn main() {
                     "balanced-shift alltoall, {}/pair, Hx2Mesh 64 endpoints, packet vs flow engine",
                     fmt_bytes(a2a_bytes)
                 ),
-                |engine| experiments::alltoall_bandwidth_on(&net, a2a_bytes, 2, engine),
+                |engine| {
+                    experiments::alltoall_bandwidth(
+                        &net,
+                        a2a_bytes,
+                        2,
+                        engine,
+                        SimConfig::default(),
+                    )
+                },
             )
         },
         engine_pair(
@@ -250,7 +258,7 @@ fn main() {
                 fmt_bytes(ar_bytes)
             ),
             |engine| {
-                experiments::allreduce_bandwidth_on(
+                experiments::allreduce_bandwidth(
                     &net,
                     AllreduceAlgo::DisjointRings,
                     ar_bytes,
@@ -342,14 +350,14 @@ fn flow_scale(quick: bool) -> Scenario {
     let mut app = Alltoall::with_shifts(endpoints, bytes, 1, shifts);
     let (stats, wall_s) = timed(|| FlowEngine::new(&net, SimConfig::default()).run(&mut app));
     let messages = endpoints as u64 * shifts as u64;
-    let comp_share =
-        stats.rate_recomputes_component as f64 / (stats.rate_recomputes as f64).max(1.0);
+    let component = stats.rate_recomputes - stats.rate_recomputes_full;
+    let comp_share = component as f64 / (stats.rate_recomputes as f64).max(1.0);
     eprintln!(
         "[perf_smoke] flow_scale: {messages} messages in {wall_s:.2}s, \
          {} recompute epochs ({} full, {} component -> {:.1}% component-scoped)",
         stats.rate_recomputes,
         stats.rate_recomputes_full,
-        stats.rate_recomputes_component,
+        component,
         100.0 * comp_share
     );
     Scenario {
@@ -367,10 +375,7 @@ fn flow_scale(quick: bool) -> Scenario {
             ("sim_ps", stats.finish_ps as f64),
             ("rate_recomputes", stats.rate_recomputes as f64),
             ("rate_recomputes_full", stats.rate_recomputes_full as f64),
-            (
-                "rate_recomputes_component",
-                stats.rate_recomputes_component as f64,
-            ),
+            ("rate_recomputes_component", component as f64),
             ("rate_touched_flows", stats.rate_touched_flows as f64),
             ("component_fill_share", comp_share),
         ],
@@ -397,7 +402,8 @@ fn flow_scale(quick: bool) -> Scenario {
 fn telemetry_overhead(out_dir: &Path, quick: bool, net: &Network, bytes: u64) -> Scenario {
     let wall = || {
         best_of(3, || {
-            experiments::alltoall_bandwidth_on(net, bytes, 2, EngineKind::Flow).clean
+            experiments::alltoall_bandwidth(net, bytes, 2, EngineKind::Flow, SimConfig::default())
+                .clean
         })
     };
     collect::set_trace_enabled(false);
@@ -465,7 +471,7 @@ fn fault_inert(quick: bool, net: &Network, bytes: u64) -> Scenario {
                 failures: sched.clone(),
                 ..SimConfig::default()
             };
-            experiments::alltoall_bandwidth_cfg(net, bytes, 2, EngineKind::Flow, cfg).clean
+            experiments::alltoall_bandwidth(net, bytes, 2, EngineKind::Flow, cfg).clean
         })
     };
     let (baseline, baseline_ok) = wall(&FailureSchedule::default());

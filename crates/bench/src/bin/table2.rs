@@ -60,10 +60,21 @@ fn main() {
             choice.build_scaled(n)
         };
         let a2a = timed(&format!("{} alltoall", choice.name()), || {
-            experiments::alltoall_bandwidth(&net, msg / 16, 2)
+            experiments::alltoall_bandwidth(
+                &net,
+                msg / 16,
+                2,
+                EngineKind::Packet,
+                SimConfig::default(),
+            )
         });
         let ar = timed(&format!("{} allreduce", choice.name()), || {
-            experiments::allreduce_bandwidth(&net, AllreduceAlgo::DisjointRings, msg * 32)
+            experiments::allreduce_bandwidth(
+                &net,
+                AllreduceAlgo::DisjointRings,
+                msg * 32,
+                EngineKind::Packet,
+            )
         });
         println!(
             "{:<24} {:>13.1}% {:>13.1}%{}",

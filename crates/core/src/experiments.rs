@@ -10,11 +10,10 @@ use hxnet::Network;
 use hxsim::apps::{Alltoall, Permutation};
 use hxsim::{simulate, EngineKind, SimConfig};
 
-/// Outcome of a bandwidth measurement on the simulator. Produced by
-/// either backend: the plain drivers run the packet engine, the `*_on`
-/// variants run whichever [`EngineKind`] they are given (figure binaries
-/// default to the flow fast path — see `tests/flow_vs_packet.rs` for the
-/// agreement bands between the two).
+/// Outcome of a bandwidth measurement on the simulator. Every driver runs
+/// the [`EngineKind`] it is given (figure binaries default to the flow
+/// fast path — see `tests/flow_vs_packet.rs` for the agreement bands
+/// between the two).
 #[derive(Clone, Copy, Debug)]
 pub struct Measurement {
     /// Simulated completion time (ps).
@@ -93,13 +92,8 @@ fn near_square_grid(n: usize) -> (usize, usize) {
 }
 
 /// Run one allreduce of `bytes` per rank over the whole machine and report
-/// the achieved fraction of the theoretical optimum (packet engine).
-pub fn allreduce_bandwidth(net: &Network, algo: AllreduceAlgo, bytes: u64) -> Measurement {
-    allreduce_bandwidth_on(net, algo, bytes, EngineKind::Packet)
-}
-
-/// [`allreduce_bandwidth`] on an explicitly chosen simulation backend.
-pub fn allreduce_bandwidth_on(
+/// the achieved fraction of the theoretical optimum.
+pub fn allreduce_bandwidth(
     net: &Network,
     algo: AllreduceAlgo,
     bytes: u64,
@@ -134,25 +128,10 @@ fn disjoint_rings_allreduce_grid(p: usize, elems: usize) -> hxcollect::Schedule 
 }
 
 /// Balanced-shift alltoall of `bytes` per pair (§V-A1a); reports the share
-/// of injection bandwidth sustained (packet engine).
-pub fn alltoall_bandwidth(net: &Network, bytes: u64, window: u32) -> Measurement {
-    alltoall_bandwidth_on(net, bytes, window, EngineKind::Packet)
-}
-
-/// [`alltoall_bandwidth`] on an explicitly chosen simulation backend.
-pub fn alltoall_bandwidth_on(
-    net: &Network,
-    bytes: u64,
-    window: u32,
-    engine: EngineKind,
-) -> Measurement {
-    alltoall_bandwidth_cfg(net, bytes, window, engine, SimConfig::default())
-}
-
-/// [`alltoall_bandwidth_on`] under an explicit [`SimConfig`] — the entry
-/// point for fault-injection sweeps, which carry a mid-run
-/// `FailureSchedule` (and possibly a retransmit policy) in the config.
-pub fn alltoall_bandwidth_cfg(
+/// of injection bandwidth sustained. `cfg` carries fault-injection
+/// settings (a mid-run `FailureSchedule`, a retransmit policy); plain runs
+/// pass `SimConfig::default()`.
+pub fn alltoall_bandwidth(
     net: &Network,
     bytes: u64,
     window: u32,
@@ -173,13 +152,8 @@ pub fn alltoall_bandwidth_cfg(
 }
 
 /// Random-permutation traffic (§V-A1b): per-accelerator receive bandwidth
-/// distribution in fractions of injection bandwidth (packet engine).
-pub fn permutation_bandwidths(net: &Network, bytes: u64, rounds: u32, seed: u64) -> Vec<f64> {
-    permutation_bandwidths_on(net, bytes, rounds, seed, EngineKind::Packet)
-}
-
-/// [`permutation_bandwidths`] on an explicitly chosen simulation backend.
-pub fn permutation_bandwidths_on(
+/// distribution in fractions of injection bandwidth.
+pub fn permutation_bandwidths(
     net: &Network,
     bytes: u64,
     rounds: u32,
@@ -211,12 +185,17 @@ mod tests {
         // solid share of the optimum in the bandwidth regime (paper Fig. 13
         // reaches >90% at large sizes; small sizes are latency-bound).
         let net = HxMeshParams::square(2, 2).build();
-        let m = allreduce_bandwidth(&net, AllreduceAlgo::DisjointRings, 8 << 20);
+        let m = allreduce_bandwidth(
+            &net,
+            AllreduceAlgo::DisjointRings,
+            8 << 20,
+            EngineKind::Packet,
+        );
         assert!(m.clean);
         assert!(m.bw_fraction > 0.6, "rings fraction {:.3}", m.bw_fraction);
         // Unidirectional ring can use at most 1 of 4 ports each way:
         // fraction <= ~0.5 of the 4-port optimum.
-        let m1 = allreduce_bandwidth(&net, AllreduceAlgo::Ring, 8 << 20);
+        let m1 = allreduce_bandwidth(&net, AllreduceAlgo::Ring, 8 << 20, EngineKind::Packet);
         assert!(m1.clean);
         assert!(m1.bw_fraction < m.bw_fraction);
         assert!(
@@ -231,7 +210,7 @@ mod tests {
         // Hx2Mesh cut ratio is 1/(2a) = 1/4; small meshes do a bit better
         // because not all traffic crosses the bisection (§V-A1a).
         let net = HxMeshParams::square(2, 4).build();
-        let m = alltoall_bandwidth(&net, 64 << 10, 2);
+        let m = alltoall_bandwidth(&net, 64 << 10, 2, EngineKind::Packet, SimConfig::default());
         assert!(m.clean);
         assert!(
             m.bw_fraction > 0.10 && m.bw_fraction < 0.9,
@@ -249,8 +228,14 @@ mod tests {
             board: 2,
         }
         .build();
-        let mh = alltoall_bandwidth(&hx, 32 << 10, 2);
-        let mt = alltoall_bandwidth(&torus, 32 << 10, 2);
+        let mh = alltoall_bandwidth(&hx, 32 << 10, 2, EngineKind::Packet, SimConfig::default());
+        let mt = alltoall_bandwidth(
+            &torus,
+            32 << 10,
+            2,
+            EngineKind::Packet,
+            SimConfig::default(),
+        );
         assert!(mh.clean && mt.clean);
         assert!(
             mt.bw_fraction < mh.bw_fraction,
@@ -263,7 +248,7 @@ mod tests {
     #[test]
     fn permutation_returns_per_rank_distribution() {
         let net = HxMeshParams::square(2, 2).build();
-        let bw = permutation_bandwidths(&net, 128 << 10, 2, 42);
+        let bw = permutation_bandwidths(&net, 128 << 10, 2, 42, EngineKind::Packet);
         assert_eq!(bw.len(), 16);
         assert!(bw.iter().all(|&b| b > 0.0 && b <= 1.01));
     }
@@ -279,8 +264,8 @@ mod tests {
             board: 2,
         }
         .build();
-        let mh = alltoall_bandwidth_on(&hx, 32 << 10, 2, EngineKind::Flow);
-        let mt = alltoall_bandwidth_on(&torus, 32 << 10, 2, EngineKind::Flow);
+        let mh = alltoall_bandwidth(&hx, 32 << 10, 2, EngineKind::Flow, SimConfig::default());
+        let mt = alltoall_bandwidth(&torus, 32 << 10, 2, EngineKind::Flow, SimConfig::default());
         assert!(mh.clean && mt.clean);
         assert!(
             mt.bw_fraction < mh.bw_fraction,

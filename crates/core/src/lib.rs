@@ -18,7 +18,12 @@
 //!
 //! // Build a small HammingMesh and measure a ring allreduce on it.
 //! let net = HxMeshParams::square(2, 4).build();
-//! let m = experiments::allreduce_bandwidth(&net, AllreduceAlgo::DisjointRings, 1 << 20);
+//! let m = experiments::allreduce_bandwidth(
+//!     &net,
+//!     AllreduceAlgo::DisjointRings,
+//!     1 << 20,
+//!     EngineKind::Packet,
+//! );
 //! assert!(m.bw_fraction > 0.2, "{}", m.bw_fraction);
 //! ```
 

@@ -115,10 +115,9 @@ pub struct Node {
 /// Content identity of a failure *set*: the number of failed full-duplex
 /// links plus an order-independent fingerprint of which ones they are.
 ///
-/// Unlike [`Topology::failure_epoch`] — a monotone counter that never
-/// repeats — the set id returns to a previous value when the failure set
-/// does: a fail → restore → fail cycle on the same cable yields the same
-/// id as the first failure. Failure-aware routing caches key on this, so
+/// The set id returns to a previous value when the failure set does: a
+/// fail → restore → fail cycle on the same cable yields the same id as
+/// the first failure. Failure-aware routing caches key on this, so
 /// the cluster simulator's fail/repair churn (which toggles the same few
 /// cables over days of simulated time) reuses BFS state instead of
 /// recomputing it every epoch, while any *different* set — including the
@@ -153,10 +152,6 @@ pub struct Topology {
     nodes: Vec<Node>,
     /// Number of currently failed full-duplex links (each counted once).
     failed_links: usize,
-    /// Bumped on every effective [`Topology::fail_link`] /
-    /// [`Topology::restore_link`], so failure-aware routing tables can
-    /// invalidate their caches without scanning the graph.
-    failure_epoch: u64,
     /// XOR-accumulated fingerprint of the current failure set (see
     /// [`FailureSetId`]); updated in O(1) alongside `failed_links`.
     failure_fingerprint: u64,
@@ -247,7 +242,6 @@ impl Topology {
         self.nodes[node.idx()].ports[port.idx()].failed = true;
         self.nodes[peer.node.idx()].ports[peer.port.idx()].failed = true;
         self.failed_links += 1;
-        self.failure_epoch += 1;
         self.failure_fingerprint ^= Self::cable_hash(node, port, peer);
         true
     }
@@ -271,7 +265,6 @@ impl Topology {
         self.nodes[node.idx()].ports[port.idx()].failed = false;
         self.nodes[peer.node.idx()].ports[peer.port.idx()].failed = false;
         self.failed_links -= 1;
-        self.failure_epoch += 1;
         self.failure_fingerprint ^= Self::cable_hash(node, port, peer);
         true
     }
@@ -281,15 +274,6 @@ impl Topology {
     #[inline]
     pub fn has_failures(&self) -> bool {
         self.failed_links > 0
-    }
-
-    /// Monotone counter bumped by every effective fail/restore. Useful
-    /// for detecting *that* the failure set moved; cached failure-aware
-    /// routing state keys on [`Topology::failure_set_id`] instead, which
-    /// additionally recognizes a set it has seen before.
-    #[inline]
-    pub fn failure_epoch(&self) -> u64 {
-        self.failure_epoch
     }
 
     /// Content identity of the current failure set (see [`FailureSetId`]).
@@ -619,23 +603,19 @@ mod tests {
         let b = t.add_switch(0, 0, 1);
         let (pa, pb) = t.connect(a, b, spec());
         assert!(!t.has_failures());
-        assert_eq!(t.failure_epoch(), 0);
 
         assert!(t.fail_link(a, pa));
         assert_eq!(t.count_failed_links(), 1);
-        assert_eq!(t.failure_epoch(), 1);
         // Failing the same link again — from either side — is a no-op.
         assert!(!t.fail_link(a, pa));
         assert!(!t.fail_link(b, pb));
         assert_eq!(t.count_failed_links(), 1);
-        assert_eq!(t.failure_epoch(), 1);
 
         // Restoring a healthy link is also a no-op.
         assert!(t.restore_link(b, pb));
         assert!(!t.restore_link(a, pa));
         assert_eq!(t.count_failed_links(), 0);
         assert!(!t.has_failures());
-        assert_eq!(t.failure_epoch(), 2);
     }
 
     #[test]

@@ -29,7 +29,9 @@ pub const COMMON_FLAGS: &[FlagSpec] = &[
     FlagSpec {
         name: "--traces",
         value: Some("N"),
-        help: "override the spec's trace count (draws or cluster-size cap, per spec)",
+        help: "override the trace/repetition count (in a spec the style decides: \
+               failure_blocks draws per point, scaling_by_algo the first N cluster \
+               sizes, other styles ignore it)",
     },
     FlagSpec {
         name: "--seed",

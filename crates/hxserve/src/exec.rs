@@ -12,7 +12,7 @@ use crate::cache::{self, CacheRecord};
 use crate::spec::{CellKind, CellSpec, Plan, PAPER_SCALE};
 use hammingmesh::experiments::{self, Measurement};
 use hammingmesh::hxnet::{FailureSetId, Network};
-use hammingmesh::hxsim::{FailureSchedule, SimConfig};
+use hammingmesh::hxsim::SimConfig;
 use hammingmesh::hxtelemetry::{self, Registry, TraceSink};
 use rayon::prelude::*;
 use std::path::{Path, PathBuf};
@@ -152,8 +152,10 @@ fn exec_cell(spec_src: &str, cell: &CellSpec, cache_dir: Option<&Path>) -> CellR
     // Failure cells draw their cable set first: the cache key includes the
     // set's content fingerprint, so a changed drawing recipe can never be
     // served a stale result. The draw itself is cheap next to the sim.
-    let (prepared, failure_set_id, schedule) = match cell.kind {
-        CellKind::FailedAlltoall { failures, draw } => {
+    let mut cfg = SimConfig::default();
+    let (prepared, failure_set_id) = match cell.kind {
+        CellKind::FailedAlltoall { failures, draw }
+        | CellKind::MidrunAlltoall { failures, draw, .. } => {
             let mut net = build_net(cell);
             let got = net.fail_random_cables_drawn(failures, cell.seed, draw as u64);
             assert_eq!(
@@ -161,46 +163,35 @@ fn exec_cell(spec_src: &str, cell: &CellSpec, cache_dir: Option<&Path>) -> CellR
                 "{}: could only fail {got}/{failures} cables",
                 net.name
             );
-            let id = net.topo.failure_set_id();
-            (Some(net), fsid_u64(id), None)
-        }
-        CellKind::MidrunAlltoall { failures, draw, .. } => {
-            // Same draw (and so the same fingerprint/cache identity) as
-            // the frozen cell, but the run starts on the pristine network
-            // and the drawn cables arrive as mid-run link events.
-            let mut net = build_net(cell);
-            let got = net.fail_random_cables_drawn(failures, cell.seed, draw as u64);
-            assert_eq!(
-                got, failures,
-                "{}: could only fail {got}/{failures} cables",
-                net.name
-            );
-            let id = net.topo.failure_set_id();
-            let drawn: Vec<_> = net
-                .topo
-                .cables()
-                .into_iter()
-                .filter(|&(n, p)| net.topo.link_failed(n, p))
-                .collect();
-            for &(n, p) in &drawn {
-                net.topo.restore_link(n, p);
-            }
-            let times = cell
-                .midrun
-                .as_ref()
-                // hxlint: allow(P001) expand_cells sets `midrun` on every MidrunAlltoall cell
-                .expect("midrun cells carry times");
-            let at = |v: &[u64], i: usize| v[i.min(v.len() - 1)];
-            let mut sched = FailureSchedule::new();
-            for (i, &(n, p)) in drawn.iter().enumerate() {
-                sched = sched.fail(at(&times.fail_at_ps, i), n, p);
-                if !times.repair_at_ps.is_empty() {
-                    sched = sched.repair(at(&times.repair_at_ps, i), n, p);
+            let id = fsid_u64(net.topo.failure_set_id());
+            if let CellKind::MidrunAlltoall { retransmit, .. } = cell.kind {
+                // Same draw (and so the same fingerprint/cache identity) as
+                // the frozen cell, but the run starts on the pristine
+                // network and the drawn cables arrive as mid-run link events.
+                let times = cell
+                    .midrun
+                    .as_ref()
+                    // hxlint: allow(P001) expand_cells sets `midrun` on every MidrunAlltoall cell
+                    .expect("midrun cells carry times");
+                let drawn: Vec<_> = net
+                    .topo
+                    .cables()
+                    .into_iter()
+                    .filter(|&(n, p)| net.topo.link_failed(n, p))
+                    .collect();
+                let at = |v: &[u64], i: usize| v[i.min(v.len() - 1)];
+                for (i, &(n, p)) in drawn.iter().enumerate() {
+                    net.topo.restore_link(n, p);
+                    cfg.failures = cfg.failures.fail(at(&times.fail_at_ps, i), n, p);
+                    if !times.repair_at_ps.is_empty() {
+                        cfg.failures = cfg.failures.repair(at(&times.repair_at_ps, i), n, p);
+                    }
                 }
+                cfg.retransmit = retransmit;
             }
-            (Some(net), fsid_u64(id), Some(sched))
+            (Some(net), id)
         }
-        _ => (None, 0u64, None),
+        _ => (None, 0u64),
     };
     let descriptor = cell.descriptor();
     let key = cache::cell_key(spec_src, &descriptor, failure_set_id);
@@ -232,58 +223,29 @@ fn exec_cell(spec_src: &str, cell: &CellSpec, cache_dir: Option<&Path>) -> CellR
     };
     let info = net_info(&net);
     let output = match cell.kind {
-        CellKind::Alltoall => bw(experiments::alltoall_bandwidth_on(
+        CellKind::Alltoall => bw(experiments::alltoall_bandwidth(
             &net,
             cell.bytes,
             cell.window,
             cell.engine,
+            cfg,
         )),
-        CellKind::Permutation { rounds } => {
-            CellOutput::Distribution(experiments::permutation_bandwidths_on(
-                &net,
-                cell.bytes,
-                rounds,
-                cell.seed,
-                cell.engine,
-            ))
-        }
-        CellKind::Allreduce { algo } => bw(experiments::allreduce_bandwidth_on(
+        CellKind::Permutation { rounds } => CellOutput::Distribution(
+            experiments::permutation_bandwidths(&net, cell.bytes, rounds, cell.seed, cell.engine),
+        ),
+        CellKind::Allreduce { algo } => bw(experiments::allreduce_bandwidth(
             &net,
             algo,
             cell.bytes,
             cell.engine,
         )),
-        CellKind::FailedAlltoall { failures, .. } => {
-            let m = experiments::alltoall_bandwidth_on(&net, cell.bytes, cell.window, cell.engine);
+        CellKind::FailedAlltoall { failures, .. } | CellKind::MidrunAlltoall { failures, .. } => {
+            let m =
+                experiments::alltoall_bandwidth(&net, cell.bytes, cell.window, cell.engine, cfg);
             assert!(
                 m.clean,
-                "{} with {failures} failed cables did not deliver all traffic ({})",
-                net.name, cell.engine
-            );
-            bw(m)
-        }
-        CellKind::MidrunAlltoall {
-            failures,
-            retransmit,
-            ..
-        } => {
-            let cfg = SimConfig {
-                // hxlint: allow(P001) the prepared arm above builds a schedule for every midrun cell
-                failures: schedule.expect("midrun cells build a schedule"),
-                retransmit,
-                ..SimConfig::default()
-            };
-            let m = experiments::alltoall_bandwidth_cfg(
-                &net,
-                cell.bytes,
-                cell.window,
-                cell.engine,
-                cfg,
-            );
-            assert!(
-                m.clean,
-                "{} with {failures} mid-run cable failures did not deliver all traffic ({})",
-                net.name, cell.engine
+                "{} with {failures} failed cables ({:?}) did not deliver all traffic ({})",
+                net.name, cell.kind, cell.engine
             );
             bw(m)
         }
@@ -331,7 +293,6 @@ mod tests {
     const TINY: &str = r#"
 [scenario]
 name = "tiny"
-pattern = "alltoall"
 
 [topology]
 set = ["hx2mesh", "torus"]

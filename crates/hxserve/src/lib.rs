@@ -1,9 +1,10 @@
 //! `hxserve` — the scenario service: one declarative API over the
 //! simulation stack, replacing the per-figure ad-hoc sweep drivers.
 //!
-//! A *scenario spec* (`specs/*.toml`) declares a topology set, a traffic
-//! pattern, an engine, a failure set, and sweep axes; the library turns
-//! it into typed values and runs it:
+//! A *scenario spec* (`specs/*.toml`) declares a topology set, an
+//! engine, sweep axes, a failure policy, and an output style — the style
+//! also selects the traffic pattern and what `--traces` overrides (see
+//! [`spec`]); the library turns it into typed values and runs it:
 //!
 //! ```text
 //! spec source ──toml::parse──► Doc ──Scenario::parse──► Scenario
@@ -43,7 +44,5 @@ pub mod spec;
 pub mod toml;
 
 pub use exec::{run, run_with, BwCell, CellOutput, CellRow, ExecOptions, NetInfo, RunResult};
-pub use spec::{
-    CellKind, CellSpec, EngineSel, Overrides, Pattern, Plan, Scenario, Style, Sweep, TracesRole,
-};
+pub use spec::{CellKind, CellSpec, EngineSel, Overrides, Plan, Scenario, Style, Sweep};
 pub use toml::SpecError;

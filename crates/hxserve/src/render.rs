@@ -9,6 +9,7 @@
 
 use crate::exec::{BwCell, CellOutput, CellRow};
 use crate::spec::{CellKind, FailureMode, Plan, Style};
+use hammingmesh::hxtelemetry::trace::escape_json;
 use hammingmesh::prelude::ClusterSize;
 use std::fmt::Write as _;
 
@@ -270,9 +271,7 @@ pub fn render_csv(plan: &Plan, rows: &[CellRow]) -> Option<String> {
 }
 
 fn json_str(s: &str) -> String {
-    // The spec escape set (\n \t \\ \") is exactly the JSON escape set the
-    // workspace's identifiers and names can contain.
-    crate::toml::quote(s)
+    format!("\"{}\"", escape_json(s))
 }
 
 /// One JSONL object for a cell (no trailing newline). Excludes the
@@ -379,7 +378,6 @@ mod tests {
         let spec = r#"
 [scenario]
 name = "t"
-pattern = "alltoall"
 
 [topology]
 set = ["hx2mesh", "torus"]
@@ -411,7 +409,6 @@ note = "n"
         let spec = r#"
 [scenario]
 name = "t"
-pattern = "alltoall"
 
 [topology]
 set = ["hx2mesh"]
@@ -444,17 +441,17 @@ title = "t"
     fn csv_rows_only_for_csv_styles() {
         let plan_of = |src: &str| Scenario::parse(src).unwrap().resolve(&Overrides::default());
         let grid = plan_of(
-            "[scenario]\nname = \"g\"\npattern = \"alltoall\"\n[topology]\nset = [\"torus\"]\n\
+            "[scenario]\nname = \"g\"\n[topology]\nset = [\"torus\"]\n\
              endpoints = 16\n[sweep]\nbytes = [8192]\n[output]\nstyle = \"grid\"\ntitle = \"g\"\n",
         );
         let frozen = plan_of(
-            "[scenario]\nname = \"f\"\npattern = \"failures\"\nengine = \"flow\"\n[topology]\n\
+            "[scenario]\nname = \"f\"\nengine = \"flow\"\n[topology]\n\
              set = [\"torus\"]\nendpoints = 64\n[sweep]\nbytes = [32768]\n\
              failed_cables = [0, 4]\ndraws = 2\n[output]\nstyle = \"failure_blocks\"\n\
              title = \"f\"\n",
         );
         let compare = plan_of(
-            "[scenario]\nname = \"c\"\npattern = \"failures\"\nengine = \"flow\"\n[topology]\n\
+            "[scenario]\nname = \"c\"\nengine = \"flow\"\n[topology]\n\
              set = [\"torus\"]\nendpoints = 64\n[sweep]\nbytes = [32768]\n\
              failed_cables = [0, 4]\ndraws = 2\n[failures]\nmode = \"compare\"\n\
              [failures.schedule]\nfail_at_ps = [1000000]\n[output]\n\

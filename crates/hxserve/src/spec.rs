@@ -7,7 +7,6 @@
 //! ```toml
 //! [scenario]
 //! name = "fig11_alltoall"   # identifier (letters, digits, _ and -)
-//! pattern = "alltoall"      # alltoall | permutation | allreduce | failures
 //! engine = "flow"           # packet | flow | both (both: failure_blocks only)
 //! window = 2                # alltoall injection window / permutation rounds
 //! seed = 12648430           # base RNG seed (default 0xC0FFEE)
@@ -21,12 +20,11 @@
 //! bytes = [32768, 1048576]  # message-size axis (single value = fixed)
 //! bytes_full = [...]        # --full variant (defaults to `bytes`)
 //! algos = ["rings", "torus"]        # allreduce algorithm axis
-//! endpoints = [64, 256]             # cluster-size axis (scaling style)
-//! failed_cables = [0, 1, 2, 4, 8]   # failure-count axis (failures pattern)
+//! endpoints = [64, 256]             # cluster-size axis (scaling_by_algo)
+//! failed_cables = [0, 1, 2, 4, 8]   # failure-count axis (failure_blocks)
 //! draws = 3                 # random failure draws per sweep point
-//! traces = "ignored"        # what --traces overrides: ignored | draws | cap_endpoints
 //!
-//! [failures]                # failures pattern only; optional
+//! [failures]                # failure_blocks only; optional
 //! mode = "frozen"           # frozen | midrun | compare (frozen vs midrun columns)
 //! retransmit = "timeout"    # midrun/compare only: packet-engine recovery of
 //!                           # packets dropped on a failed cable (timeout | reroute)
@@ -42,6 +40,17 @@
 //! title = "... {n} ... {engine} ..."   # {n} {engine} {bytes} {draws} substituted
 //! note = "trailing commentary"
 //! ```
+//!
+//! The style is the one place a spec names what it runs: it selects the
+//! traffic pattern and what a `--traces N` override means.
+//!
+//! | style             | pattern                                 | `--traces N`            |
+//! |-------------------|-----------------------------------------|-------------------------|
+//! | `grid`            | alltoall (Fig. 11)                      | ignored                 |
+//! | `distribution`    | random permutation (Fig. 12)            | ignored                 |
+//! | `grid_by_algo`    | allreduce per `algos` entry (Fig. 13)   | ignored                 |
+//! | `scaling_by_algo` | allreduce per `algos` entry (Fig. 14)   | first N cluster sizes   |
+//! | `failure_blocks`  | alltoall around failed cables (Fig. 10) | N draws per sweep point |
 //!
 //! Every `*_full` key defaults to its quick sibling. Endpoint counts of
 //! 1024 and above (and the `"small"` keyword) build the paper-scale
@@ -60,30 +69,6 @@ pub const DEFAULT_SEED: u64 = 0xC0FFEE;
 /// Endpoint counts at or above this build the paper-scale machine.
 pub const PAPER_SCALE: usize = 1024;
 
-/// The traffic pattern a scenario sweeps.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Pattern {
-    /// Balanced-shift alltoall (§V-A1a).
-    Alltoall,
-    /// Random-permutation traffic (§V-A1b); reports per-rank distributions.
-    Permutation,
-    /// Global allreduce under the `algos` axis (§V-A2).
-    Allreduce,
-    /// Alltoall routed around random failed cables (Fig. 10 routed).
-    Failures,
-}
-
-impl Pattern {
-    pub fn spec_name(self) -> &'static str {
-        match self {
-            Pattern::Alltoall => "alltoall",
-            Pattern::Permutation => "permutation",
-            Pattern::Allreduce => "allreduce",
-            Pattern::Failures => "failures",
-        }
-    }
-}
-
 /// Engine selection: one backend, or both (failure blocks compare them).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EngineSel {
@@ -91,28 +76,25 @@ pub enum EngineSel {
     Both,
 }
 
-impl EngineSel {
-    pub fn spec_name(self) -> &'static str {
-        match self {
-            EngineSel::One(e) => e.as_str(),
-            EngineSel::Both => "both",
-        }
-    }
-}
-
-/// The table shape a scenario renders as (each reproduces one figure
-/// binary's layout byte for byte; see [`crate::render`]).
+/// What a scenario runs and how it prints: the traffic pattern and the
+/// table shape (each reproduces one figure binary's layout byte for
+/// byte; see [`crate::render`]). The style also decides what `--traces`
+/// overrides (see the module docs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Style {
-    /// topology rows x message-size columns (Fig. 11).
+    /// Balanced-shift alltoall (§V-A1a): topology rows x message-size
+    /// columns (Fig. 11).
     Grid,
-    /// per-topology receive-bandwidth percentiles + cost (Fig. 12).
+    /// Random-permutation traffic (§V-A1b): per-topology receive-bandwidth
+    /// percentiles + cost (Fig. 12).
     Distribution,
-    /// one grid per allreduce algorithm (Fig. 13).
+    /// Global allreduce (§V-A2): one grid per algorithm (Fig. 13).
     GridByAlgo,
-    /// one (topology x cluster-size) grid per algorithm + CSV (Fig. 14).
+    /// Global allreduce: one (topology x cluster-size) grid per algorithm
+    /// + CSV (Fig. 14).
     ScalingByAlgo,
-    /// per-topology blocks of failed-cables rows x engine columns (Fig. 10).
+    /// Alltoall routed around random failed cables: per-topology blocks of
+    /// failed-cables rows x engine columns (Fig. 10).
     FailureBlocks,
 }
 
@@ -126,37 +108,6 @@ impl Style {
             Style::FailureBlocks => "failure_blocks",
         }
     }
-
-    /// The pattern each style presents (enforced at validation).
-    fn pattern(self) -> Pattern {
-        match self {
-            Style::Grid => Pattern::Alltoall,
-            Style::Distribution => Pattern::Permutation,
-            Style::GridByAlgo | Style::ScalingByAlgo => Pattern::Allreduce,
-            Style::FailureBlocks => Pattern::Failures,
-        }
-    }
-}
-
-/// What a `--traces N` override means for this scenario.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TracesRole {
-    /// Accepted and ignored (figure binaries share one flag set).
-    Ignored,
-    /// Overrides the number of random failure draws.
-    Draws,
-    /// Caps the cluster-size axis at its first N entries.
-    CapEndpoints,
-}
-
-impl TracesRole {
-    pub fn spec_name(self) -> &'static str {
-        match self {
-            TracesRole::Ignored => "ignored",
-            TracesRole::Draws => "draws",
-            TracesRole::CapEndpoints => "cap_endpoints",
-        }
-    }
 }
 
 /// When a failure cell's drawn cable set takes effect: before the run
@@ -166,15 +117,6 @@ impl TracesRole {
 pub enum FailureMode {
     Frozen,
     Midrun,
-}
-
-impl FailureMode {
-    pub fn spec_name(self) -> &'static str {
-        match self {
-            FailureMode::Frozen => "frozen",
-            FailureMode::Midrun => "midrun",
-        }
-    }
 }
 
 /// The `[failures.schedule]` instants. Entries pair with the drawn
@@ -212,7 +154,7 @@ impl Default for FailurePolicy {
 }
 
 impl FailurePolicy {
-    /// The `mode` key's canonical value.
+    /// The `mode` key's value.
     pub fn mode_name(&self) -> &'static str {
         match self.modes.as_slice() {
             [FailureMode::Frozen] => "frozen",
@@ -234,7 +176,6 @@ pub struct Sweep {
     pub failed_cables_full: Vec<usize>,
     pub draws: usize,
     pub draws_full: usize,
-    pub traces: TracesRole,
 }
 
 /// A parsed, validated scenario spec. Parse one with [`Scenario::parse`];
@@ -242,7 +183,6 @@ pub struct Sweep {
 #[derive(Clone, Debug)]
 pub struct Scenario {
     pub name: String,
-    pub pattern: Pattern,
     pub engine: EngineSel,
     pub window: u32,
     pub seed: u64,
@@ -508,7 +448,7 @@ impl Scenario {
         let sweep_sec = require_section(&doc, "sweep")?;
         let output = require_section(&doc, "output")?;
 
-        unknown_key_check(scenario, &["name", "pattern", "engine", "window", "seed"])?;
+        unknown_key_check(scenario, &["name", "engine", "window", "seed"])?;
         unknown_key_check(topology, &["set", "endpoints", "endpoints_full"])?;
         unknown_key_check(
             sweep_sec,
@@ -522,7 +462,6 @@ impl Scenario {
                 "failed_cables_full",
                 "draws",
                 "draws_full",
-                "traces",
             ],
         )?;
         unknown_key_check(output, &["style", "title", "note"])?;
@@ -540,16 +479,6 @@ impl Scenario {
                 format!("`name` must be an identifier, got {name:?}"),
             ));
         }
-        let pattern = want_enum(scenario, "pattern", |s| match s {
-            "alltoall" => Ok(Pattern::Alltoall),
-            "permutation" => Ok(Pattern::Permutation),
-            "allreduce" => Ok(Pattern::Allreduce),
-            "failures" => Ok(Pattern::Failures),
-            other => Err(format!(
-                "unknown pattern {other:?} (expected alltoall, permutation, allreduce, failures)"
-            )),
-        })?
-        .ok_or_else(|| SpecError::at(scenario.line, "missing `pattern` in [scenario]"))?;
         let engine = want_enum(scenario, "engine", |s| match s {
             "both" => Ok(EngineSel::Both),
             other => other
@@ -607,15 +536,6 @@ impl Scenario {
             .unwrap_or_else(|| failed_cables.clone());
         let draws = want_u64(sweep_sec, "draws")?.unwrap_or(1) as usize;
         let draws_full = want_u64(sweep_sec, "draws_full")?.unwrap_or(draws as u64) as usize;
-        let traces = want_enum(sweep_sec, "traces", |s| match s {
-            "ignored" => Ok(TracesRole::Ignored),
-            "draws" => Ok(TracesRole::Draws),
-            "cap_endpoints" => Ok(TracesRole::CapEndpoints),
-            other => Err(format!(
-                "unknown traces role {other:?} (expected ignored, draws, cap_endpoints)"
-            )),
-        })?
-        .unwrap_or(TracesRole::Ignored);
 
         // [failures] / [failures.schedule]
         let failures = parse_failures(&doc)?;
@@ -639,7 +559,6 @@ impl Scenario {
 
         let spec = Scenario {
             name,
-            pattern,
             engine,
             window,
             seed,
@@ -656,7 +575,6 @@ impl Scenario {
                 failed_cables_full,
                 draws,
                 draws_full,
-                traces,
             },
             failures,
             style,
@@ -671,55 +589,36 @@ impl Scenario {
     /// Cross-field validation (everything the per-key parsing can't see).
     fn validate(&self) -> Result<(), SpecError> {
         let e = |msg: String| Err(SpecError::whole(msg));
-        if self.style.pattern() != self.pattern {
-            return e(format!(
-                "style `{}` presents pattern `{}`, but the spec declares `{}`",
-                self.style.spec_name(),
-                self.style.pattern().spec_name(),
-                self.pattern.spec_name()
-            ));
-        }
+        let style = self.style.spec_name();
         if self.engine == EngineSel::Both && self.style != Style::FailureBlocks {
             return e("engine \"both\" is only supported by the failure_blocks style".into());
         }
-        match self.pattern {
-            Pattern::Allreduce => {
-                if self.sweep.algos.is_empty() {
-                    return e("allreduce scenarios need an `algos` axis in [sweep]".into());
-                }
+        if matches!(self.style, Style::GridByAlgo | Style::ScalingByAlgo) {
+            if self.sweep.algos.is_empty() {
+                return e(format!("style `{style}` needs an `algos` axis in [sweep]"));
             }
-            _ => {
-                if !self.sweep.algos.is_empty() {
-                    return e(format!(
-                        "`algos` only applies to allreduce scenarios, not `{}`",
-                        self.pattern.spec_name()
-                    ));
-                }
-            }
+        } else if !self.sweep.algos.is_empty() {
+            return e(format!(
+                "`algos` only applies to the grid_by_algo and scaling_by_algo styles, not `{style}`"
+            ));
         }
-        match self.pattern {
-            Pattern::Failures => {
-                if self.sweep.failed_cables.is_empty() {
-                    return e("failures scenarios need a `failed_cables` axis in [sweep]".into());
-                }
-                if self.sweep.draws == 0 || self.sweep.draws_full == 0 {
-                    return e("`draws` must be at least 1".into());
-                }
+        if self.style == Style::FailureBlocks {
+            if self.sweep.failed_cables.is_empty() {
+                return e("style `failure_blocks` needs a `failed_cables` axis in [sweep]".into());
             }
-            _ => {
-                if !self.sweep.failed_cables.is_empty() || !self.sweep.failed_cables_full.is_empty()
-                {
-                    return e(format!(
-                        "`failed_cables` only applies to failures scenarios, not `{}`",
-                        self.pattern.spec_name()
-                    ));
-                }
-                if self.failures != FailurePolicy::default() {
-                    return e(format!(
-                        "[failures] only applies to failures scenarios, not `{}`",
-                        self.pattern.spec_name()
-                    ));
-                }
+            if self.sweep.draws == 0 || self.sweep.draws_full == 0 {
+                return e("`draws` must be at least 1".into());
+            }
+        } else {
+            if !self.sweep.failed_cables.is_empty() || !self.sweep.failed_cables_full.is_empty() {
+                return e(format!(
+                    "`failed_cables` only applies to the failure_blocks style, not `{style}`"
+                ));
+            }
+            if self.failures != FailurePolicy::default() {
+                return e(format!(
+                    "[failures] only applies to the failure_blocks style, not `{style}`"
+                ));
             }
         }
         if self.failures.modes.contains(&FailureMode::Midrun)
@@ -743,116 +642,13 @@ impl Scenario {
         ) && (self.sweep.bytes.len() != 1 || self.sweep.bytes_full.len() != 1)
         {
             return e(format!(
-                "style `{}` uses a single message size; give `bytes` exactly one entry",
-                self.style.spec_name()
+                "style `{style}` uses a single message size; give `bytes` exactly one entry"
             ));
-        }
-        if self.sweep.traces == TracesRole::CapEndpoints && self.style != Style::ScalingByAlgo {
-            return e("traces = \"cap_endpoints\" requires an `endpoints` axis".into());
-        }
-        if self.sweep.traces == TracesRole::Draws && self.pattern != Pattern::Failures {
-            return e("traces = \"draws\" requires the failures pattern".into());
         }
         if self.topologies.is_empty() {
             return e("the topology set must not be empty".into());
         }
         Ok(())
-    }
-
-    /// Canonical spec serialization: a fixed section/key order with every
-    /// resolved field explicit. `parse(to_toml(s))` reproduces `s` (the
-    /// round-trip tests pin the fixpoint), and the output doubles as a
-    /// normalized form for diffing specs.
-    pub fn to_toml(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "[scenario]");
-        let _ = writeln!(out, "name = {}", toml::quote(&self.name));
-        let _ = writeln!(out, "pattern = {}", toml::quote(self.pattern.spec_name()));
-        let _ = writeln!(out, "engine = {}", toml::quote(self.engine.spec_name()));
-        let _ = writeln!(out, "window = {}", self.window);
-        let _ = writeln!(out, "seed = {}", self.seed);
-        let _ = writeln!(out, "\n[topology]");
-        let names: Vec<String> = self
-            .topologies
-            .iter()
-            .map(|t| toml::quote(t.spec_name()))
-            .collect();
-        let _ = writeln!(out, "set = [{}]", names.join(", "));
-        let _ = writeln!(out, "endpoints = {}", self.endpoints);
-        let _ = writeln!(out, "endpoints_full = {}", self.endpoints_full);
-        let _ = writeln!(out, "\n[sweep]");
-        let ints = |v: &[u64]| {
-            v.iter()
-                .map(|b| b.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        let _ = writeln!(out, "bytes = [{}]", ints(&self.sweep.bytes));
-        let _ = writeln!(out, "bytes_full = [{}]", ints(&self.sweep.bytes_full));
-        if !self.sweep.algos.is_empty() {
-            let names: Vec<String> = self
-                .sweep
-                .algos
-                .iter()
-                .map(|a| toml::quote(a.spec_name()))
-                .collect();
-            let _ = writeln!(out, "algos = [{}]", names.join(", "));
-        }
-        let usizes = |v: &[usize]| {
-            v.iter()
-                .map(|b| b.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        if let Some(axis) = &self.sweep.endpoints {
-            let _ = writeln!(out, "endpoints = [{}]", usizes(axis));
-            let full = self.sweep.endpoints_full.as_deref().unwrap_or(axis);
-            let _ = writeln!(out, "endpoints_full = [{}]", usizes(full));
-        }
-        if !self.sweep.failed_cables.is_empty() {
-            let _ = writeln!(
-                out,
-                "failed_cables = [{}]",
-                usizes(&self.sweep.failed_cables)
-            );
-            let _ = writeln!(
-                out,
-                "failed_cables_full = [{}]",
-                usizes(&self.sweep.failed_cables_full)
-            );
-            let _ = writeln!(out, "draws = {}", self.sweep.draws);
-            let _ = writeln!(out, "draws_full = {}", self.sweep.draws_full);
-        }
-        let _ = writeln!(
-            out,
-            "traces = {}",
-            toml::quote(self.sweep.traces.spec_name())
-        );
-        if self.failures != FailurePolicy::default() {
-            let _ = writeln!(out, "\n[failures]");
-            let _ = writeln!(out, "mode = {}", toml::quote(self.failures.mode_name()));
-            if self.failures.modes.contains(&FailureMode::Midrun) {
-                let _ = writeln!(
-                    out,
-                    "retransmit = {}",
-                    toml::quote(self.failures.retransmit.as_str())
-                );
-            }
-            let t = &self.failures.times;
-            if !t.fail_at_ps.is_empty() {
-                let _ = writeln!(out, "\n[failures.schedule]");
-                let _ = writeln!(out, "fail_at_ps = [{}]", ints(&t.fail_at_ps));
-                if !t.repair_at_ps.is_empty() {
-                    let _ = writeln!(out, "repair_at_ps = [{}]", ints(&t.repair_at_ps));
-                }
-            }
-        }
-        let _ = writeln!(out, "\n[output]");
-        let _ = writeln!(out, "style = {}", toml::quote(self.style.spec_name()));
-        let _ = writeln!(out, "title = {}", toml::quote(&self.title));
-        let _ = writeln!(out, "note = {}", toml::quote(&self.note));
-        out
     }
 
     /// Resolve this spec against CLI overrides into a concrete [`Plan`].
@@ -875,9 +671,9 @@ impl Scenario {
         }
         .unwrap_or_else(|| vec![endpoints]);
         let mut draws = if ov.full { s.draws_full } else { s.draws };
-        match (s.traces, ov.traces) {
-            (TracesRole::Draws, Some(t)) => draws = t.max(1),
-            (TracesRole::CapEndpoints, Some(t)) => {
+        match (self.style, ov.traces) {
+            (Style::FailureBlocks, Some(t)) => draws = t.max(1),
+            (Style::ScalingByAlgo, Some(t)) => {
                 let cap = t.clamp(1, endpoints_axis.len());
                 endpoints_axis.truncate(cap);
             }
@@ -1144,7 +940,6 @@ mod tests {
     const MINI: &str = r#"
 [scenario]
 name = "mini"
-pattern = "alltoall"
 engine = "flow"
 
 [topology]
@@ -1193,21 +988,6 @@ note = "n."
     }
 
     #[test]
-    fn canonical_form_is_a_fixpoint() {
-        let s1 = Scenario::parse(MINI).unwrap();
-        let t1 = s1.to_toml();
-        let s2 = Scenario::parse(&t1).unwrap();
-        assert_eq!(s2.to_toml(), t1);
-    }
-
-    #[test]
-    fn style_pattern_mismatch_is_rejected() {
-        let bad = MINI.replace("pattern = \"alltoall\"", "pattern = \"permutation\"");
-        let err = Scenario::parse(&bad).unwrap_err();
-        assert!(err.msg.contains("presents pattern"), "{err}");
-    }
-
-    #[test]
     fn both_engines_only_for_failure_blocks() {
         let bad = MINI.replace("engine = \"flow\"", "engine = \"both\"");
         let err = Scenario::parse(&bad).unwrap_err();
@@ -1217,7 +997,6 @@ note = "n."
     const MIDRUN: &str = r#"
 [scenario]
 name = "midrun"
-pattern = "failures"
 engine = "flow"
 
 [topology]
@@ -1228,7 +1007,6 @@ endpoints = 16
 bytes = [8192]
 failed_cables = [0, 1]
 draws = 2
-traces = "draws"
 
 [failures]
 mode = "compare"
@@ -1279,21 +1057,66 @@ title = "midrun"
         assert_ne!(d_frozen, d_mid);
     }
 
+    const SCALING: &str = r#"
+[scenario]
+name = "scaling"
+
+[topology]
+set = ["hx2mesh"]
+endpoints = 16
+
+[sweep]
+bytes = [8192]
+algos = ["rings"]
+endpoints = [16, 64]
+
+[output]
+style = "scaling_by_algo"
+title = "scaling"
+"#;
+
+    /// `--traces N` means what the style says: draws for failure blocks,
+    /// a cluster-size cap for scaling grids, nothing for the rest.
     #[test]
-    fn midrun_canonical_form_is_a_fixpoint() {
-        let s1 = Scenario::parse(MIDRUN).unwrap();
-        let t1 = s1.to_toml();
-        let s2 = Scenario::parse(&t1).unwrap();
-        assert_eq!(s2.to_toml(), t1);
-        assert_eq!(s2.failures, s1.failures);
+    fn traces_override_follows_the_style() {
+        let one = Overrides {
+            traces: Some(1),
+            ..Overrides::default()
+        };
+        let failures = Scenario::parse(MIDRUN).unwrap();
+        assert_eq!(failures.resolve(&Overrides::default()).draws, 2);
+        let plan = failures.resolve(&one);
+        assert_eq!(plan.draws, 1);
+        // topologies(1) x failed(2) x engines(1) x modes(2) x draws(1)
+        assert_eq!(plan.cells.len(), 4);
+
+        let scaling = Scenario::parse(SCALING).unwrap();
+        assert_eq!(
+            scaling.resolve(&Overrides::default()).endpoints_axis,
+            vec![16, 64]
+        );
+        let plan = scaling.resolve(&one);
+        assert_eq!(plan.endpoints_axis, vec![16]);
+        assert_eq!(plan.cells.len(), 1);
+
+        let grid = Scenario::parse(MINI).unwrap();
+        let (with, without) = (grid.resolve(&one), grid.resolve(&Overrides::default()));
+        assert_eq!(with.cells, without.cells);
+        assert_eq!(with.title, without.title);
+        assert_eq!(with.draws, without.draws);
+        assert_eq!(with.endpoints_axis, without.endpoints_axis);
     }
 
     #[test]
     fn failure_policy_misuse_is_rejected() {
-        // [failures] on a non-failures pattern.
+        // [failures] outside the failure_blocks style.
         let bad = format!("{MINI}\n[failures]\nmode = \"midrun\"\n");
         let err = Scenario::parse(&bad).unwrap_err();
-        assert!(err.msg.contains("only applies to failures"), "{err}");
+        assert!(
+            err.msg
+                .contains("[failures] only applies to the failure_blocks style"),
+            "{err}"
+        );
         // midrun mode without a schedule.
         let bad = MIDRUN
             .replace("[failures.schedule]", "")

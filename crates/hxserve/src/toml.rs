@@ -328,24 +328,6 @@ pub fn parse(src: &str) -> Result<Doc, SpecError> {
     Ok(doc)
 }
 
-/// Render a string as a spec literal (the inverse of the escape handling
-/// in [`parse`]); used by the canonical serializer.
-pub fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -380,8 +362,10 @@ mod tests {
             panic!("not a string");
         };
         assert_eq!(s, "line1\nline2 \"q\" \\ tab\t.");
-        let requoted = quote(s);
-        let doc2 = parse(&format!("[s]\nnote = {requoted}\n")).unwrap();
+        // The JSONL writer's escaper spells the spec's escape set the way
+        // the spec does, so a name or note reads back unchanged.
+        let requoted = hammingmesh::hxtelemetry::trace::escape_json(s);
+        let doc2 = parse(&format!("[s]\nnote = \"{requoted}\"\n")).unwrap();
         assert_eq!(
             doc2.section("s").unwrap().get("note").unwrap().value,
             Value::Str(s.clone())

@@ -11,7 +11,6 @@ use std::process::Command;
 const SPEC_A: &str = r#"
 [scenario]
 name = "batch-a"
-pattern = "alltoall"
 engine = "flow"
 
 [topology]
@@ -29,7 +28,6 @@ title = "batch a"
 const SPEC_B: &str = r#"
 [scenario]
 name = "batch-b"
-pattern = "allreduce"
 engine = "flow"
 
 [topology]
@@ -134,7 +132,6 @@ fn second_batch_pass_is_cached_and_byte_identical() {
 const MIDRUN: &str = r#"
 [scenario]
 name = "midrun"
-pattern = "failures"
 engine = "packet"
 
 [topology]
@@ -259,7 +256,6 @@ fn run_renders_csv_and_table_formats() {
         r#"
 [scenario]
 name = "scal"
-pattern = "allreduce"
 engine = "flow"
 
 [topology]
@@ -270,7 +266,6 @@ endpoints = 16
 bytes = [16384]
 algos = ["rings"]
 endpoints = [16, 64]
-traces = "cap_endpoints"
 
 [output]
 style = "scaling_by_algo"

@@ -12,7 +12,6 @@ use std::path::PathBuf;
 const SPEC: &str = r#"
 [scenario]
 name = "cache-probe"
-pattern = "failures"
 engine = "flow"
 seed = 7
 
@@ -24,7 +23,6 @@ endpoints = 16
 bytes = [4096]
 failed_cables = [0, 1]
 draws = 2
-traces = "draws"
 
 [output]
 style = "failure_blocks"

@@ -35,23 +35,19 @@ pub enum RateMode {
     Incremental,
 }
 
-/// Engine configuration. Defaults follow App. F of the paper.
+/// Engine configuration. Defaults follow App. F of the paper; the App. F
+/// settings no run varies are constants ([`crate::PACKET_BYTES`],
+/// [`crate::HOP_LATENCY_PS`], [`crate::FLIT_BYTES`]).
 #[derive(Clone, Debug)]
 pub struct SimConfig {
-    /// Maximum packet payload per network packet (8 KiB).
-    pub packet_bytes: u64,
     /// Input-buffer capacity per (port, VC) in bytes.
     pub buffer_bytes: u64,
-    /// Fixed per-hop pipeline latency added to every packet reception
-    /// (input+output buffer latency, 40 ns).
-    pub hop_latency_ps: u64,
     /// Virtual cut-through: a transit packet becomes routable downstream
-    /// after one flit (App. F: 256 B) plus wire latency, instead of after
-    /// full store-and-forward reception. Links still carry every byte, so
-    /// bandwidth accounting is exact; only per-hop pipelining changes.
+    /// after one flit ([`crate::FLIT_BYTES`]) plus wire latency, instead
+    /// of after full store-and-forward reception. Links still carry every
+    /// byte, so bandwidth accounting is exact; only per-hop pipelining
+    /// changes.
     pub cut_through: bool,
-    /// Flit size for the cut-through forwarding latency (256 B, App. F).
-    pub flit_bytes: u64,
     /// Injection throttle: a NIC keeps at most this many bytes queued in
     /// its node's output queues before pacing further packets.
     pub nic_window_bytes: u64,
@@ -84,13 +80,10 @@ pub struct SimConfig {
 impl Default for SimConfig {
     fn default() -> Self {
         Self {
-            packet_bytes: crate::DEFAULT_PACKET_BYTES,
             buffer_bytes: crate::DEFAULT_BUFFER_BYTES,
-            hop_latency_ps: 40_000,
             cut_through: true,
-            flit_bytes: 256,
-            nic_window_bytes: 32 * crate::DEFAULT_PACKET_BYTES,
-            nic_port_window_bytes: 4 * crate::DEFAULT_PACKET_BYTES,
+            nic_window_bytes: 32 * crate::PACKET_BYTES,
+            nic_port_window_bytes: 4 * crate::PACKET_BYTES,
             use_waypoints: true,
             seed: 0x5eed,
             max_time_ps: Time::MAX,
@@ -331,7 +324,7 @@ impl<'n> Engine<'n> {
             let mut ctx = Ctx::new(0, &mut cmds);
             app.start(&mut ctx);
         }
-        self.apply_cmds(&mut cmds, app);
+        self.apply_cmds(&mut cmds);
 
         let sched_len = self.cfg.failures.len();
         loop {
@@ -389,7 +382,7 @@ impl<'n> Engine<'n> {
                         .src_rank;
                     let src_node = self.net.endpoints[src_rank as usize];
                     self.nodes[src_node.idx()].nic_pending.push_back(pkt);
-                    self.pump_nic(src_node, None);
+                    self.pump_nic(src_node);
                 }
                 Event::PortFree {
                     node,
@@ -404,7 +397,7 @@ impl<'n> Engine<'n> {
                         let mut ctx = Ctx::new(self.now, &mut cmds);
                         app.on_compute_done(&mut ctx, rank, tag);
                     }
-                    self.apply_cmds(&mut cmds, app);
+                    self.apply_cmds(&mut cmds);
                     self.cmd_scratch = cmds;
                 }
             }
@@ -576,7 +569,7 @@ impl<'n> Engine<'n> {
                     }
                     // NACK-like: the drop is signalled back to the sender
                     // after a couple of hop turnarounds.
-                    RetransmitPolicy::Reroute => 4 * self.cfg.hop_latency_ps,
+                    RetransmitPolicy::Reroute => 4 * crate::HOP_LATENCY_PS,
                 }
             };
             {
@@ -608,7 +601,7 @@ impl<'n> Engine<'n> {
         }
     }
 
-    fn apply_cmds(&mut self, cmds: &mut Vec<Cmd>, app: &mut dyn Application) {
+    fn apply_cmds(&mut self, cmds: &mut Vec<Cmd>) {
         // Commands may recursively produce more commands (e.g. a send whose
         // completion callback fires instantly is impossible — sends take
         // time — but computes with 0 ps are executed inline).
@@ -625,7 +618,6 @@ impl<'n> Engine<'n> {
                 }
             }
         }
-        let _ = app;
     }
 
     fn start_send(&mut self, src: u32, dst: u32, bytes: u64, tag: u64) {
@@ -633,7 +625,7 @@ impl<'n> Engine<'n> {
         let src_node = self.net.endpoints[src as usize];
         let dst_node = self.net.endpoints[dst as usize];
         let msg_id = self.msgs.len() as MsgId;
-        let num_packets = bytes.div_ceil(self.cfg.packet_bytes) as u32;
+        let num_packets = bytes.div_ceil(crate::PACKET_BYTES) as u32;
         if self.sink.enabled() {
             self.sink.instant_args(
                 "flow_start",
@@ -662,7 +654,7 @@ impl<'n> Engine<'n> {
         self.stats.messages_sent += 1;
         let mut remaining = bytes;
         for _ in 0..num_packets {
-            let sz = remaining.min(self.cfg.packet_bytes) as u32;
+            let sz = remaining.min(crate::PACKET_BYTES) as u32;
             remaining -= sz as u64;
             let waypoint = if self.cfg.use_waypoints {
                 let probe = EngineProbe { nodes: &self.nodes };
@@ -688,7 +680,7 @@ impl<'n> Engine<'n> {
             });
             self.nodes[src_node.idx()].nic_pending.push_back(pkt);
         }
-        self.pump_nic(src_node, None);
+        self.pump_nic(src_node);
     }
 
     fn alloc_packet(&mut self, st: PacketState) -> PacketId {
@@ -711,8 +703,7 @@ impl<'n> Engine<'n> {
     /// is already full (per-port window) is deferred — rotated to the back
     /// of the queue — so that concurrent flows on different ports are not
     /// head-of-line blocked behind each other at the NIC.
-    fn pump_nic(&mut self, node: NodeId, app: Option<&mut dyn Application>) {
-        let _ = app;
+    fn pump_nic(&mut self, node: NodeId) {
         let mut attempts = self.nodes[node.idx()].nic_pending.len();
         while attempts > 0 {
             attempts -= 1;
@@ -916,13 +907,13 @@ impl<'n> Engine<'n> {
             },
         );
         let fwd_ser = if self.cfg.cut_through {
-            (bytes.min(self.cfg.flit_bytes) as f64 * link.spec.ps_per_byte).round() as u64
+            (bytes.min(crate::FLIT_BYTES) as f64 * link.spec.ps_per_byte).round() as u64
         } else {
             ser
         };
         let gen = self.packets[pkt as usize].gen;
         self.push_event(
-            self.now + fwd_ser + link.spec.latency_ps + self.cfg.hop_latency_ps,
+            self.now + fwd_ser + link.spec.latency_ps + crate::HOP_LATENCY_PS,
             Event::Arrive(peer.node, peer.port, pkt, gen),
         );
     }
@@ -950,14 +941,14 @@ impl<'n> Engine<'n> {
                     let mut ctx = Ctx::new(self.now, &mut cmds);
                     app.on_send_complete(&mut ctx, info);
                 }
-                self.apply_cmds(&mut cmds, app);
+                self.apply_cmds(&mut cmds);
                 self.cmd_scratch = cmds;
             }
         }
         // Output queue space was freed: the local NIC (if any) may inject.
         // Accelerators also forward transit traffic (HxMesh/torus), so this
         // must run for every departure, not just first hops.
-        self.pump_nic(node, None);
+        self.pump_nic(node);
         self.try_transmit(node, port);
     }
 
@@ -983,7 +974,6 @@ impl<'n> Engine<'n> {
     }
 
     fn on_arrive(&mut self, node: NodeId, port: PortId, pkt: PacketId, app: &mut dyn Application) {
-        let _ = port;
         self.packets[pkt as usize].in_flight = false;
         let dst = self.packets[pkt as usize].dst_node;
         if node == dst {
@@ -1028,7 +1018,7 @@ impl<'n> Engine<'n> {
                     let mut ctx = Ctx::new(self.now, &mut cmds);
                     app.on_message(&mut ctx, info);
                 }
-                self.apply_cmds(&mut cmds, app);
+                self.apply_cmds(&mut cmds);
                 self.cmd_scratch = cmds;
             }
             return;
@@ -1038,10 +1028,6 @@ impl<'n> Engine<'n> {
         self.route_and_enqueue(node, pkt);
     }
 }
-
-/// Extra field kept out of the struct literal above for clarity.
-#[allow(dead_code)]
-trait EngineGuard {}
 
 struct EngineProbe<'a> {
     nodes: &'a [NodeState],

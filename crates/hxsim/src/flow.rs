@@ -378,7 +378,7 @@ impl<'n> FlowEngine<'n> {
             let mut ctx = Ctx::new(0, &mut cmds);
             app.start(&mut ctx);
         }
-        self.apply_cmds(&mut cmds, app);
+        self.apply_cmds(&mut cmds);
         self.recompute_rates();
 
         loop {
@@ -560,7 +560,7 @@ impl<'n> FlowEngine<'n> {
             self.push_event(self.now + latency_ps as f64, Event::Deliver(msg));
         }
         if !cmds.is_empty() {
-            self.apply_cmds(&mut cmds, app);
+            self.apply_cmds(&mut cmds);
             needs_recompute = true;
         }
         needs_recompute
@@ -574,7 +574,7 @@ impl<'n> FlowEngine<'n> {
     /// fair share grows now that we left, so their component is seeded.
     fn flush_routes(&mut self, f: FlowId) -> bool {
         let mut needs_recompute = false;
-        let pkt_bytes = self.cfg.packet_bytes as f64;
+        let pkt_bytes = crate::PACKET_BYTES as f64;
         let mut routes = std::mem::take(&mut self.flows[f as usize].routes);
         for mut r in routes.drain(..) {
             // Packet-equivalent traffic accounting at drain time; the
@@ -838,15 +838,14 @@ impl<'n> FlowEngine<'n> {
                 }
             }
             if !cmds.is_empty() {
-                self.apply_cmds(&mut cmds, app);
+                self.apply_cmds(&mut cmds);
                 dirty = true;
             }
         }
         dirty
     }
 
-    fn apply_cmds(&mut self, cmds: &mut Vec<Cmd>, app: &mut dyn Application) {
-        let _ = app;
+    fn apply_cmds(&mut self, cmds: &mut Vec<Cmd>) {
         while let Some(cmd) = cmds.pop() {
             match cmd {
                 Cmd::Send {
@@ -1036,7 +1035,7 @@ impl<'n> FlowEngine<'n> {
         loop {
             let link = topo.link(node, hop.port);
             links.push(self.link_idx(node, hop.port));
-            latency_ps += link.spec.latency_ps + self.cfg.hop_latency_ps;
+            latency_ps += link.spec.latency_ps + crate::HOP_LATENCY_PS;
             node = link.peer.node;
             if node == dst {
                 break;
@@ -1173,8 +1172,6 @@ impl<'n> FlowEngine<'n> {
             self.stats.rate_touched_flows += filled as u64;
             if filled == self.active.len() {
                 self.stats.rate_recomputes_full += 1;
-            } else {
-                self.stats.rate_recomputes_component += 1;
             }
         }
         // Telemetry counts flows whose rate *bit pattern changed* this

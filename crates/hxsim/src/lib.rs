@@ -55,8 +55,16 @@ pub use stats::{SimError, SimStats};
 /// Simulated time in picoseconds.
 pub type Time = u64;
 
-/// Default packet size from the paper's SST configuration (App. F).
-pub const DEFAULT_PACKET_BYTES: u64 = 8192;
+/// Maximum payload per network packet from the paper's SST configuration
+/// (App. F: 8 KiB).
+pub const PACKET_BYTES: u64 = 8192;
+
+/// Fixed per-hop pipeline latency added to every packet reception
+/// (input+output buffer latency; App. F: 40 ns).
+pub const HOP_LATENCY_PS: Time = 40_000;
+
+/// Flit size for the cut-through forwarding latency (App. F: 256 B).
+pub const FLIT_BYTES: u64 = 256;
 
 /// Default per-(port,VC) input buffer. The paper uses 32 MB per port; we
 /// split it evenly across at most 4 VCs.

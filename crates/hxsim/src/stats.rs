@@ -59,12 +59,11 @@ pub struct SimStats {
     pub rate_recomputes: u64,
     /// Flow engine only: recompute epochs whose fills covered *every*
     /// active flow — the solver found no component it could leave alone.
-    /// Under `RateMode::Full` every recompute epoch lands here.
+    /// Under `RateMode::Full` every recompute epoch lands here. The rest,
+    /// `rate_recomputes - rate_recomputes_full`, covered a proper subset
+    /// of the active flows — the O(affected) win; the perf_smoke
+    /// `flow_scale` gate asserts those dominate (≥90%) at 16k endpoints.
     pub rate_recomputes_full: u64,
-    /// Flow engine only: recompute epochs whose fills covered a proper
-    /// subset of the active flows — the O(affected) win. The perf_smoke
-    /// `flow_scale` gate asserts these dominate (≥90%) at 16k endpoints.
-    pub rate_recomputes_component: u64,
     /// Flow engine only: cumulative flows touched by fills, summed over
     /// recompute epochs. Under `RateMode::Full` this is Σ active-flow
     /// counts; `Incremental` is provably ≤ that (pinned differentially).

@@ -11,7 +11,7 @@ fn tiny_buffers_still_drain() {
     // One packet of buffer per (port, VC): maximum backpressure.
     let net = HxMeshParams::square(2, 2).build();
     let cfg = SimConfig {
-        buffer_bytes: crate::DEFAULT_PACKET_BYTES,
+        buffer_bytes: crate::PACKET_BYTES,
         max_time_ps: 500_000_000_000,
         ..SimConfig::default()
     };
@@ -108,8 +108,8 @@ fn narrow_nic_window_serializes_but_completes() {
         assert!(stats.clean(), "window {window}: {stats:?}");
         stats.finish_ps
     };
-    let narrow = run(crate::DEFAULT_PACKET_BYTES);
-    let wide = run(64 * crate::DEFAULT_PACKET_BYTES);
+    let narrow = run(crate::PACKET_BYTES);
+    let wide = run(64 * crate::PACKET_BYTES);
     assert!(
         wide <= narrow,
         "wider window must not be slower: {wide} vs {narrow}"

@@ -35,7 +35,7 @@ fn main() {
     // magnitude more speed at scale (see README "Two simulation engines").
     for algo in [AllreduceAlgo::DisjointRings, AllreduceAlgo::Torus2D] {
         for engine in EngineKind::all() {
-            let m = experiments::allreduce_bandwidth_on(&net, algo, 4 << 20, engine);
+            let m = experiments::allreduce_bandwidth(&net, algo, 4 << 20, engine);
             println!(
                 "{algo:?} on {engine} engine: {:.1} us simulated, {:.1}% of the allreduce optimum",
                 m.time_ps as f64 / 1e6,
@@ -47,7 +47,13 @@ fn main() {
 
     // And an alltoall, which HxMesh deliberately under-provisions (§II-D:
     // global bandwidth is rarely needed by deep learning workloads).
-    let m = experiments::alltoall_bandwidth(&net, 64 << 10, 2);
+    let m = experiments::alltoall_bandwidth(
+        &net,
+        64 << 10,
+        2,
+        EngineKind::Packet,
+        SimConfig::default(),
+    );
     println!(
         "alltoall: {:.1}% of injection bandwidth (cut bound for Hx2Mesh: 25%)",
         m.bw_fraction * 100.0

@@ -19,8 +19,19 @@ fn main() {
         // BFS diameter over a sample of endpoints.
         let d = net.topo.bfs_hops(net.endpoints[0]);
         let diam = net.endpoints.iter().map(|e| d[e.idx()]).max().unwrap();
-        let a2a = experiments::alltoall_bandwidth(&net, 32 << 10, 2);
-        let ar = experiments::allreduce_bandwidth(&net, AllreduceAlgo::DisjointRings, 16 << 20);
+        let a2a = experiments::alltoall_bandwidth(
+            &net,
+            32 << 10,
+            2,
+            EngineKind::Packet,
+            SimConfig::default(),
+        );
+        let ar = experiments::allreduce_bandwidth(
+            &net,
+            AllreduceAlgo::DisjointRings,
+            16 << 20,
+            EngineKind::Packet,
+        );
         println!(
             "{:<24} {:>6} {:>8} {:>7} {:>10.1} {:>8.1} {:>8.1}",
             choice.name(),

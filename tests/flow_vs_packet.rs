@@ -97,8 +97,20 @@ fn alltoall_large_messages_agree() {
             FatTreeParams::scaled_nonblocking(16, 16).build(),
         ),
     ] {
-        let p = experiments::alltoall_bandwidth_on(&net, 1 << 20, 2, EngineKind::Packet);
-        let f = experiments::alltoall_bandwidth_on(&net, 1 << 20, 2, EngineKind::Flow);
+        let p = experiments::alltoall_bandwidth(
+            &net,
+            1 << 20,
+            2,
+            EngineKind::Packet,
+            SimConfig::default(),
+        );
+        let f = experiments::alltoall_bandwidth(
+            &net,
+            1 << 20,
+            2,
+            EngineKind::Flow,
+            SimConfig::default(),
+        );
         assert!(p.clean && f.clean);
         assert_ratio(
             &format!("alltoall 1MiB on {name}"),
@@ -123,8 +135,20 @@ fn alltoall_small_messages_agree_loosely() {
             .build(),
         ),
     ] {
-        let p = experiments::alltoall_bandwidth_on(&net, 32 << 10, 2, EngineKind::Packet);
-        let f = experiments::alltoall_bandwidth_on(&net, 32 << 10, 2, EngineKind::Flow);
+        let p = experiments::alltoall_bandwidth(
+            &net,
+            32 << 10,
+            2,
+            EngineKind::Packet,
+            SimConfig::default(),
+        );
+        let f = experiments::alltoall_bandwidth(
+            &net,
+            32 << 10,
+            2,
+            EngineKind::Flow,
+            SimConfig::default(),
+        );
         assert!(p.clean && f.clean);
         assert_ratio(
             &format!("alltoall 32KiB on {name}"),
@@ -148,8 +172,8 @@ fn allreduce_schedules_agree() {
     ]
     .into_par_iter()
     .for_each(|algo| {
-        let p = experiments::allreduce_bandwidth_on(&net, algo, 4 << 20, EngineKind::Packet);
-        let f = experiments::allreduce_bandwidth_on(&net, algo, 4 << 20, EngineKind::Flow);
+        let p = experiments::allreduce_bandwidth(&net, algo, 4 << 20, EngineKind::Packet);
+        let f = experiments::allreduce_bandwidth(&net, algo, 4 << 20, EngineKind::Flow);
         assert!(p.clean && f.clean, "{algo:?}");
         assert_ratio(
             &format!("allreduce {algo:?} 4MiB"),
@@ -164,7 +188,7 @@ fn allreduce_schedules_agree() {
 fn permutation_mean_bandwidth_agrees() {
     let net = HxMeshParams::square(2, 2).build();
     let mean = |engine| {
-        let bw = experiments::permutation_bandwidths_on(&net, 256 << 10, 2, 42, engine);
+        let bw = experiments::permutation_bandwidths(&net, 256 << 10, 2, 42, engine);
         bw.iter().sum::<f64>() / bw.len() as f64
     };
     let p = mean(EngineKind::Packet);
@@ -206,7 +230,7 @@ fn flow_engine_is_much_faster_at_bandwidth_scale() {
     let wall = |kind| {
         #[allow(clippy::disallowed_methods)] // coarse speedup report, not sim state
         let t0 = std::time::Instant::now();
-        let m = experiments::alltoall_bandwidth_on(&net, 2 << 20, 2, kind);
+        let m = experiments::alltoall_bandwidth(&net, 2 << 20, 2, kind, SimConfig::default());
         assert!(m.clean);
         t0.elapsed().as_secs_f64()
     };
@@ -236,13 +260,13 @@ fn flow_engine_is_much_faster_at_bandwidth_scale() {
 fn bidir_ring_chunks_near_nic_port_window_band_pin() {
     let net = HxMeshParams::square(2, 2).build();
     for bytes in [64u64 << 10, 256 << 10] {
-        let p = experiments::allreduce_bandwidth_on(
+        let p = experiments::allreduce_bandwidth(
             &net,
             AllreduceAlgo::BidirRing,
             bytes,
             EngineKind::Packet,
         );
-        let f = experiments::allreduce_bandwidth_on(
+        let f = experiments::allreduce_bandwidth(
             &net,
             AllreduceAlgo::BidirRing,
             bytes,
@@ -274,8 +298,20 @@ fn congested_small_message_torus_band_pin() {
     }
     .build();
     for (bytes, window) in [(4u64 << 10, 2u32), (8 << 10, 4)] {
-        let p = experiments::alltoall_bandwidth_on(&net, bytes, window, EngineKind::Packet);
-        let f = experiments::alltoall_bandwidth_on(&net, bytes, window, EngineKind::Flow);
+        let p = experiments::alltoall_bandwidth(
+            &net,
+            bytes,
+            window,
+            EngineKind::Packet,
+            SimConfig::default(),
+        );
+        let f = experiments::alltoall_bandwidth(
+            &net,
+            bytes,
+            window,
+            EngineKind::Flow,
+            SimConfig::default(),
+        );
         assert!(p.clean && f.clean);
         assert_ratio(
             &format!("congested torus alltoall {bytes} B window {window}"),
@@ -357,8 +393,20 @@ fn alltoall_with_failed_cables_agrees() {
         .into_par_iter()
         .for_each(|(label, mut net, failures, bytes, band)| {
             assert_eq!(net.fail_spread_cables(failures), failures);
-            let p = experiments::alltoall_bandwidth_on(&net, bytes, 2, EngineKind::Packet);
-            let f = experiments::alltoall_bandwidth_on(&net, bytes, 2, EngineKind::Flow);
+            let p = experiments::alltoall_bandwidth(
+                &net,
+                bytes,
+                2,
+                EngineKind::Packet,
+                SimConfig::default(),
+            );
+            let f = experiments::alltoall_bandwidth(
+                &net,
+                bytes,
+                2,
+                EngineKind::Flow,
+                SimConfig::default(),
+            );
             assert!(p.clean && f.clean, "{label}: unclean run under failures");
             assert_ratio(label, p.time_ps, f.time_ps, band);
         });

@@ -16,8 +16,18 @@ fn fig1_tradeoff_end_to_end() {
     let hx = HxMeshParams::square(2, 4).build(); // 64 accels
     let ft = FatTreeParams::scaled_nonblocking(64, 16).build();
 
-    let ar_hx = experiments::allreduce_bandwidth(&hx, AllreduceAlgo::DisjointRings, 32 << 20);
-    let ar_ft = experiments::allreduce_bandwidth(&ft, AllreduceAlgo::DisjointRings, 32 << 20);
+    let ar_hx = experiments::allreduce_bandwidth(
+        &hx,
+        AllreduceAlgo::DisjointRings,
+        32 << 20,
+        EngineKind::Packet,
+    );
+    let ar_ft = experiments::allreduce_bandwidth(
+        &ft,
+        AllreduceAlgo::DisjointRings,
+        32 << 20,
+        EngineKind::Packet,
+    );
     assert!(ar_hx.clean && ar_ft.clean);
     // HxMesh holds at least 60% of the fat tree's allreduce efficiency.
     assert!(
@@ -27,8 +37,10 @@ fn fig1_tradeoff_end_to_end() {
         ar_ft.bw_fraction
     );
 
-    let a2a_hx = experiments::alltoall_bandwidth(&hx, 64 << 10, 2);
-    let a2a_ft = experiments::alltoall_bandwidth(&ft, 64 << 10, 2);
+    let a2a_hx =
+        experiments::alltoall_bandwidth(&hx, 64 << 10, 2, EngineKind::Packet, SimConfig::default());
+    let a2a_ft =
+        experiments::alltoall_bandwidth(&ft, 64 << 10, 2, EngineKind::Packet, SimConfig::default());
     assert!(a2a_hx.clean && a2a_ft.clean);
     // ... while alltoall drops towards the 1/2a cut bound.
     assert!(
@@ -176,7 +188,12 @@ fn cost_model_graph_consistency() {
 fn end_to_end_determinism() {
     let run = || {
         let net = HxMeshParams::square(2, 2).build();
-        let m = experiments::allreduce_bandwidth(&net, AllreduceAlgo::Torus2D, 1 << 20);
+        let m = experiments::allreduce_bandwidth(
+            &net,
+            AllreduceAlgo::Torus2D,
+            1 << 20,
+            EngineKind::Packet,
+        );
         (m.time_ps, m.bw_fraction.to_bits())
     };
     assert_eq!(run(), run());
