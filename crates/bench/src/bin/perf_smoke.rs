@@ -377,6 +377,7 @@ fn flow_scale(quick: bool) -> Scenario {
             ("rate_recomputes_full", stats.rate_recomputes_full as f64),
             ("rate_recomputes_component", component as f64),
             ("rate_touched_flows", stats.rate_touched_flows as f64),
+            ("rate_fill_rounds", stats.rate_fill_rounds as f64),
             ("component_fill_share", comp_share),
         ],
         ok: stats.clean(),

@@ -42,8 +42,9 @@
 //! generalizes the PR 5 disjoint-drain skip from "no shared link anywhere"
 //! to "recompute only where sharing changed"; on large symmetric patterns
 //! almost every epoch touches a small component, which is what makes
-//! 16k-endpoint sweeps tractable (see `perf_smoke --quick`'s `flow_scale`
-//! step). [`RateMode::Full`] widens every solve to all components; since
+//! 16k-endpoint sweeps tractable (see the `flow_scale` step of a full
+//! `perf_smoke` run; `--quick` shrinks it to 1,024 endpoints).
+//! [`RateMode::Full`] widens every solve to all components; since
 //! `FlowEngine::fill_component` is a pure function of component
 //! membership, the widened solve recomputes identical bit patterns for
 //! unchanged components, and the two modes stay bitwise-equivalent —
@@ -82,25 +83,20 @@ use crate::app::{Application, Cmd, Ctx, MsgInfo};
 use crate::failure::LinkEventKind;
 use crate::stats::{SimError, SimStats};
 use crate::{RateMode, SimConfig, Time};
+use fill::Fill;
 use hxnet::route::Hop;
 use hxnet::{Network, NodeId, PortId, Topology};
 use hxtelemetry::{CounterId, HistId, Registry, TraceSink};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+mod fill;
+
 type FlowId = u32;
 type MsgId = u32;
 
 /// Bytes below which a flow counts as drained (float slop guard).
 const DRAIN_EPS: f64 = 1e-3;
-
-/// Water-filling level slack: every route whose own bottleneck share is
-/// within this factor of the round's tightest share freezes in the same
-/// round, at its own share. Collapses clusters of near-identical levels
-/// (ubiquitous under symmetric traffic) into one round each; the rate
-/// assignment error is bounded by the slack and only affects routes whose
-/// fair share was within 5% of the level anyway.
-const LEVEL_SLACK: f64 = 0.05;
 
 /// Epoch coalescing: drains and timed events within this *relative* window
 /// of the epoch instant are processed together, so waves of
@@ -195,20 +191,11 @@ pub struct FlowEngine<'n> {
     link_cap: Vec<f64>,
     /// Per directed link: number of active routes crossing it.
     link_nflows: Vec<u32>,
-    /// Water-filling scratch, persistent to stay allocation-free: links
-    /// touched this round, per-link residual capacity / unsatisfied count,
-    /// and the generation stamp that lazily invalidates them.
-    touched: Vec<usize>,
-    residual: Vec<f64>,
-    unsat: Vec<u32>,
-    /// Per touched link, the fair share at the current level (refreshed
-    /// once per water-filling round so route scans are division-free).
-    share: Vec<f64>,
-    link_gen: Vec<u32>,
-    rate_gen: u32,
-    /// Water-filling worklist of the (flow, route) units of the component
-    /// currently being filled (buffer recycled across fills).
-    pending: Vec<(FlowId, u32)>,
+    /// Max-min fill scratch, recycled across fills.
+    fill: Fill,
+    /// The flows of the component being filled (buffer recycled across
+    /// fills): the component walk's queue, then its canonical order.
+    comp: Vec<FlowId>,
     /// Per directed link: the *draining* (active, un-gated) flows that
     /// cross it — the incidence side of the link-sharing graph the
     /// incremental solver walks. Gated flows are absent: they hold no
@@ -227,8 +214,6 @@ pub struct FlowEngine<'n> {
     /// Dedup stamps for incidence registration within one [`Self::activate`].
     inc_seen: Vec<u32>,
     inc_gen: u32,
-    /// Component-walk frontier scratch.
-    frontier: Vec<FlowId>,
     /// NIC injection FIFO per directed link (indexed like `link_cap`; only
     /// endpoint injection ports are ever populated). Mirrors the packet
     /// engine's per-port NIC window: a message that fits the window
@@ -258,9 +243,6 @@ pub struct FlowEngine<'n> {
     c_rate_changed: CounterId,
     c_sim_events: CounterId,
     h_msg_latency: HistId,
-    /// `(flow, pre-fill rate bits)` scratch for the mode-invariant
-    /// touched-flow count (see `recompute_rates`).
-    old_rate_scratch: Vec<(FlowId, u64)>,
     /// Flows whose rate bit pattern changed in the current epoch.
     epoch_changed: u64,
     /// Private failure-epoch topology, `Some` iff the run carries a
@@ -311,13 +293,8 @@ impl<'n> FlowEngine<'n> {
             link_owner,
             link_cap,
             link_nflows: vec![0; total],
-            touched: Vec::new(),
-            residual: vec![0.0; total],
-            unsat: vec![0; total],
-            share: vec![0.0; total],
-            link_gen: vec![0; total],
-            rate_gen: 0,
-            pending: Vec::new(),
+            fill: Fill::default(),
+            comp: Vec::new(),
             link_flows: vec![Vec::new(); total],
             seed_flows: Vec::new(),
             seed_links: Vec::new(),
@@ -326,7 +303,6 @@ impl<'n> FlowEngine<'n> {
             comp_gen: 0,
             inc_seen: vec![0; total],
             inc_gen: 0,
-            frontier: Vec::new(),
             inj_queue: vec![Vec::new(); total],
             spare_links: Vec::new(),
             stats: SimStats {
@@ -354,7 +330,6 @@ impl<'n> FlowEngine<'n> {
             next_sched: 0,
             stalled: Vec::new(),
             reg,
-            old_rate_scratch: Vec::new(),
             epoch_changed: 0,
             cfg,
         }
@@ -1119,9 +1094,10 @@ impl<'n> FlowEngine<'n> {
     /// walk recomputes identical bit patterns for unchanged components —
     /// the idempotence that makes the two modes bitwise-equivalent and
     /// differentially testable. Only the solver-effort counters
-    /// (`rate_recomputes*`, `rate_touched_flows`) may differ across
-    /// modes; `tests/flow_incremental_equiv.rs` holds everything else,
-    /// including the optional per-epoch rate trace, bitwise equal.
+    /// (`rate_recomputes`, `rate_recomputes_full`, `rate_touched_flows`,
+    /// `rate_fill_rounds`) may differ across modes;
+    /// `tests/flow_incremental_equiv.rs` holds everything else, including
+    /// the optional per-epoch rate trace, bitwise equal.
     fn recompute_rates(&mut self) {
         let mut filled = 0usize;
         let mut fills = 0u32;
@@ -1221,133 +1197,89 @@ impl<'n> FlowEngine<'n> {
     /// fills at most once per epoch no matter how many seeds land in it.
     fn fill_component_from(&mut self, f: FlowId) -> usize {
         let gen = self.comp_gen;
-        self.flow_seen[f as usize] = gen;
-        let mut frontier = std::mem::take(&mut self.frontier);
-        let mut comp = std::mem::take(&mut self.pending);
-        frontier.clear();
+        let Self {
+            flows,
+            link_flows,
+            flow_seen,
+            link_seen,
+            comp,
+            ..
+        } = self;
+        flow_seen[f as usize] = gen;
         comp.clear();
-        frontier.push(f);
-        let mut nflows = 0usize;
-        while let Some(g) = frontier.pop() {
-            nflows += 1;
-            let nroutes = self.flows[g as usize].routes.len();
-            for ri in 0..nroutes {
-                comp.push((g, ri as u32));
-                let nlinks = self.flows[g as usize].routes[ri].links.len();
-                for k in 0..nlinks {
-                    let li = self.flows[g as usize].routes[ri].links[k] as usize;
-                    if self.link_seen[li] != gen {
-                        self.link_seen[li] = gen;
-                        for j in 0..self.link_flows[li].len() {
-                            let h = self.link_flows[li][j];
-                            if self.flow_seen[h as usize] != gen {
-                                self.flow_seen[h as usize] = gen;
-                                frontier.push(h);
-                            }
+        comp.push(f);
+        // Breadth-first: `comp` is both the queue and the result.
+        let mut next = 0;
+        while let Some(&g) = comp.get(next) {
+            next += 1;
+            for r in &flows[g as usize].routes {
+                for &li in &r.links {
+                    let li = li as usize;
+                    if link_seen[li] == gen {
+                        continue;
+                    }
+                    link_seen[li] = gen;
+                    for &h in &link_flows[li] {
+                        let seen = &mut flow_seen[h as usize];
+                        if *seen != gen {
+                            *seen = gen;
+                            comp.push(h);
                         }
                     }
                 }
             }
         }
-        self.fill_component(&mut comp);
-        self.frontier = frontier;
-        self.pending = comp;
-        nflows
+        self.fill_component();
+        self.comp.len()
     }
 
-    /// Max-min fair allocation of one component by progressive filling,
-    /// batched by level: each round finds the tightest fair share over
-    /// the component's constrained links, freezes **every** route whose
-    /// own bottleneck sits at (or within `LEVEL_SLACK` of) that level at
-    /// its own share, and subtracts the shares from the links those
-    /// routes cross. Rounds are therefore proportional to the number of
-    /// distinct bottleneck levels, not the number of links.
+    /// Max-min fair allocation of the component in `comp` (see
+    /// [`Fill::solve`] for the level rounds).
     ///
     /// Determinism contract: this is a pure function of the component's
-    /// `(flow, route)` membership and the link capacities. The unit list
-    /// is sorted into canonical (flow id, route index) order first
-    /// because the float accumulations below are order-dependent — with
-    /// the sort, the same component yields the same bit pattern no
+    /// flow membership and the link capacities. The flows are sorted
+    /// first, so the units reach the fill in canonical (flow id, route
+    /// index) order: the float accumulations are order-dependent, and
+    /// with the sort the same component yields the same bit pattern no
     /// matter which seed discovered it or which [`RateMode`] requested
-    /// the fill. Allocation-free: scratch arrays are engine members
-    /// invalidated by generation stamp.
-    fn fill_component(&mut self, comp: &mut Vec<(FlowId, u32)>) {
+    /// the fill.
+    ///
+    /// Cost: one pass copies the component into the fill's contiguous
+    /// per-fill arrays (each route's link vector is read once per fill,
+    /// not once per round), the rounds run over that copy and recompute
+    /// only the shares of links the previous round changed, and one pass
+    /// writes the rates back. Allocation-free in steady state: every
+    /// buffer is recycled.
+    fn fill_component(&mut self) {
+        let Self {
+            flows,
+            comp,
+            fill,
+            link_cap,
+            stats,
+            tel_any,
+            epoch_changed,
+            ..
+        } = self;
         comp.sort_unstable();
-        self.rate_gen = self.rate_gen.wrapping_add(1);
-        let gen = self.rate_gen;
-        self.touched.clear();
-        for &(f, ri) in comp.iter() {
-            let f = f as usize;
-            if ri == 0 {
-                if self.tel_any {
-                    self.old_rate_scratch
-                        .push((f as FlowId, self.flows[f].rate.to_bits()));
-                }
-                self.flows[f].rate = 0.0;
-            }
-            self.flows[f].routes[ri as usize].rate = -1.0; // sentinel: unassigned
-            for k in 0..self.flows[f].routes[ri as usize].links.len() {
-                let li = self.flows[f].routes[ri as usize].links[k] as usize;
-                if self.link_gen[li] != gen {
-                    self.link_gen[li] = gen;
-                    self.residual[li] = self.link_cap[li];
-                    self.unsat[li] = 0;
-                    self.touched.push(li);
-                }
-                self.unsat[li] += 1;
+        fill.begin(link_cap.len());
+        for &f in comp.iter() {
+            for r in &flows[f as usize].routes {
+                fill.push(f, &r.links, link_cap);
             }
         }
-        while !comp.is_empty() {
-            // Refresh the per-link fair shares and find the level: the
-            // tightest share over all still-constrained links.
-            let mut level = f64::INFINITY;
-            for &li in &self.touched {
-                if self.unsat[li] > 0 {
-                    let s = self.residual[li].max(0.0) / self.unsat[li] as f64;
-                    self.share[li] = s;
-                    if s < level {
-                        level = s;
-                    }
-                }
+        stats.rate_fill_rounds += fill.solve();
+        for (&(f, first, end), &rate) in fill.flows.iter().zip(&fill.flow_rate) {
+            let fl = &mut flows[f as usize];
+            // Telemetry counts flows whose rate bit pattern changed.
+            if *tel_any && fl.rate.to_bits() != rate.to_bits() {
+                *epoch_changed += 1;
             }
-            if !level.is_finite() {
-                break; // cannot happen: every pending route crosses a link
+            fl.rate = rate;
+            let unit_rates = &fill.unit_rate[first as usize..end as usize];
+            for (r, &ur) in fl.routes.iter_mut().zip(unit_rates) {
+                r.rate = ur;
             }
-            let lim = level * (1.0 + LEVEL_SLACK) + f64::MIN_POSITIVE;
-            // Freeze every pending route bottlenecked at (or within the
-            // slack of) this level, each at its own bottleneck share.
-            let before = comp.len();
-            comp.retain(|&(f, ri)| {
-                let f = f as usize;
-                let mut own = f64::INFINITY;
-                for &li in &self.flows[f].routes[ri as usize].links {
-                    let s = self.share[li as usize];
-                    if s < own {
-                        own = s;
-                    }
-                }
-                if own > lim {
-                    return true;
-                }
-                self.flows[f].routes[ri as usize].rate = own;
-                self.flows[f].rate += own;
-                for k in 0..self.flows[f].routes[ri as usize].links.len() {
-                    let li = self.flows[f].routes[ri as usize].links[k] as usize;
-                    self.residual[li] -= own;
-                    self.unsat[li] -= 1;
-                }
-                false
-            });
-            debug_assert!(comp.len() < before, "water-filling stalled");
-        }
-        if self.tel_any {
-            let mut scratch = std::mem::take(&mut self.old_rate_scratch);
-            for (f, old_bits) in scratch.drain(..) {
-                if self.flows[f as usize].rate.to_bits() != old_bits {
-                    self.epoch_changed += 1;
-                }
-            }
-            self.old_rate_scratch = scratch;
         }
     }
 }

@@ -68,6 +68,11 @@ pub struct SimStats {
     /// recompute epochs. Under `RateMode::Full` this is Σ active-flow
     /// counts; `Incremental` is provably ≤ that (pinned differentially).
     pub rate_touched_flows: u64,
+    /// Flow engine only: max-min level rounds, summed over every fill. A
+    /// deterministic work counter for the fill itself: the same run gives
+    /// the same count on any host. `Incremental` is ≤ `RateMode::Full`
+    /// (pinned differentially).
+    pub rate_fill_rounds: u64,
     /// Flow engine only, populated when `SimConfig::trace_rates` is set:
     /// one `(now.to_bits(), msg_id, rate.to_bits())` entry per active
     /// flow per dirty epoch, sorted by msg id within an epoch. The

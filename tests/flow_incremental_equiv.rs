@@ -14,13 +14,14 @@
 //! the drawn failure set replayed mid-run as a `FailureSchedule` on the
 //! pristine network (as `hxserve`'s mid-run cells and Fig. 10 run it).
 //!
-//! The four solver-effort counters (`rate_recomputes*`,
-//! `rate_touched_flows`) are deliberately *excluded* from the bitwise
-//! comparison: they measure how much work the solver did, not what it
-//! computed, and the incremental solver is allowed to skip epochs whose
-//! only seeds went stale (a seeded flow that drained in the same epoch).
-//! For those the suite instead pins the direction of the O(affected)
-//! claim: incremental effort never exceeds full effort.
+//! The four solver-effort counters (`rate_recomputes`,
+//! `rate_recomputes_full`, `rate_touched_flows`, `rate_fill_rounds`) are
+//! deliberately *excluded* from the bitwise comparison: they measure how
+//! much work the solver did, not what it computed, and the incremental
+//! solver is allowed to skip epochs whose only seeds went stale (a seeded
+//! flow that drained in the same epoch). For those the suite instead pins
+//! the direction of the O(affected) claim: incremental effort never
+//! exceeds full effort.
 
 use hammingmesh::hxcollect::simapp::ScheduleApp;
 use hammingmesh::hxcollect::{disjoint_rings_allreduce, torus2d_allreduce, ELEM_BYTES};
@@ -208,6 +209,7 @@ fn assert_equiv(full: &SimStats, inc: &SimStats) {
     assert_eq!(full.link_repair_events, inc.link_repair_events);
     assert_eq!(full.flows_rerouted, inc.flows_rerouted);
     assert_eq!(full.flow_stall_ps, inc.flow_stall_ps);
+    assert_eq!(full.packet_retransmits, inc.packet_retransmits);
     assert_eq!(full.error, inc.error);
     assert_eq!(
         full.rate_trace, inc.rate_trace,
@@ -226,6 +228,18 @@ fn assert_equiv(full: &SimStats, inc: &SimStats) {
         "incremental ran {} fill epochs, full only {}",
         inc.rate_recomputes,
         full.rate_recomputes
+    );
+    assert!(
+        inc.rate_recomputes_full <= full.rate_recomputes_full,
+        "incremental ran {} whole-network epochs, full only {}",
+        inc.rate_recomputes_full,
+        full.rate_recomputes_full
+    );
+    assert!(
+        inc.rate_fill_rounds <= full.rate_fill_rounds,
+        "incremental ran {} level rounds, full only {}",
+        inc.rate_fill_rounds,
+        full.rate_fill_rounds
     );
 }
 
