@@ -13,6 +13,7 @@
 //! shim's own tests in `vendor/rayon`.
 
 use hxtelemetry::validate_chrome_trace;
+use std::collections::{BTreeMap, BTreeSet};
 use std::process::Command;
 
 /// Run `exe` with `args` under the given thread count; returns (stdout,
@@ -212,6 +213,62 @@ fn cluster_sweep_telemetry_artifacts_are_thread_and_solver_invariant() {
         env!("CARGO_BIN_EXE_cluster_sweep"),
         &["--traces", "8", "--seed", "12648430"],
     );
+}
+
+/// The counters of every `cell/*` scope of a `--metrics-out` document,
+/// with the scope's `msg_latency_ps` sample count. The renderer writes
+/// one scope per line, so a line-wise scan reads it.
+fn cell_counters(doc: &str) -> Vec<(String, BTreeMap<String, u64>, u64)> {
+    // The text between `key` and the next `end` on `line`.
+    let field = |line: &str, key: &str, end: char| {
+        let rest = line.split(key).nth(1);
+        let rest = rest.unwrap_or_else(|| panic!("no {key} in {line}"));
+        rest.split(end).next().unwrap().to_string()
+    };
+    doc.lines()
+        .filter(|l| l.starts_with("\"cell/"))
+        .map(|l| {
+            let counters = field(l, "\"counters\":{", '}')
+                .split(',')
+                .map(|kv| {
+                    let (k, v) = kv.split_once(':').unwrap();
+                    (k.trim_matches('"').to_string(), v.parse().unwrap())
+                })
+                .collect();
+            let latency = field(l, "\"msg_latency_ps\":{\"count\":", ',');
+            (field(l, "\"", '"'), counters, latency.parse().unwrap())
+        })
+        .collect()
+}
+
+/// Both engines keep their stats and telemetry in one ledger, so a
+/// packet cell and a flow cell of one sweep report one metrics schema:
+/// every cell of the mid-run failure sweep, run once per engine, names
+/// the same counters; every message started drains and has one latency
+/// sample; and each engine counts the cable failures it applied.
+#[test]
+fn packet_and_flow_cells_share_one_metrics_schema() {
+    let exe = env!("CARGO_BIN_EXE_fig10_midrun");
+    let mut schema: Option<BTreeSet<String>> = None;
+    for engine in ["packet", "flow"] {
+        let (metrics, _) = run_telemetry(exe, &["--traces", "1", "--engine", engine], 1);
+        let cells = cell_counters(&metrics);
+        assert!(!cells.is_empty(), "{engine}: no cell scopes");
+        for (label, c, latency) in &cells {
+            let names: BTreeSet<String> = c.keys().cloned().collect();
+            let schema = schema.get_or_insert_with(|| names.clone());
+            assert_eq!(&names, schema, "{engine} {label}: counter names differ");
+            let started = c["flows_started"];
+            assert_eq!(c["flows_drained"], started, "{engine} {label}: drained");
+            assert_eq!(*latency, started, "{engine} {label}: latency samples");
+        }
+        assert!(
+            cells
+                .iter()
+                .any(|(_, c, _)| c.get("link_fail_events").is_some_and(|&n| n > 0)),
+            "{engine}: no cell counted a mid-run cable failure"
+        );
+    }
 }
 
 /// The reduction-scaling grid (algorithm x topology; `--traces 1` caps

@@ -177,8 +177,6 @@ pub struct ClusterSim {
     c_jobs_queued: CounterId,
     c_jobs_placed: CounterId,
     c_jobs_preempted: CounterId,
-    c_cable_fails: CounterId,
-    c_cable_repairs: CounterId,
     h_wait: HistId,
     h_jct: HistId,
     g_queue_depth: GaugeId,
@@ -254,8 +252,6 @@ impl ClusterSim {
             c_jobs_queued: reg.counter("jobs_queued"),
             c_jobs_placed: reg.counter("jobs_placed"),
             c_jobs_preempted: reg.counter("jobs_preempted"),
-            c_cable_fails: reg.counter("cable_fails"),
-            c_cable_repairs: reg.counter("cable_repairs"),
             h_wait: reg.histogram("job_wait_ps"),
             h_jct: reg.histogram("job_jct_ps"),
             g_queue_depth,
@@ -315,14 +311,13 @@ impl ClusterSim {
                 Event::CableRepair { node, port } => {
                     if self.net.topo.restore_link(node, port) {
                         self.repair_events += 1;
-                        if self.tel_any {
+                        if self.sink.enabled() {
                             self.sink.instant_args(
                                 "cable_repair",
                                 "cluster",
                                 now,
                                 vec![("node", node.0 as u64), ("port", port.0 as u64)],
                             );
-                            self.reg.inc(self.c_cable_repairs, 1);
                         }
                         self.rerate_with_event(now, Some((node, port, LinkEventKind::Repair)));
                     }
@@ -345,6 +340,10 @@ impl ClusterSim {
             if self.tel_metrics {
                 self.reg.merge_hist(self.h_wait, &self.wait_hist);
                 self.reg.merge_hist(self.h_jct, &self.jct_hist);
+                let fails = self.reg.counter("cable_fails");
+                self.reg.inc(fails, self.fail_events as u64);
+                let repairs = self.reg.counter("cable_repairs");
+                self.reg.inc(repairs, self.repair_events as u64);
             }
             let names = self.sampler.gauge_names().to_vec();
             let samples = self.sampler.take_samples();
@@ -579,14 +578,13 @@ impl ClusterSim {
                 continue;
             }
             self.fail_events += 1;
-            if self.tel_any {
+            if self.sink.enabled() {
                 self.sink.instant_args(
                     "cable_fail",
                     "cluster",
                     now,
                     vec![("node", node.0 as u64), ("port", port.0 as u64)],
                 );
-                self.reg.inc(self.c_cable_fails, 1);
             }
             let repair = exponential_ps(self.cfg.mean_repair_ps, &mut self.fail_rng);
             self.events

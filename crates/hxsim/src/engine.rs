@@ -2,17 +2,17 @@
 
 pub use crate::app::{Application, Cmd, Ctx, MsgInfo};
 use crate::failure::{LinkEvent, LinkEventKind};
-use crate::stats::{SimError, SimStats};
+use crate::ledger::Ledger;
+use crate::stats::SimStats;
 use crate::{RetransmitPolicy, Time};
 use hxnet::route::LoadProbe;
-use hxnet::{Network, NodeId, PortId, Topology};
-use hxtelemetry::{CounterId, HistId, Registry, TraceSink};
+use hxnet::{Network, NodeId, PortId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-/// Which max-min solver scope the flow engine uses on a dirty epoch.
+/// Which max-min solver scope the flow engine uses on each epoch.
 ///
 /// Both modes run the same per-component progressive filling
 /// ([`crate::flow`]); they differ only in *which* components refill.
@@ -28,8 +28,8 @@ use std::collections::{BinaryHeap, VecDeque};
 /// engine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RateMode {
-    /// Refill every component on each dirty epoch (the differential
-    /// tests' reference solver).
+    /// Refill every component on each epoch with a change seed (the
+    /// differential tests' reference solver).
     Full,
     /// Refill only components that contain a change seed (default).
     Incremental,
@@ -64,7 +64,7 @@ pub struct SimConfig {
     /// Flow engine: max-min solver scope (see [`RateMode`]).
     pub rate_mode: RateMode,
     /// Flow engine: record a per-epoch `(time, msg, rate)` snapshot in
-    /// [`crate::SimStats::rate_trace`] at every dirty epoch. Test-only
+    /// [`crate::SimStats::rate_trace`] at every epoch. Test-only
     /// instrumentation for the differential equivalence suite; costs
     /// O(active flows) per epoch, so it defaults off.
     pub trace_rates: bool,
@@ -199,7 +199,6 @@ pub struct Engine<'n> {
     free_packets: Vec<PacketId>,
     msgs: Vec<MsgState>,
     rng: StdRng,
-    stats: SimStats,
     /// Scratch buffer for routing candidates.
     cand: Vec<hxnet::route::Hop>,
     /// Recycled application-command buffer: every delivery/compute event
@@ -211,35 +210,20 @@ pub struct Engine<'n> {
     /// this scratch and the per-(port, vc) waiter slots instead of being
     /// freed and reallocated on every credit release.
     waiter_scratch: Vec<(NodeId, PortId)>,
-    /// Telemetry (see `hxtelemetry::collect`). The enabled flags are
-    /// sampled once at construction, so every instrumentation site below
-    /// costs one predictable branch when collection is off.
-    sink: TraceSink,
-    tel_metrics: bool,
-    tel_any: bool,
-    reg: Registry,
-    c_flows_started: CounterId,
-    c_flows_drained: CounterId,
-    c_packet_stalls: CounterId,
-    c_sim_events: CounterId,
-    c_retransmits: CounterId,
-    h_msg_latency: HistId,
-    /// Private failure-epoch topology, `Some` iff the run carries a
-    /// non-empty [`crate::FailureSchedule`] (scheduled fail/repair events
-    /// never mutate the shared `Network`).
-    topo: Option<Topology>,
-    /// Cursor into `cfg.failures` (sorted by time).
-    next_sched: usize,
+    /// The stats, the failure-epoch topology with its schedule cursor,
+    /// and the telemetry, kept the same way as the flow engine keeps
+    /// them (see `ledger.rs`).
+    ledger: Ledger<'n>,
     /// Packets with no healthy path toward their target, as
     /// `(current node, packet)`. A parked transit packet keeps occupying
     /// its input buffer — a real switch cannot conjure the capacity to
     /// drop-and-forget either — and is re-routed on the next repair.
-    /// Non-empty at the end of a run => [`SimError::Disconnected`].
+    /// Non-empty at the end of a run => [`crate::SimError::Disconnected`].
     parked: Vec<(NodeId, PacketId)>,
 }
 
 impl<'n> Engine<'n> {
-    pub fn new(net: &'n Network, cfg: SimConfig) -> Self {
+    pub fn new(net: &'n Network, mut cfg: SimConfig) -> Self {
         // One VC beyond the router's structured set: the escape VC that
         // failover detours use (see `hxnet::route::FailoverTable`). It
         // carries no traffic on healthy runs — the round-robin arbiter
@@ -247,7 +231,6 @@ impl<'n> Engine<'n> {
         // healthy results bit-identical.
         let num_vcs = net.router.num_vcs().max(1) as usize + 1;
         debug_assert!(num_vcs <= 8, "stalled_mask is a u8 bitmap");
-        let mut reg = Registry::new();
         let nodes = net
             .topo
             .nodes()
@@ -282,31 +265,11 @@ impl<'n> Engine<'n> {
             packets: Vec::new(),
             free_packets: Vec::new(),
             msgs: Vec::new(),
-            stats: SimStats {
-                node_forwarded: vec![0; net.topo.num_nodes()],
-                // Pre-size the per-rank receive stats so the delivery path
-                // indexes directly instead of resizing per message.
-                rank_recv_done_ps: vec![0; net.endpoints.len()],
-                rank_recv_bytes: vec![0; net.endpoints.len()],
-                ..SimStats::default()
-            },
             cand: Vec::new(),
             cmd_scratch: Vec::new(),
             waiter_scratch: Vec::new(),
-            sink: TraceSink::new(hxtelemetry::collect::trace_enabled()),
-            tel_metrics: hxtelemetry::collect::metrics_enabled(),
-            tel_any: hxtelemetry::collect::trace_enabled()
-                || hxtelemetry::collect::metrics_enabled(),
-            c_flows_started: reg.counter("flows_started"),
-            c_flows_drained: reg.counter("flows_drained"),
-            c_packet_stalls: reg.counter("packet_stalls"),
-            c_sim_events: reg.counter("sim_events"),
-            c_retransmits: reg.counter("packet_retransmits"),
-            h_msg_latency: reg.histogram("msg_latency_ps"),
-            topo: (!cfg.failures.is_empty()).then(|| net.topo.clone()),
-            next_sched: 0,
+            ledger: Ledger::new(net, std::mem::take(&mut cfg.failures), "packet"),
             parked: Vec::new(),
-            reg,
             cfg,
         }
     }
@@ -326,7 +289,6 @@ impl<'n> Engine<'n> {
         }
         self.apply_cmds(&mut cmds);
 
-        let sched_len = self.cfg.failures.len();
         loop {
             // Merge the failure schedule with the event queue. When the
             // queue drains, a pending scheduled event only keeps the run
@@ -334,10 +296,9 @@ impl<'n> Engine<'n> {
             // otherwise the rest of the schedule lies beyond the traffic
             // horizon and stays inert, keeping such runs bit-identical
             // to runs with no schedule at all.
-            if self.next_sched < sched_len {
-                let at = self.cfg.failures.events()[self.next_sched].at_ps;
+            if let Some(ev) = self.ledger.next_link_event() {
                 let due = match self.queue.peek() {
-                    Some(&Reverse((t, _, _))) => at <= t,
+                    Some(&Reverse((t, _, _))) => ev.at_ps <= t,
                     None => {
                         if self.parked.is_empty() {
                             break;
@@ -346,14 +307,14 @@ impl<'n> Engine<'n> {
                     }
                 };
                 if due {
-                    let ev = self.cfg.failures.events()[self.next_sched];
-                    self.next_sched += 1;
                     self.now = self.now.max(ev.at_ps);
                     if self.now > self.cfg.max_time_ps {
-                        self.stats.timed_out = true;
+                        self.ledger.stats.timed_out = true;
                         break;
                     }
-                    self.apply_link_event(ev);
+                    if self.ledger.apply_next_link_event(self.now) {
+                        self.on_link_event(ev);
+                    }
                     continue;
                 }
             }
@@ -363,10 +324,10 @@ impl<'n> Engine<'n> {
             debug_assert!(t >= self.now, "time went backwards");
             self.now = t;
             if t > self.cfg.max_time_ps {
-                self.stats.timed_out = true;
+                self.ledger.stats.timed_out = true;
                 break;
             }
-            self.stats.events += 1;
+            self.ledger.stats.events += 1;
             match ev {
                 Event::Arrive(node, port, pkt, gen) => {
                     // A stale incarnation means the packet was dropped on
@@ -403,47 +364,28 @@ impl<'n> Engine<'n> {
             }
         }
 
-        // Packets still parked at the end never found a healthy path:
-        // report the disconnection instead of panicking mid-run (their
-        // messages also count as undelivered below).
-        if let Some(&(_, pkt)) = self.parked.first() {
-            let info = self.msgs[self.packets[pkt as usize].msg as usize].info;
-            let failed = self
-                .topo
-                .as_ref()
-                .unwrap_or(&self.net.topo)
-                .count_failed_links();
-            self.stats.error = Some(SimError::Disconnected {
-                src_rank: info.src_rank,
-                dst_rank: info.dst_rank,
-                failed_links: failed,
-            });
+        for n in &self.nodes {
+            for p in &n.out {
+                self.ledger.stats.total_link_busy_ps += p.busy_ps;
+            }
         }
-        self.stats.finish_ps = self.now;
+        // Packets still parked at the end never found a healthy path:
+        // the ledger reports the disconnection (their messages also count
+        // as undelivered).
+        let stuck = self
+            .parked
+            .first()
+            .map(|&(_, pkt)| self.msgs[self.packets[pkt as usize].msg as usize].info);
         let undelivered = self
             .msgs
             .iter()
             .filter(|m| m.delivered_packets < m.num_packets)
             .count();
-        self.stats.undelivered_messages = undelivered;
-        for n in &self.nodes {
-            for p in &n.out {
-                self.stats.total_link_busy_ps += p.busy_ps;
-            }
-        }
-        if self.tel_any {
-            if self.tel_metrics {
-                self.reg.inc(self.c_sim_events, self.stats.events);
-            }
-            let reg = std::mem::take(&mut self.reg);
-            let sink = std::mem::replace(&mut self.sink, TraceSink::disabled());
-            hxtelemetry::collect::submit(reg, sink);
-        }
-        self.stats
+        self.ledger.finish(self.now, stuck, undelivered)
     }
 
-    /// Apply one scheduled fail/repair event to the failure-epoch
-    /// topology.
+    /// React to a scheduled fail/repair event the ledger just applied to
+    /// the failure-epoch topology.
     ///
     /// *Fail*: both directed halves of the cable die. Packets queued on
     /// the dead output ports are re-routed immediately (they never left
@@ -452,27 +394,9 @@ impl<'n> Engine<'n> {
     /// [`SimConfig::retransmit`] — a full RTO with capped exponential
     /// backoff for `Timeout`, a short NACK-like turnaround for
     /// `Reroute`. *Repair*: the link returns and parked packets retry.
-    fn apply_link_event(&mut self, ev: LinkEvent) {
-        let Some(topo) = self.topo.as_mut() else {
-            return; // unreachable: topo is Some whenever a schedule exists
-        };
+    fn on_link_event(&mut self, ev: LinkEvent) {
         match ev.kind {
             LinkEventKind::Fail => {
-                if !topo.fail_link(ev.node, ev.port) {
-                    return; // already failed: no-op
-                }
-                self.stats.link_fail_events += 1;
-                if self.sink.enabled() {
-                    self.sink.instant_args(
-                        "link_fail",
-                        "fault",
-                        self.now,
-                        vec![
-                            ("node", ev.node.idx() as u64),
-                            ("port", ev.port.idx() as u64),
-                        ],
-                    );
-                }
                 let peer = self.net.topo.peer(ev.node, ev.port);
                 let halves = [(ev.node, ev.port), (peer.node, peer.port)];
                 for &(n, p) in &halves {
@@ -483,21 +407,6 @@ impl<'n> Engine<'n> {
                 }
             }
             LinkEventKind::Repair => {
-                if !topo.restore_link(ev.node, ev.port) {
-                    return; // not failed: no-op
-                }
-                self.stats.link_repair_events += 1;
-                if self.sink.enabled() {
-                    self.sink.instant_args(
-                        "link_repair",
-                        "fault",
-                        self.now,
-                        vec![
-                            ("node", ev.node.idx() as u64),
-                            ("port", ev.port.idx() as u64),
-                        ],
-                    );
-                }
                 // Parked packets retry; the still-disconnected ones
                 // re-park themselves inside route_and_enqueue.
                 let parked = std::mem::take(&mut self.parked);
@@ -580,23 +489,8 @@ impl<'n> Engine<'n> {
                 p.vc = 0;
                 p.waypoint = None;
             }
-            self.stats.packet_retransmits += 1;
-            if self.tel_metrics {
-                self.reg.inc(self.c_retransmits, 1);
-            }
-            if self.sink.enabled() {
-                let info = self.msgs[msg as usize].info;
-                self.sink.instant_args(
-                    "packet_retransmit",
-                    "fault",
-                    self.now,
-                    vec![
-                        ("src", info.src_rank as u64),
-                        ("dst", info.dst_rank as u64),
-                        ("delay_ps", delay),
-                    ],
-                );
-            }
+            let info = self.msgs[msg as usize].info;
+            self.ledger.packet_retransmit(info, delay, self.now);
             self.push_event(self.now + delay, Event::Retransmit(pkt));
         }
     }
@@ -626,24 +520,15 @@ impl<'n> Engine<'n> {
         let dst_node = self.net.endpoints[dst as usize];
         let msg_id = self.msgs.len() as MsgId;
         let num_packets = bytes.div_ceil(crate::PACKET_BYTES) as u32;
-        if self.sink.enabled() {
-            self.sink.instant_args(
-                "flow_start",
-                "packet",
-                self.now,
-                vec![("src", src as u64), ("dst", dst as u64), ("bytes", bytes)],
-            );
-        }
-        if self.tel_metrics {
-            self.reg.inc(self.c_flows_started, 1);
-        }
+        let info = MsgInfo {
+            src_rank: src,
+            dst_rank: dst,
+            bytes,
+            tag,
+        };
+        self.ledger.sent(info, self.now);
         self.msgs.push(MsgState {
-            info: MsgInfo {
-                src_rank: src,
-                dst_rank: dst,
-                bytes,
-                tag,
-            },
+            info,
             num_packets,
             delivered_packets: 0,
             injected_packets: 0,
@@ -651,7 +536,6 @@ impl<'n> Engine<'n> {
             start_ps: self.now,
             retransmits: 0,
         });
-        self.stats.messages_sent += 1;
         let mut remaining = bytes;
         for _ in 0..num_packets {
             let sz = remaining.min(crate::PACKET_BYTES) as u32;
@@ -659,7 +543,7 @@ impl<'n> Engine<'n> {
             let waypoint = if self.cfg.use_waypoints {
                 let probe = EngineProbe { nodes: &self.nodes };
                 self.net.router.select_waypoint(
-                    self.topo.as_ref().unwrap_or(&self.net.topo),
+                    &self.ledger.topo,
                     src_node,
                     dst_node,
                     &probe,
@@ -724,7 +608,7 @@ impl<'n> Engine<'n> {
     /// injection window.
     fn route_and_enqueue_nic(&mut self, node: NodeId, pkt: PacketId) -> bool {
         let min_q = {
-            let topo = self.topo.as_ref().unwrap_or(&self.net.topo);
+            let topo = &self.ledger.topo;
             let (target, vc) = {
                 let p = &mut self.packets[pkt as usize];
                 if let Some(w) = p.waypoint {
@@ -761,7 +645,7 @@ impl<'n> Engine<'n> {
     /// the failures cut off is abandoned in favor of the direct path
     /// first.
     fn route_and_enqueue(&mut self, node: NodeId, pkt: PacketId) {
-        let topo = self.topo.as_ref().unwrap_or(&self.net.topo);
+        let topo = &self.ledger.topo;
         let (target, vc) = {
             let p = &mut self.packets[pkt as usize];
             if let Some(w) = p.waypoint {
@@ -850,21 +734,7 @@ impl<'n> Engine<'n> {
                 if op.stalled_mask & (1 << vc) == 0 {
                     op.stalled_mask |= 1 << vc;
                     self.nodes[peer.node.idx()].waiters[slot].push((node, port));
-                    if self.sink.enabled() {
-                        self.sink.instant_args(
-                            "packet_stall",
-                            "packet",
-                            self.now,
-                            vec![
-                                ("node", node.idx() as u64),
-                                ("port", port.idx() as u64),
-                                ("vc", vc as u64),
-                            ],
-                        );
-                    }
-                    if self.tel_metrics {
-                        self.reg.inc(self.c_packet_stalls, 1);
-                    }
+                    self.ledger.packet_stall(node, port, vc, self.now);
                 }
                 continue;
             }
@@ -887,8 +757,8 @@ impl<'n> Engine<'n> {
             op.rr = (vc + 1) % nvc;
         }
         self.nodes[node.idx()].out_bytes_total -= bytes;
-        self.stats.packets_forwarded += 1;
-        self.stats.node_forwarded[node.idx()] += 1;
+        self.ledger.stats.packets_forwarded += 1;
+        self.ledger.stats.node_forwarded[node.idx()] += 1;
         // The packet now holds the downstream buffer; remember the buffer
         // it held before so PortFree can release it after serialization.
         let prev_held = self.packets[pkt as usize]
@@ -988,31 +858,16 @@ impl<'n> Engine<'n> {
                 self.release_buffer(hn, hp, hvc, bytes);
             }
             self.free_packets.push(pkt);
-            self.stats.bytes_delivered += bytes;
+            self.ledger.stats.bytes_delivered += bytes;
             let m = &mut self.msgs[msg as usize];
             m.delivered_packets += 1;
             m.delivered_bytes += bytes;
             if m.delivered_packets == m.num_packets {
                 debug_assert_eq!(m.delivered_bytes, m.info.bytes);
-                let info = m.info;
-                let start_ps = m.start_ps;
-                if self.tel_metrics {
-                    self.reg
-                        .record(self.h_msg_latency, self.now.saturating_sub(start_ps));
-                    self.reg.inc(self.c_flows_drained, 1);
-                }
-                if self.sink.enabled() {
-                    self.sink.instant_args(
-                        "flow_drain",
-                        "packet",
-                        self.now,
-                        vec![("src", info.src_rank as u64), ("dst", info.dst_rank as u64)],
-                    );
-                }
-                self.stats.messages_delivered += 1;
-                // Pre-sized in `new` to one slot per rank.
-                self.stats.rank_recv_done_ps[info.dst_rank as usize] = self.now;
-                self.stats.rank_recv_bytes[info.dst_rank as usize] += info.bytes;
+                let (info, start_ps) = (m.info, m.start_ps);
+                // A packet-level flow drains as its last packet arrives.
+                self.ledger.drained(info, self.now);
+                self.ledger.delivered(info, start_ps, self.now);
                 let mut cmds = std::mem::take(&mut self.cmd_scratch);
                 {
                     let mut ctx = Ctx::new(self.now, &mut cmds);

@@ -1,10 +1,10 @@
 //! In-run link failure schedules and recovery policies.
 //!
 //! A [`FailureSchedule`] turns cable fail/repair into first-class
-//! simulation events: both engines consume the schedule mid-run and
-//! advance their private copy of the topology's failure epoch at the
-//! scheduled instants (the borrowed [`hxnet::Network`] is never
-//! mutated). The flow engine re-routes and re-rates the affected flows
+//! simulation events: both engines consume the schedule mid-run through
+//! their run ledger, which advances a private copy of the topology's
+//! failure epoch at the scheduled instants (the borrowed
+//! [`hxnet::Network`] is never mutated). The flow engine re-routes and re-rates the affected flows
 //! at each epoch; the packet engine drops the packets in flight on the
 //! failed cable and recovers them with the configured
 //! [`RetransmitPolicy`]. An empty schedule costs one branch per event

@@ -35,9 +35,9 @@
 //! Max-min allocations decompose over the connected components of the
 //! *link-sharing graph* (flows as nodes, an edge wherever two flows cross
 //! the same directed link): filling one component never reads a link of
-//! another. The solver exploits that by refilling, on each dirty epoch,
-//! only the components reachable from a *change seed* — a flow activated
-//! since the last solve (new send, NIC un-gating) or a link where a drain
+//! another. The solver exploits that by refilling, on each epoch, only
+//! the components reachable from a *change seed* — a flow activated since
+//! the last solve (new send, NIC un-gating) or a link where a drain
 //! retired a shared subscription. Everything else keeps its rates. This
 //! generalizes the PR 5 disjoint-drain skip from "no shared link anywhere"
 //! to "recompute only where sharing changed"; on large symmetric patterns
@@ -63,30 +63,34 @@
 //!
 //! Beyond the frozen (pre-run) failure set, [`SimConfig::failures`] can
 //! carry a [`crate::FailureSchedule`] of *in-run* fail/repair events. The
-//! schedule advances a private copy of the topology at the scheduled
-//! instants, merged into the rate-change epoch loop; a cable failure is
-//! just another change seed for the O(affected) incremental solver.
-//! Flows whose route set crosses the dead cable bank their
-//! already-carried bytes into the traffic stats (exactly the drain-time
-//! flush) and re-route over the failure-epoch topology; flows the event
-//! leaves with no healthy path *stall* — they hold their remaining bytes
-//! off the network, accumulate [`SimStats::flow_stall_ps`], and resume
-//! when a scheduled repair reconnects them. Routes are still fixed at
+//! run ledger this engine shares with the packet engine (`ledger.rs`)
+//! holds the schedule and the failure-epoch topology, a private copy of
+//! the network's, and applies, counts and traces each event at its
+//! instant, merged into the rate-change epoch loop. What stays here is
+//! the reaction, for which a cable failure is just another change seed
+//! for the O(affected) incremental solver. Flows whose route set crosses
+//! the dead cable bank their already-carried bytes into the traffic
+//! stats (exactly the drain-time flush) and re-route over the
+//! failure-epoch topology; flows the event leaves with no healthy path
+//! *stall* — they hold their remaining bytes off the network, accumulate
+//! [`SimStats::flow_stall_ps`], and resume when a scheduled repair
+//! reconnects them. Routes are still fixed at
 //! (re-)injection: a repair does not pull already-routed flows back onto
 //! the shorter healthy path, mirroring how real fabrics leave
 //! established routes alone until the next path computation. A run that
-//! ends with stalled flows reports [`SimError::Disconnected`] instead of
-//! panicking; the same applies to a send injected while its destination
-//! is unreachable.
+//! ends with stalled flows reports [`crate::SimError::Disconnected`]
+//! instead of panicking; the same applies to a send injected while its
+//! destination is unreachable.
 
 use crate::app::{Application, Cmd, Ctx, MsgInfo};
 use crate::failure::LinkEventKind;
-use crate::stats::{SimError, SimStats};
+use crate::ledger::Ledger;
+use crate::stats::SimStats;
 use crate::{RateMode, SimConfig, Time};
 use fill::Fill;
 use hxnet::route::Hop;
 use hxnet::{Network, NodeId, PortId, Topology};
-use hxtelemetry::{CounterId, HistId, Registry, TraceSink};
+use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -225,45 +229,24 @@ pub struct FlowEngine<'n> {
     inj_queue: Vec<Vec<FlowId>>,
     /// Recycled route link-vectors, to keep steady state allocation-free.
     spare_links: Vec<Vec<u32>>,
-    stats: SimStats,
     /// Scratch for routing candidates.
     cand: Vec<Hop>,
     /// Scratch for waypoint classes.
     waypoints: Vec<NodeId>,
-    /// Telemetry (see `hxtelemetry::collect`). The enabled flags are
-    /// sampled once at construction, so every instrumentation site below
-    /// costs one predictable branch when collection is off.
-    sink: TraceSink,
-    tel_metrics: bool,
-    tel_any: bool,
-    reg: Registry,
-    c_flows_started: CounterId,
-    c_flows_drained: CounterId,
-    c_rate_epochs: CounterId,
-    c_rate_changed: CounterId,
-    c_sim_events: CounterId,
-    h_msg_latency: HistId,
+    /// The stats, the failure-epoch topology with its schedule cursor,
+    /// and the telemetry, kept the same way as the packet engine keeps
+    /// them (see `ledger.rs`).
+    ledger: Ledger<'n>,
     /// Flows whose rate bit pattern changed in the current epoch.
     epoch_changed: u64,
-    /// Private failure-epoch topology, `Some` iff the run carries a
-    /// non-empty [`crate::FailureSchedule`]. Cloned once at construction
-    /// so mid-run fail/repair events never mutate the shared `Network`;
-    /// an empty schedule routes over `net.topo` directly and pays only
-    /// one `next_sched < len` branch per epoch.
-    topo: Option<Topology>,
-    /// Cursor into `cfg.failures` (sorted by time).
-    next_sched: usize,
     /// Flows with no healthy path, as `(flow, stall start instant)`.
     /// Retried on every repair; still-stalled entries at the end of the
-    /// run surface as [`SimError::Disconnected`].
+    /// run surface as [`crate::SimError::Disconnected`].
     stalled: Vec<(FlowId, f64)>,
-    c_link_fail: CounterId,
-    c_link_repair: CounterId,
-    c_flow_reroute: CounterId,
 }
 
 impl<'n> FlowEngine<'n> {
-    pub fn new(net: &'n Network, cfg: SimConfig) -> Self {
+    pub fn new(net: &'n Network, mut cfg: SimConfig) -> Self {
         let mut port_base = Vec::with_capacity(net.topo.num_nodes() + 1);
         let mut total = 0usize;
         for (_, n) in net.topo.nodes() {
@@ -271,7 +254,6 @@ impl<'n> FlowEngine<'n> {
             total += n.ports.len();
         }
         port_base.push(total);
-        let mut reg = Registry::new();
         let mut link_cap = vec![0.0; total];
         let mut link_owner = vec![(NodeId(0), PortId(0)); total];
         for (id, n) in net.topo.nodes() {
@@ -305,32 +287,11 @@ impl<'n> FlowEngine<'n> {
             inc_gen: 0,
             inj_queue: vec![Vec::new(); total],
             spare_links: Vec::new(),
-            stats: SimStats {
-                node_forwarded: vec![0; net.topo.num_nodes()],
-                rank_recv_done_ps: vec![0; net.endpoints.len()],
-                rank_recv_bytes: vec![0; net.endpoints.len()],
-                ..SimStats::default()
-            },
             cand: Vec::new(),
             waypoints: Vec::new(),
-            sink: TraceSink::new(hxtelemetry::collect::trace_enabled()),
-            tel_metrics: hxtelemetry::collect::metrics_enabled(),
-            tel_any: hxtelemetry::collect::trace_enabled()
-                || hxtelemetry::collect::metrics_enabled(),
-            c_flows_started: reg.counter("flows_started"),
-            c_flows_drained: reg.counter("flows_drained"),
-            c_rate_epochs: reg.counter("rate_epochs"),
-            c_rate_changed: reg.counter("rate_changed_flows"),
-            c_sim_events: reg.counter("sim_events"),
-            h_msg_latency: reg.histogram("msg_latency_ps"),
-            c_link_fail: reg.counter("link_fail_events"),
-            c_link_repair: reg.counter("link_repair_events"),
-            c_flow_reroute: reg.counter("flow_reroutes"),
-            topo: (!cfg.failures.is_empty()).then(|| net.topo.clone()),
-            next_sched: 0,
-            stalled: Vec::new(),
-            reg,
+            ledger: Ledger::new(net, std::mem::take(&mut cfg.failures), "flow"),
             epoch_changed: 0,
+            stalled: Vec::new(),
             cfg,
         }
     }
@@ -375,15 +336,12 @@ impl<'n> FlowEngine<'n> {
             // traffic horizon and must stay inert, so runs whose events
             // all land after completion are bitwise-identical to runs
             // with no schedule at all.
-            {
-                let sched = self.cfg.failures.events();
-                if self.next_sched < sched.len() {
-                    let st = (sched[self.next_sched].at_ps as f64).max(self.now);
-                    if t_next.is_finite() {
-                        t_next = t_next.min(st);
-                    } else if !self.stalled.is_empty() {
-                        t_next = st;
-                    }
+            if let Some(ev) = self.ledger.next_link_event() {
+                let st = (ev.at_ps as f64).max(self.now);
+                if t_next.is_finite() {
+                    t_next = t_next.min(st);
+                } else if !self.stalled.is_empty() {
+                    t_next = st;
                 }
             }
             if !t_next.is_finite() {
@@ -391,10 +349,10 @@ impl<'n> FlowEngine<'n> {
             }
             if t_next > self.cfg.max_time_ps as f64 {
                 self.now = self.cfg.max_time_ps as f64;
-                self.stats.timed_out = true;
+                self.ledger.stats.timed_out = true;
                 break;
             }
-            self.stats.events += 1;
+            self.ledger.stats.events += 1;
 
             // Advance every active flow to t_next at its current rates.
             let dt = t_next - self.now;
@@ -408,46 +366,25 @@ impl<'n> FlowEngine<'n> {
             }
 
             let quantum = (self.now * COALESCE_REL).max(COALESCE_ABS_PS);
-            let mut dirty = false;
-            dirty |= self.complete_drained_flows(quantum, app);
-            dirty |= self.apply_link_events(quantum);
-            dirty |= self.pop_due_events(quantum, app);
-            if dirty {
-                self.recompute_rates();
-            }
+            self.complete_drained_flows(quantum, app);
+            self.apply_link_events(quantum);
+            self.pop_due_events(quantum, app);
+            self.recompute_rates();
         }
 
         // Flows still stalled when the run ends never found a healthy
-        // path: charge their wait and report the disconnection instead of
-        // panicking (their messages also count as undelivered below).
-        if !self.stalled.is_empty() {
-            for &(_f, since) in &self.stalled {
-                self.stats.flow_stall_ps += (self.now - since).max(0.0).round() as u64;
-            }
-            let (f, _) = self.stalled[0];
-            let info = self.msgs[self.flows[f as usize].msg as usize].info;
-            let failed = self
-                .topo
-                .as_ref()
-                .unwrap_or(&self.net.topo)
-                .count_failed_links();
-            self.stats.error = Some(SimError::Disconnected {
-                src_rank: info.src_rank,
-                dst_rank: info.dst_rank,
-                failed_links: failed,
-            });
+        // path: charge their wait; the ledger reports the disconnection
+        // (their messages also count as undelivered).
+        for &(_f, since) in &self.stalled {
+            self.ledger.stats.flow_stall_ps += (self.now - since).max(0.0).round() as u64;
         }
-        self.stats.finish_ps = self.now.round() as Time;
-        self.stats.undelivered_messages = self.msgs.iter().filter(|m| !m.done).count();
-        if self.tel_any {
-            if self.tel_metrics {
-                self.reg.inc(self.c_sim_events, self.stats.events);
-            }
-            let reg = std::mem::take(&mut self.reg);
-            let sink = std::mem::replace(&mut self.sink, TraceSink::disabled());
-            hxtelemetry::collect::submit(reg, sink);
-        }
-        self.stats
+        let stuck = self
+            .stalled
+            .first()
+            .map(|&(f, _)| self.msgs[self.flows[f as usize].msg as usize].info);
+        let undelivered = self.msgs.iter().filter(|m| !m.done).count();
+        self.ledger
+            .finish(self.now.round() as Time, stuck, undelivered)
     }
 
     /// Retire flows whose bytes have fully drained — or would drain within
@@ -456,16 +393,14 @@ impl<'n> FlowEngine<'n> {
     /// and only the completion *instant* moves by < quantum). Fires local
     /// send completion and schedules the latency-delayed delivery.
     ///
-    /// Returns true only when the retirements can change some remaining
-    /// flow's rate: a retired flow shared a link with a route that is
-    /// still allocated (`link_nflows` stays positive after its decrement),
-    /// a gated flow was released from a NIC FIFO, or a send-completion
-    /// callback issued new commands. A flow whose links all drop to zero
-    /// subscribers leaves every other flow's constraint set — and hence
-    /// the max-min solution — untouched, so its drain skips the
-    /// progressive-filling recompute entirely.
-    fn complete_drained_flows(&mut self, quantum: f64, app: &mut dyn Application) -> bool {
-        let mut needs_recompute = false;
+    /// A retirement seeds the next solve only where it can change some
+    /// remaining flow's rate: a link it shared with a still-draining flow
+    /// ([`Self::flush_routes`]), or a gated flow it released from a NIC
+    /// FIFO. A flow whose links all drop to zero draining subscribers
+    /// leaves every other flow's constraint set — and hence the max-min
+    /// solution — untouched, so its drain seeds nothing and the epoch's
+    /// solve fills nothing.
+    fn complete_drained_flows(&mut self, quantum: f64, app: &mut dyn Application) {
         let mut cmds = Vec::new();
         let mut i = 0;
         while i < self.active.len() {
@@ -506,27 +441,16 @@ impl<'n> FlowEngine<'n> {
             for g in candidates {
                 if self.flows[g as usize].gated && self.nic_eligible(g) {
                     self.activate(g);
-                    needs_recompute = true;
                 }
             }
             let fl = &self.flows[f as usize];
             let (msg, latency_ps) = (fl.msg, fl.latency_ps);
-            needs_recompute |= self.flush_routes(f);
+            self.flush_routes(f);
             self.free_flows.push(f);
 
             let info = self.msgs[msg as usize].info;
             let now_ps = self.now.round() as Time;
-            if self.sink.enabled() {
-                self.sink.instant_args(
-                    "flow_drain",
-                    "flow",
-                    now_ps,
-                    vec![("src", info.src_rank as u64), ("dst", info.dst_rank as u64)],
-                );
-            }
-            if self.tel_metrics {
-                self.reg.inc(self.c_flows_drained, 1);
-            }
+            self.ledger.drained(info, now_ps);
             {
                 let mut ctx = Ctx::new(now_ps, &mut cmds);
                 app.on_send_complete(&mut ctx, info);
@@ -534,33 +458,28 @@ impl<'n> FlowEngine<'n> {
             // The last byte still has to propagate down the route.
             self.push_event(self.now + latency_ps as f64, Event::Deliver(msg));
         }
-        if !cmds.is_empty() {
-            self.apply_cmds(&mut cmds);
-            needs_recompute = true;
-        }
-        needs_recompute
+        self.apply_cmds(&mut cmds);
     }
 
     /// Bank a flow's carried bytes into the traffic stats and release its
     /// link subscriptions, draining its route set. Shared between drain
     /// retirement and mid-run reroutes (a reroute is an early drain of the
-    /// old path followed by a fresh injection over the new one). Returns
-    /// true when a released link still has draining subscribers — their
-    /// fair share grows now that we left, so their component is seeded.
-    fn flush_routes(&mut self, f: FlowId) -> bool {
-        let mut needs_recompute = false;
+    /// old path followed by a fresh injection over the new one). A
+    /// released link that still has draining subscribers is seeded:
+    /// their fair share grows now that we left.
+    fn flush_routes(&mut self, f: FlowId) {
         let pkt_bytes = crate::PACKET_BYTES as f64;
         let mut routes = std::mem::take(&mut self.flows[f as usize].routes);
         for mut r in routes.drain(..) {
             // Packet-equivalent traffic accounting at drain time; the
             // per-route byte split is what the fluid model carried.
             let pkts = (r.carried / pkt_bytes).ceil() as u64;
-            self.stats.packets_forwarded += pkts * r.links.len() as u64;
+            let stats = &mut self.ledger.stats;
+            stats.packets_forwarded += pkts * r.links.len() as u64;
             for &li in &r.links {
                 let (n, _) = self.link_owner[li as usize];
-                self.stats.node_forwarded[n.idx()] += pkts;
-                self.stats.total_link_busy_ps +=
-                    (r.carried / self.link_cap[li as usize]).round() as u64;
+                stats.node_forwarded[n.idx()] += pkts;
+                stats.total_link_busy_ps += (r.carried / self.link_cap[li as usize]).round() as u64;
                 debug_assert!(self.link_nflows[li as usize] > 0);
                 self.link_nflows[li as usize] -= 1;
                 // Drop `f` from the link's incidence list (once —
@@ -575,57 +494,30 @@ impl<'n> FlowEngine<'n> {
                 }
                 if !lf.is_empty() {
                     self.seed_links.push(li);
-                    needs_recompute = true;
                 }
             }
             r.links.clear();
             self.spare_links.push(r.links);
         }
-        needs_recompute
     }
 
     /// Apply every scheduled link event due at the current epoch (within
-    /// the coalescing `quantum`, like drains and timed events). A *fail*
-    /// advances the private failure-epoch topology, then reroutes every
-    /// flow whose route set crosses the dead cable — banking carried
-    /// bytes, rebuilding routes over the new topology, stalling the flow
-    /// if none exist. A *repair* restores the link and retries the
-    /// stalled flows. Returns true when rates must be recomputed.
-    fn apply_link_events(&mut self, quantum: f64) -> bool {
-        let mut dirty = false;
-        loop {
-            let ev = {
-                let sched = self.cfg.failures.events();
-                match sched.get(self.next_sched) {
-                    Some(ev) if ev.at_ps as f64 <= self.now + quantum => *ev,
-                    _ => break,
-                }
-            };
-            self.next_sched += 1;
-            let Some(topo) = self.topo.as_mut() else {
-                break; // unreachable: topo is Some whenever a schedule exists
-            };
-            let now_ps = self.now.round() as Time;
+    /// the coalescing `quantum`, like drains and timed events). The
+    /// ledger applies each event to the failure-epoch topology; here a
+    /// *fail* reroutes every flow whose route set crosses the dead cable
+    /// — banking carried bytes, rebuilding routes over the new topology,
+    /// stalling the flow if none exist — and a *repair* retries the
+    /// stalled flows.
+    fn apply_link_events(&mut self, quantum: f64) {
+        while let Some(ev) = self.ledger.next_link_event() {
+            if ev.at_ps as f64 > self.now + quantum {
+                break;
+            }
+            if !self.ledger.apply_next_link_event(self.now.round() as Time) {
+                continue; // a no-op re-fail or repair
+            }
             match ev.kind {
                 LinkEventKind::Fail => {
-                    if !topo.fail_link(ev.node, ev.port) {
-                        continue; // already failed: no-op
-                    }
-                    self.stats.link_fail_events += 1;
-                    if self.tel_metrics {
-                        self.reg.inc(self.c_link_fail, 1);
-                    }
-                    if self.sink.enabled() {
-                        self.sink.instant_args(
-                            "link_fail",
-                            "fault",
-                            now_ps,
-                            vec![
-                                ("node", ev.node.idx() as u64),
-                                ("port", ev.port.idx() as u64),
-                            ],
-                        );
-                    }
                     // Both directed halves of the cable die together.
                     let li1 = self.link_idx(ev.node, ev.port);
                     let peer = self.net.topo.peer(ev.node, ev.port);
@@ -646,28 +538,9 @@ impl<'n> FlowEngine<'n> {
                     }
                     for f in affected {
                         self.reroute_flow(f);
-                        dirty = true;
                     }
                 }
                 LinkEventKind::Repair => {
-                    if !topo.restore_link(ev.node, ev.port) {
-                        continue; // not failed: no-op
-                    }
-                    self.stats.link_repair_events += 1;
-                    if self.tel_metrics {
-                        self.reg.inc(self.c_link_repair, 1);
-                    }
-                    if self.sink.enabled() {
-                        self.sink.instant_args(
-                            "link_repair",
-                            "fault",
-                            now_ps,
-                            vec![
-                                ("node", ev.node.idx() as u64),
-                                ("port", ev.port.idx() as u64),
-                            ],
-                        );
-                    }
                     // Retry every stalled flow; those still unreachable
                     // stay stalled (their wait keeps accumulating).
                     let stalled = std::mem::take(&mut self.stalled);
@@ -680,14 +553,13 @@ impl<'n> FlowEngine<'n> {
                             self.stalled.push((f, since));
                             continue;
                         }
-                        self.stats.flow_stall_ps += (self.now - since).max(0.0).round() as u64;
+                        self.ledger.stats.flow_stall_ps +=
+                            (self.now - since).max(0.0).round() as u64;
                         self.attach_routes(f, routes, latency_ps);
-                        dirty = true;
                     }
                 }
             }
         }
-        dirty
     }
 
     /// Pull a live flow off a just-failed cable: bank its carried bytes,
@@ -728,18 +600,7 @@ impl<'n> FlowEngine<'n> {
             self.stalled.push((f, self.now));
         } else {
             self.attach_routes(f, routes, latency_ps);
-            self.stats.flows_rerouted += 1;
-            if self.tel_metrics {
-                self.reg.inc(self.c_flow_reroute, 1);
-            }
-            if self.sink.enabled() {
-                self.sink.instant_args(
-                    "flow_reroute",
-                    "fault",
-                    self.now.round() as Time,
-                    vec![("src", info.src_rank as u64), ("dst", info.dst_rank as u64)],
-                );
-            }
+            self.ledger.flow_reroute(info, self.now.round() as Time);
         }
         for g in candidates {
             if self.flows[g as usize].gated
@@ -775,10 +636,8 @@ impl<'n> FlowEngine<'n> {
     }
 
     /// Execute all queue events due at the current time, plus any within
-    /// the coalescing `quantum` (they fire early by < quantum). Returns
-    /// true if any application command created or could create new flows.
-    fn pop_due_events(&mut self, quantum: f64, app: &mut dyn Application) -> bool {
-        let mut dirty = false;
+    /// the coalescing `quantum` (they fire early by < quantum).
+    fn pop_due_events(&mut self, quantum: f64, app: &mut dyn Application) {
         let now_ps = self.now.round() as Time;
         while let Some(&Reverse((TimeKey(t), _, _))) = self.queue.peek() {
             if t > self.now + quantum {
@@ -793,17 +652,9 @@ impl<'n> FlowEngine<'n> {
                     let m = &mut self.msgs[msg as usize];
                     debug_assert!(!m.done);
                     m.done = true;
-                    let info = m.info;
-                    let start_ps = m.start_ps;
-                    if self.tel_metrics {
-                        self.reg
-                            .record(self.h_msg_latency, now_ps.saturating_sub(start_ps));
-                    }
-                    self.stats.messages_delivered += 1;
-                    self.stats.bytes_delivered += info.bytes;
-                    // Pre-sized in `new` to one slot per rank.
-                    self.stats.rank_recv_done_ps[info.dst_rank as usize] = now_ps;
-                    self.stats.rank_recv_bytes[info.dst_rank as usize] += info.bytes;
+                    let (info, start_ps) = (m.info, m.start_ps);
+                    self.ledger.delivered(info, start_ps, now_ps);
+                    self.ledger.stats.bytes_delivered += info.bytes;
                     let mut ctx = Ctx::new(now_ps, &mut cmds);
                     app.on_message(&mut ctx, info);
                 }
@@ -812,12 +663,8 @@ impl<'n> FlowEngine<'n> {
                     app.on_compute_done(&mut ctx, rank, tag);
                 }
             }
-            if !cmds.is_empty() {
-                self.apply_cmds(&mut cmds);
-                dirty = true;
-            }
+            self.apply_cmds(&mut cmds);
         }
-        dirty
     }
 
     fn apply_cmds(&mut self, cmds: &mut Vec<Cmd>) {
@@ -843,26 +690,16 @@ impl<'n> FlowEngine<'n> {
         let src_node = self.net.endpoints[src as usize];
         let dst_node = self.net.endpoints[dst as usize];
         let msg_id = self.msgs.len() as MsgId;
-        self.stats.messages_sent += 1;
         let start_ps = self.now.round() as Time;
-        if self.sink.enabled() {
-            self.sink.instant_args(
-                "flow_start",
-                "flow",
-                start_ps,
-                vec![("src", src as u64), ("dst", dst as u64), ("bytes", bytes)],
-            );
-        }
-        if self.tel_metrics {
-            self.reg.inc(self.c_flows_started, 1);
-        }
+        let info = MsgInfo {
+            src_rank: src,
+            dst_rank: dst,
+            bytes,
+            tag,
+        };
+        self.ledger.sent(info, start_ps);
         self.msgs.push(MsgState {
-            info: MsgInfo {
-                src_rank: src,
-                dst_rank: dst,
-                bytes,
-                tag,
-            },
+            info,
             done: false,
             start_ps,
         });
@@ -891,21 +728,21 @@ impl<'n> FlowEngine<'n> {
     }
 
     /// Build the multipath route set from `src_node` to `dst_node` over
-    /// the current failure-epoch topology (the private scheduled copy
-    /// when a [`crate::FailureSchedule`] is in effect, the shared network
-    /// topology otherwise): one route per waypoint class x distinct
-    /// first-hop candidate. Empty iff the destination is unreachable.
+    /// the ledger's failure-epoch topology: one route per waypoint class
+    /// x distinct first-hop candidate. Empty iff the destination is
+    /// unreachable.
     fn build_routes(&mut self, src_node: NodeId, dst_node: NodeId) -> (Vec<Route>, u64) {
         let net = self.net;
-        let topo_owned = self.topo.take();
-        let topo = topo_owned.as_ref().unwrap_or(&net.topo);
+        // `walk_route` borrows the engine mutably, so the topology steps
+        // out of the ledger for the walk.
+        let topo = std::mem::replace(&mut self.ledger.topo, Cow::Borrowed(&net.topo));
 
         // Route classes: direct, plus each router-provided waypoint.
         let mut waypoints = std::mem::take(&mut self.waypoints);
         waypoints.clear();
         if self.cfg.use_waypoints {
             net.router
-                .waypoint_options(topo, src_node, dst_node, &mut waypoints);
+                .waypoint_options(&topo, src_node, dst_node, &mut waypoints);
         }
         let mut routes: Vec<Route> = Vec::new();
         let mut latency_ps = 0u64;
@@ -913,14 +750,14 @@ impl<'n> FlowEngine<'n> {
             let target = class.unwrap_or(dst_node);
             let mut cand = std::mem::take(&mut self.cand);
             cand.clear();
-            net.router.candidates(topo, src_node, 0, target, &mut cand);
+            net.router.candidates(&topo, src_node, 0, target, &mut cand);
             let mut seen_ports: Vec<PortId> = Vec::with_capacity(cand.len());
             for h in &cand {
                 if seen_ports.contains(&h.port) {
                     continue;
                 }
                 seen_ports.push(h.port);
-                let (links, lat) = self.walk_route(topo, src_node, dst_node, class, *h);
+                let (links, lat) = self.walk_route(&topo, src_node, dst_node, class, *h);
                 latency_ps = latency_ps.max(lat);
                 routes.push(Route {
                     links,
@@ -931,7 +768,7 @@ impl<'n> FlowEngine<'n> {
             self.cand = cand;
         }
         self.waypoints = waypoints;
-        self.topo = topo_owned;
+        self.ledger.topo = topo;
         (routes, latency_ps)
     }
 
@@ -1080,13 +917,14 @@ impl<'n> FlowEngine<'n> {
     ///
     /// The link-sharing graph splits into connected components whose
     /// allocations are independent: filling one component never reads a
-    /// link of another. Each dirty epoch this walks the components
-    /// reachable from the change seeds — flows activated since the last
-    /// solve (`seed_flows`) and links a retired flow left behind with
+    /// link of another. Every epoch this walks the components reachable
+    /// from the change seeds — flows activated since the last solve
+    /// (`seed_flows`) and links a retired flow left behind with
     /// surviving subscribers (`seed_links`) — and refills each exactly
     /// once via [`Self::fill_component`]; all other flows keep their
-    /// rates. Multiple same-epoch seeds landing in one component coalesce
-    /// into a single fill (the `comp_gen` visited stamps).
+    /// rates, and an epoch without seeds fills nothing. Multiple
+    /// same-epoch seeds landing in one component coalesce into a single
+    /// fill (the `comp_gen` visited stamps).
     ///
     /// [`RateMode::Full`] widens the walk to every active flow. Because
     /// the fill is a pure function of component membership, and a
@@ -1144,10 +982,11 @@ impl<'n> FlowEngine<'n> {
         self.seed_flows.clear();
         self.seed_links.clear();
         if fills > 0 {
-            self.stats.rate_recomputes += 1;
-            self.stats.rate_touched_flows += filled as u64;
+            let stats = &mut self.ledger.stats;
+            stats.rate_recomputes += 1;
+            stats.rate_touched_flows += filled as u64;
             if filled == self.active.len() {
-                self.stats.rate_recomputes_full += 1;
+                stats.rate_recomputes_full += 1;
             }
         }
         // Telemetry counts flows whose rate *bit pattern changed* this
@@ -1155,20 +994,8 @@ impl<'n> FlowEngine<'n> {
         // [`RateMode`]. A component refilled to identical bits (the Full
         // mode's widened walk) contributes nothing, so this count — and
         // the `rate_epoch` trace — is bitwise mode-invariant.
-        if self.tel_any && self.epoch_changed > 0 {
-            if self.sink.enabled() {
-                self.sink.instant_args(
-                    "rate_epoch",
-                    "flow",
-                    self.now.round() as Time,
-                    vec![("touched_flows", self.epoch_changed)],
-                );
-            }
-            if self.tel_metrics {
-                self.reg.inc(self.c_rate_epochs, 1);
-                self.reg.inc(self.c_rate_changed, self.epoch_changed);
-            }
-        }
+        self.ledger
+            .rate_epoch(self.epoch_changed, self.now.round() as Time);
         self.epoch_changed = 0;
         if self.cfg.trace_rates {
             self.record_rate_trace();
@@ -1177,18 +1004,19 @@ impl<'n> FlowEngine<'n> {
 
     /// Append one epoch's `(time, msg, rate)` snapshot of every active
     /// flow to [`SimStats::rate_trace`], sorted by msg id within the
-    /// epoch. Recorded on *every* dirty epoch (not just epochs that
-    /// filled something) because dirty epochs are mode-independent while
-    /// fill counts are not — that keeps the traces of the two solver
-    /// modes index-aligned for the bitwise comparison.
+    /// epoch. Recorded on *every* epoch (not just epochs that filled
+    /// something) because epochs are mode-independent while fill counts
+    /// are not — that keeps the traces of the two solver modes
+    /// index-aligned for the bitwise comparison.
     fn record_rate_trace(&mut self) {
         let t = self.now.to_bits();
-        let start = self.stats.rate_trace.len();
+        let trace = &mut self.ledger.stats.rate_trace;
+        let start = trace.len();
         for &f in &self.active {
             let fl = &self.flows[f as usize];
-            self.stats.rate_trace.push((t, fl.msg, fl.rate.to_bits()));
+            trace.push((t, fl.msg, fl.rate.to_bits()));
         }
-        self.stats.rate_trace[start..].sort_unstable();
+        trace[start..].sort_unstable();
     }
 
     /// Walk the connected component containing flow `f` over the link ↔
@@ -1256,8 +1084,7 @@ impl<'n> FlowEngine<'n> {
             comp,
             fill,
             link_cap,
-            stats,
-            tel_any,
+            ledger,
             epoch_changed,
             ..
         } = self;
@@ -1268,13 +1095,11 @@ impl<'n> FlowEngine<'n> {
                 fill.push(f, &r.links, link_cap);
             }
         }
-        stats.rate_fill_rounds += fill.solve();
+        ledger.stats.rate_fill_rounds += fill.solve();
         for (&(f, first, end), &rate) in fill.flows.iter().zip(&fill.flow_rate) {
             let fl = &mut flows[f as usize];
             // Telemetry counts flows whose rate bit pattern changed.
-            if *tel_any && fl.rate.to_bits() != rate.to_bits() {
-                *epoch_changed += 1;
-            }
+            *epoch_changed += u64::from(fl.rate.to_bits() != rate.to_bits());
             fl.rate = rate;
             let unit_rates = &fill.unit_rate[first as usize..end as usize];
             for (r, &ur) in fl.routes.iter_mut().zip(unit_rates) {

@@ -18,6 +18,12 @@
 //!   magnitude faster at large scale, at the fidelity cost documented in
 //!   [`flow`].
 //!
+//! Both backends keep the bookkeeping around a simulation in one private
+//! run ledger (`ledger.rs`): the [`SimStats`], the failure-epoch topology
+//! that in-run [`FailureSchedule`] events advance, and the hxtelemetry
+//! counters and trace events, whose names are spelled there once. So a
+//! packet run and a flow run report the same metrics schema.
+//!
 //! Time is measured in integer **picoseconds**; at 400 Gb/s one byte is
 //! exactly 20 ps, so all serialization times are exact.
 //!
@@ -39,6 +45,7 @@ pub mod apps;
 pub mod engine;
 pub mod failure;
 pub mod flow;
+mod ledger;
 pub mod stats;
 
 #[cfg(test)]

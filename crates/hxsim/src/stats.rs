@@ -75,7 +75,7 @@ pub struct SimStats {
     pub rate_fill_rounds: u64,
     /// Flow engine only, populated when `SimConfig::trace_rates` is set:
     /// one `(now.to_bits(), msg_id, rate.to_bits())` entry per active
-    /// flow per dirty epoch, sorted by msg id within an epoch. The
+    /// flow per epoch, sorted by msg id within an epoch. The
     /// differential suite compares this bitwise across solver modes.
     pub rate_trace: Vec<(u64, u32, u64)>,
     /// Sum of busy picoseconds over all directed links.

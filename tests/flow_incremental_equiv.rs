@@ -5,8 +5,8 @@
 //! preserving failure set, replica thread count) scenarios run under both
 //! solver modes. Everything an application or a figure sweep can observe
 //! must match **bitwise**: completion times, per-epoch max-min rates
-//! (`SimStats::rate_trace`, recorded on every dirty epoch in either
-//! mode), and all delivery and failure counters.
+//! (`SimStats::rate_trace`, recorded on every epoch in either mode), and
+//! all delivery and failure counters.
 //!
 //! The patterns include the figure sweeps' two less direct paths: a
 //! collective schedule (disjoint-rings or 2D-torus allreduce replayed by
