@@ -1,6 +1,7 @@
 //! CI perf-smoke harness: the repo's speed claims, measured and judged in
 //! one run. It times the Fig. 11 (alltoall) and Fig. 13 (allreduce)
-//! headline scenarios on **both** simulation backends, the
+//! headline scenarios on **both** simulation backends, the packet
+//! engine's router calls per packet-hop on the Fig. 11 point, the
 //! Table-II-scale `flow_scale` run, the cost of telemetry and of an
 //! armed-but-inert failure schedule, the Fig. 8 / Fig. 9 Monte-Carlo
 //! trace sweeps at 1 thread and at the environment thread count, and the
@@ -23,6 +24,8 @@
 use hammingmesh::hxalloc::experiments::{
     fig8_strategies, fig8_utilization, fig9_upper_traffic, Distribution,
 };
+use hammingmesh::hxnet::route::{Hop, LoadProbe, Router};
+use hammingmesh::hxnet::{NodeId, Topology};
 use hammingmesh::hxsim::apps::Alltoall;
 use hammingmesh::hxsim::FailureSchedule;
 use hammingmesh::prelude::*;
@@ -31,6 +34,8 @@ use hxserve::render::fmt_bytes;
 use hxtelemetry::{collect, trace::escape_json};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// perf_smoke's flags, parsed as strictly as the shared table: unknown
@@ -251,6 +256,7 @@ fn main() {
                 },
             )
         },
+        packet_nic_routing(a2a_bytes),
         engine_pair(
             "fig13_allreduce",
             format!(
@@ -320,6 +326,101 @@ fn engine_pair(
         ok: packet.clean && flow.clean,
         gates: Vec::new(),
         enforced: false,
+    }
+}
+
+/// Delegates every [`Router`] method to the topology's own router and
+/// counts the `candidates` calls.
+struct CountingRouter {
+    inner: Box<dyn Router>,
+    calls: Arc<AtomicU64>,
+}
+
+impl Router for CountingRouter {
+    fn num_vcs(&self) -> u8 {
+        self.inner.num_vcs()
+    }
+
+    fn candidates(
+        &self,
+        topo: &Topology,
+        node: NodeId,
+        vc: u8,
+        target: NodeId,
+        out: &mut Vec<Hop>,
+    ) {
+        self.calls.fetch_add(1, Relaxed);
+        self.inner.candidates(topo, node, vc, target, out);
+    }
+
+    fn select_waypoint(
+        &self,
+        topo: &Topology,
+        src: NodeId,
+        dst: NodeId,
+        probe: &dyn LoadProbe,
+        rng: &mut dyn rand::RngCore,
+    ) -> Option<NodeId> {
+        self.inner.select_waypoint(topo, src, dst, probe, rng)
+    }
+
+    fn waypoint_reached(&self, topo: &Topology, node: NodeId, waypoint: NodeId) -> bool {
+        self.inner.waypoint_reached(topo, node, waypoint)
+    }
+
+    fn waypoint_options(&self, topo: &Topology, src: NodeId, dst: NodeId, out: &mut Vec<NodeId>) {
+        self.inner.waypoint_options(topo, src, dst, out)
+    }
+}
+
+/// The packet engine's routing work: the `fig11_alltoall` packet point
+/// (same network, bytes and window) run once more through a
+/// [`CountingRouter`]. Its NIC pump routes each route class once per
+/// pump and skips pumps that cannot inject, so router calls stay near
+/// one per packet-hop; a pump that re-routed every deferred packet
+/// would make them grow with the packets per message. A count repeats
+/// exactly, so the gate is enforced at every scale.
+fn packet_nic_routing(bytes: u64) -> Scenario {
+    let calls = Arc::new(AtomicU64::new(0));
+    let Network {
+        topo,
+        endpoints,
+        router,
+        name,
+    } = TopologyChoice::Hx2Mesh.build_scaled(64);
+    let net = Network {
+        topo,
+        endpoints,
+        router: Box::new(CountingRouter {
+            inner: router,
+            calls: Arc::clone(&calls),
+        }),
+        name,
+    };
+    let mut app = Alltoall::new(net.num_ranks(), bytes, 2);
+    let stats = simulate(&net, SimConfig::default(), EngineKind::Packet, &mut app);
+    let route_calls = calls.load(Relaxed) as f64;
+    let packet_hops = stats.packets_forwarded as f64;
+    let per_hop = route_calls / packet_hops.max(1.0);
+    eprintln!(
+        "[perf_smoke] packet_nic_routing: {route_calls} router calls for {packet_hops} \
+         packet-hops ({per_hop:.2} per hop)"
+    );
+    Scenario {
+        name: "packet_nic_routing",
+        description: format!(
+            "balanced-shift alltoall, {}/pair, Hx2Mesh 64 endpoints, packet engine, \
+             Router::candidates calls per packet-hop",
+            fmt_bytes(bytes)
+        ),
+        metrics: vec![
+            ("route_calls", route_calls),
+            ("packet_hops", packet_hops),
+            ("route_calls_per_hop", per_hop),
+        ],
+        ok: stats.clean(),
+        gates: vec![Gate::Max("route_calls_per_hop", 2.0)],
+        enforced: true,
     }
 }
 

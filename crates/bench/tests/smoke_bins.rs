@@ -152,6 +152,7 @@ fn perf_smoke() {
     hxtelemetry::validate_json(&json).unwrap_or_else(|e| panic!("{e}\n{json}"));
     for name in [
         "fig11_alltoall",
+        "packet_nic_routing",
         "fig13_allreduce",
         "flow_scale",
         "telemetry_overhead",

@@ -5,12 +5,13 @@ use crate::failure::{LinkEvent, LinkEventKind};
 use crate::ledger::Ledger;
 use crate::stats::SimStats;
 use crate::{RetransmitPolicy, Time};
-use hxnet::route::LoadProbe;
+use hxnet::route::{Hop, LoadProbe};
 use hxnet::{Network, NodeId, PortId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::ops::Range;
 
 /// Which max-min solver scope the flow engine uses on each epoch.
 ///
@@ -160,7 +161,52 @@ struct NodeState {
     waiters: Vec<Vec<(NodeId, PortId)>>,
     /// NIC injection queue (accelerators only).
     nic_pending: VecDeque<PacketId>,
+    /// Set when a pass over the whole NIC queue found every route class
+    /// with all of its candidate ports at or over the per-port window:
+    /// the union of those ports (see [`port_bit`]). Pumps return at once
+    /// until a port in the set drains below the window, a packet joins
+    /// the queue, or a link event changes the routes.
+    nic_blocked: Option<u64>,
     out_bytes_total: u64,
+}
+
+/// `port`'s bit in a [`NodeState::nic_blocked`] port set. Ports from 63
+/// up share the top bit: a drain on any of them clears a set holding any
+/// other, which costs one pump and never skips one.
+fn port_bit(port: PortId) -> u64 {
+    1 << port.idx().min(63)
+}
+
+/// The route classes one NIC pump met: each `(target, vc)` with the range
+/// of its candidates in `hops`, routed once per pump into `cand`.
+#[derive(Default)]
+struct RouteClasses {
+    classes: Vec<(NodeId, u8, Range<usize>)>,
+    hops: Vec<Hop>,
+    cand: Vec<Hop>,
+}
+
+impl RouteClasses {
+    fn clear(&mut self) {
+        self.classes.clear();
+        self.hops.clear();
+    }
+
+    fn find(&self, target: NodeId, vc: u8) -> Option<Range<usize>> {
+        self.classes
+            .iter()
+            .find(|c| (c.0, c.1) == (target, vc))
+            .map(|c| c.2.clone())
+    }
+
+    /// Record class `(target, vc)` with the candidates just routed into
+    /// `cand`.
+    fn push(&mut self, target: NodeId, vc: u8) -> Range<usize> {
+        let range = self.hops.len()..self.hops.len() + self.cand.len();
+        self.hops.extend_from_slice(&self.cand);
+        self.classes.push((target, vc, range.clone()));
+        range
+    }
 }
 
 #[derive(PartialEq, Eq, PartialOrd, Ord, Clone, Copy, Debug)]
@@ -200,7 +246,9 @@ pub struct Engine<'n> {
     msgs: Vec<MsgState>,
     rng: StdRng,
     /// Scratch buffer for routing candidates.
-    cand: Vec<hxnet::route::Hop>,
+    cand: Vec<Hop>,
+    /// The NIC pump's route classes, recycled across pumps.
+    classes: RouteClasses,
     /// Recycled application-command buffer: every delivery/compute event
     /// used to allocate a fresh `Vec<Cmd>`, which dominated the allocator
     /// traffic of the hot loop. `apply_cmds` drains it, so it is always
@@ -220,6 +268,9 @@ pub struct Engine<'n> {
     /// drop-and-forget either — and is re-routed on the next repair.
     /// Non-empty at the end of a run => [`crate::SimError::Disconnected`].
     parked: Vec<(NodeId, PacketId)>,
+    /// The NIC pump's oracle switch and counters.
+    #[cfg(test)]
+    probe: PumpProbe,
 }
 
 impl<'n> Engine<'n> {
@@ -250,6 +301,7 @@ impl<'n> Engine<'n> {
                     in_occ: vec![0; p * num_vcs],
                     waiters: vec![Vec::new(); p * num_vcs],
                     nic_pending: VecDeque::new(),
+                    nic_blocked: None,
                     out_bytes_total: 0,
                 }
             })
@@ -266,10 +318,13 @@ impl<'n> Engine<'n> {
             free_packets: Vec::new(),
             msgs: Vec::new(),
             cand: Vec::new(),
+            classes: RouteClasses::default(),
             cmd_scratch: Vec::new(),
             waiter_scratch: Vec::new(),
             ledger: Ledger::new(net, std::mem::take(&mut cfg.failures), "packet"),
             parked: Vec::new(),
+            #[cfg(test)]
+            probe: PumpProbe::default(),
             cfg,
         }
     }
@@ -282,6 +337,12 @@ impl<'n> Engine<'n> {
 
     /// Run the application to completion. Returns the collected statistics.
     pub fn run(mut self, app: &mut dyn Application) -> SimStats {
+        self.run_events(app);
+        self.finish()
+    }
+
+    /// The event loop: runs until the queue drains or time runs out.
+    fn run_events(&mut self, app: &mut dyn Application) {
         let mut cmds = Vec::new();
         {
             let mut ctx = Ctx::new(0, &mut cmds);
@@ -342,7 +403,7 @@ impl<'n> Engine<'n> {
                         .info
                         .src_rank;
                     let src_node = self.net.endpoints[src_rank as usize];
-                    self.nodes[src_node.idx()].nic_pending.push_back(pkt);
+                    self.nic_push(src_node, pkt);
                     self.pump_nic(src_node);
                 }
                 Event::PortFree {
@@ -363,7 +424,11 @@ impl<'n> Engine<'n> {
                 }
             }
         }
+    }
 
+    /// Close the run: total the link busy time and hand the stats back
+    /// through the ledger.
+    fn finish(mut self) -> SimStats {
         for n in &self.nodes {
             for p in &n.out {
                 self.ledger.stats.total_link_busy_ps += p.busy_ps;
@@ -395,6 +460,14 @@ impl<'n> Engine<'n> {
     /// backoff for `Timeout`, a short NACK-like turnaround for
     /// `Reroute`. *Repair*: the link returns and parked packets retry.
     fn on_link_event(&mut self, ev: LinkEvent) {
+        // Routes changed: every blocked NIC pumps again.
+        #[cfg(test)]
+        if self.nodes.iter().any(|n| n.nic_blocked.is_some()) {
+            self.probe.link_events_while_blocked += 1;
+        }
+        for n in &mut self.nodes {
+            n.nic_blocked = None;
+        }
         match ev.kind {
             LinkEventKind::Fail => {
                 let peer = self.net.topo.peer(ev.node, ev.port);
@@ -562,9 +635,17 @@ impl<'n> Engine<'n> {
                 in_flight: false,
                 gen: 0,
             });
-            self.nodes[src_node.idx()].nic_pending.push_back(pkt);
+            self.nic_push(src_node, pkt);
         }
         self.pump_nic(src_node);
+    }
+
+    /// Append `pkt` to `node`'s NIC queue. Its route class may accept it,
+    /// so the NIC is no longer blocked.
+    fn nic_push(&mut self, node: NodeId, pkt: PacketId) {
+        let ns = &mut self.nodes[node.idx()];
+        ns.nic_pending.push_back(pkt);
+        ns.nic_blocked = None;
     }
 
     fn alloc_packet(&mut self, st: PacketState) -> PacketId {
@@ -587,55 +668,122 @@ impl<'n> Engine<'n> {
     /// is already full (per-port window) is deferred — rotated to the back
     /// of the queue — so that concurrent flows on different ports are not
     /// head-of-line blocked behind each other at the NIC.
+    ///
+    /// The topology cannot change inside a pump, so the packets of one
+    /// route class — `(target, vc)` — share one candidate set, routed
+    /// once per pump; each packet is checked against the live queue
+    /// lengths of its class's ports. A pass over the whole queue that
+    /// leaves every class it met full blocks the NIC
+    /// ([`NodeState::nic_blocked`]), and pumps return at once until
+    /// something that could let a packet in happens. Skipping is exact: a
+    /// pass that defers every packet rotates the queue by its own length,
+    /// draws no random number, and only clears waypoints already reached,
+    /// which the pass that blocked the NIC did.
     fn pump_nic(&mut self, node: NodeId) {
+        #[cfg(test)]
+        if self.probe.per_packet {
+            return self.pump_nic_per_packet(node);
+        }
+        if self.nodes[node.idx()].nic_blocked.is_some() {
+            #[cfg(test)]
+            {
+                self.probe.skipped += 1;
+            }
+            return;
+        }
+        let mut classes = std::mem::take(&mut self.classes);
+        classes.clear();
         let mut attempts = self.nodes[node.idx()].nic_pending.len();
+        let mut whole_pass = true;
         while attempts > 0 {
             attempts -= 1;
-            let ns = &self.nodes[node.idx()];
-            if ns.nic_pending.is_empty() || ns.out_bytes_total >= self.cfg.nic_window_bytes {
-                return;
+            let ns = &mut self.nodes[node.idx()];
+            if ns.out_bytes_total >= self.cfg.nic_window_bytes {
+                whole_pass = false;
+                break;
             }
-            // hxlint: allow(P001) guarded by the nic_pending.is_empty() early-return above
-            let pkt = self.nodes[node.idx()].nic_pending.pop_front().unwrap();
-            if !self.route_and_enqueue_nic(node, pkt) {
+            let Some(pkt) = ns.nic_pending.pop_front() else {
+                break;
+            };
+            let (target, vc) = self.class_of(node, pkt);
+            let range = match classes.find(target, vc) {
+                Some(range) => range,
+                None => {
+                    self.route(node, target, vc, &mut classes.cand);
+                    classes.push(target, vc)
+                }
+            };
+            let hops = &classes.hops[range];
+            if self.min_queued(node, hops) >= self.cfg.nic_port_window_bytes {
                 self.nodes[node.idx()].nic_pending.push_back(pkt);
+                #[cfg(test)]
+                {
+                    self.probe.deferred += 1;
+                }
+            } else if hops.is_empty() {
+                // No healthy path: abandon the waypoint or park.
+                self.route_and_enqueue(node, pkt);
+            } else {
+                self.pick_and_enqueue(node, pkt, hops);
             }
         }
+        if whole_pass {
+            self.nodes[node.idx()].nic_blocked = self.blocked_ports(node, &classes);
+        }
+        self.classes = classes;
     }
 
-    /// NIC-side routing: like [`Engine::route_and_enqueue`] but refuses
-    /// (returns false) when every candidate port is over the per-port
-    /// injection window.
-    fn route_and_enqueue_nic(&mut self, node: NodeId, pkt: PacketId) -> bool {
-        let min_q = {
-            let topo = &self.ledger.topo;
-            let (target, vc) = {
-                let p = &mut self.packets[pkt as usize];
-                if let Some(w) = p.waypoint {
-                    if self.net.router.waypoint_reached(topo, node, w) {
-                        p.waypoint = None;
-                    }
-                }
-                (p.waypoint.unwrap_or(p.dst_node), p.vc)
-            };
-            let mut cand = std::mem::take(&mut self.cand);
-            cand.clear();
-            self.net
-                .router
-                .candidates(topo, node, vc, target, &mut cand);
-            let min_q = cand
-                .iter()
-                .map(|h| self.nodes[node.idx()].out[h.port.idx()].queued_bytes)
-                .min()
-                .unwrap_or(0);
-            self.cand = cand;
-            min_q
-        };
-        if min_q >= self.cfg.nic_port_window_bytes {
-            return false;
+    /// After a pass over the whole NIC queue: the union of the candidate
+    /// ports of the classes it met, if every one of those ports is at or
+    /// over the per-port window; `None` if some class can still inject or
+    /// the queue is empty.
+    fn blocked_ports(&self, node: NodeId, classes: &RouteClasses) -> Option<u64> {
+        if self.nodes[node.idx()].nic_pending.is_empty() {
+            return None;
         }
-        self.route_and_enqueue(node, pkt);
-        true
+        let mut ports = 0;
+        for (_, _, range) in &classes.classes {
+            let hops = &classes.hops[range.clone()];
+            if self.min_queued(node, hops) < self.cfg.nic_port_window_bytes {
+                return None;
+            }
+            ports |= hops.iter().fold(0, |m, h| m | port_bit(h.port));
+        }
+        Some(ports)
+    }
+
+    /// The fewest bytes queued on any of `hops`' output ports at `node`
+    /// (0 for no candidates).
+    fn min_queued(&self, node: NodeId, hops: &[Hop]) -> u64 {
+        let out = &self.nodes[node.idx()].out;
+        hops.iter()
+            .map(|h| out[h.port.idx()].queued_bytes)
+            .min()
+            .unwrap_or(0)
+    }
+
+    /// The routing step: `node`'s candidates toward `target` on `vc`, into
+    /// `out`. `out` is cleared first because routers read it: the HxMesh
+    /// switch path dedupes against it, and `FailoverTable::filter`
+    /// rewrites all of it.
+    fn route(&self, node: NodeId, target: NodeId, vc: u8, out: &mut Vec<Hop>) {
+        out.clear();
+        self.net
+            .router
+            .candidates(&self.ledger.topo, node, vc, target, out);
+    }
+
+    /// The route class of `pkt` at `node`: its target — the waypoint
+    /// while one is active, the destination after — and its VC. A
+    /// waypoint `node` has reached is cleared first.
+    fn class_of(&mut self, node: NodeId, pkt: PacketId) -> (NodeId, u8) {
+        let p = &mut self.packets[pkt as usize];
+        if let Some(w) = p.waypoint {
+            if self.net.router.waypoint_reached(&self.ledger.topo, node, w) {
+                p.waypoint = None;
+            }
+        }
+        (p.waypoint.unwrap_or(p.dst_node), p.vc)
     }
 
     /// Route `pkt` at `node` and append it to the chosen output queue.
@@ -645,22 +793,10 @@ impl<'n> Engine<'n> {
     /// the failures cut off is abandoned in favor of the direct path
     /// first.
     fn route_and_enqueue(&mut self, node: NodeId, pkt: PacketId) {
-        let topo = &self.ledger.topo;
-        let (target, vc) = {
-            let p = &mut self.packets[pkt as usize];
-            if let Some(w) = p.waypoint {
-                if self.net.router.waypoint_reached(topo, node, w) {
-                    p.waypoint = None;
-                }
-            }
-            (p.waypoint.unwrap_or(p.dst_node), p.vc)
-        };
+        let (target, vc) = self.class_of(node, pkt);
         debug_assert_ne!(node, target, "routing a packet already at its target");
         let mut cand = std::mem::take(&mut self.cand);
-        cand.clear();
-        self.net
-            .router
-            .candidates(topo, node, vc, target, &mut cand);
+        self.route(node, target, vc, &mut cand);
         if cand.is_empty() {
             self.cand = cand;
             if self.packets[pkt as usize].waypoint.take().is_some()
@@ -671,6 +807,13 @@ impl<'n> Engine<'n> {
             self.parked.push((node, pkt));
             return;
         }
+        self.pick_and_enqueue(node, pkt, &cand);
+        self.cand = cand;
+    }
+
+    /// Append `pkt` to the best of its (non-empty) candidates at `node`
+    /// and try to transmit.
+    fn pick_and_enqueue(&mut self, node: NodeId, pkt: PacketId, cand: &[Hop]) {
         // Score: free downstream credits minus our queued bytes.
         let mut best = 0usize;
         let mut best_score = i64::MIN;
@@ -694,7 +837,6 @@ impl<'n> Engine<'n> {
             }
         }
         let hop = cand[best];
-        self.cand = cand;
         let bytes = self.packets[pkt as usize].bytes as u64;
         self.packets[pkt as usize].vc = hop.vc;
         let ns = &mut self.nodes[node.idx()];
@@ -749,14 +891,22 @@ impl<'n> Engine<'n> {
         self.nodes[peer.node.idx()].in_occ[slot] += bytes;
         let ser = (bytes as f64 * link.spec.ps_per_byte).round() as u64;
         {
-            let op = &mut self.nodes[node.idx()].out[port.idx()];
+            let ns = &mut self.nodes[node.idx()];
+            let op = &mut ns.out[port.idx()];
             op.queues[vc as usize].pop_front();
             op.queued_bytes -= bytes;
             op.busy_until = self.now + ser;
             op.busy_ps += ser;
             op.rr = (vc + 1) % nvc;
+            // A blocked NIC pumps again once one of its ports drains
+            // below the per-port window.
+            if let Some(ports) = ns.nic_blocked {
+                if op.queued_bytes < self.cfg.nic_port_window_bytes && ports & port_bit(port) != 0 {
+                    ns.nic_blocked = None;
+                }
+            }
+            ns.out_bytes_total -= bytes;
         }
-        self.nodes[node.idx()].out_bytes_total -= bytes;
         self.ledger.stats.packets_forwarded += 1;
         self.ledger.stats.node_forwarded[node.idx()] += 1;
         // The packet now holds the downstream buffer; remember the buffer
@@ -891,5 +1041,62 @@ struct EngineProbe<'a> {
 impl LoadProbe for EngineProbe<'_> {
     fn queued_bytes(&self, node: NodeId, port: PortId) -> u64 {
         self.nodes[node.idx()].out[port.idx()].queued_bytes
+    }
+}
+
+/// What the NIC pump did, for the differential tests: they switch the
+/// engine to the per-packet pump it replaced and check that the class
+/// pump deferred packets, skipped pumps and saw link events while a NIC
+/// was blocked.
+#[cfg(test)]
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct PumpProbe {
+    /// Run the per-packet oracle pump instead of the class pump.
+    pub(crate) per_packet: bool,
+    pub(crate) deferred: u64,
+    pub(crate) skipped: u64,
+    pub(crate) link_events_while_blocked: u64,
+}
+
+#[cfg(test)]
+impl Engine<'_> {
+    /// [`Engine::run`] with the NIC pump `probe` set, returning what the
+    /// pump recorded as well.
+    pub(crate) fn run_probed(
+        mut self,
+        probe: PumpProbe,
+        app: &mut dyn Application,
+    ) -> (SimStats, PumpProbe) {
+        self.probe = probe;
+        self.run_events(app);
+        let probe = self.probe;
+        (self.finish(), probe)
+    }
+
+    /// The per-packet pump the class pump replaced: it routes every
+    /// queued packet on every pump, and an accepted one twice. Kept as
+    /// the oracle of the differential tests (`tests_pump.rs`).
+    fn pump_nic_per_packet(&mut self, node: NodeId) {
+        let mut attempts = self.nodes[node.idx()].nic_pending.len();
+        while attempts > 0 {
+            attempts -= 1;
+            let ns = &mut self.nodes[node.idx()];
+            if ns.out_bytes_total >= self.cfg.nic_window_bytes {
+                return;
+            }
+            let Some(pkt) = ns.nic_pending.pop_front() else {
+                return;
+            };
+            let (target, vc) = self.class_of(node, pkt);
+            let mut cand = std::mem::take(&mut self.cand);
+            self.route(node, target, vc, &mut cand);
+            let full = self.min_queued(node, &cand) >= self.cfg.nic_port_window_bytes;
+            self.cand = cand;
+            if full {
+                self.nodes[node.idx()].nic_pending.push_back(pkt);
+            } else {
+                self.route_and_enqueue(node, pkt);
+            }
+        }
     }
 }

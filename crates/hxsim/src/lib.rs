@@ -52,6 +52,8 @@ pub mod stats;
 mod tests_edge;
 #[cfg(test)]
 mod tests_midrun;
+#[cfg(test)]
+mod tests_pump;
 
 pub use app::{Application, Cmd, Ctx, MsgInfo};
 pub use engine::{Engine, RateMode, SimConfig};

@@ -2,9 +2,11 @@
 //! effects, cut-through vs store-and-forward, and timeouts.
 
 use crate::apps::{Alltoall, MessageBlast, UniformRandom};
-use crate::{Engine, SimConfig};
+use crate::{Application, Ctx, Engine, MsgInfo, SimConfig, Time};
 use hxnet::fattree::single_switch;
 use hxnet::hammingmesh::HxMeshParams;
+use hxnet::torus::TorusParams;
+use hxnet::PortId;
 
 #[test]
 fn tiny_buffers_still_drain() {
@@ -154,4 +156,72 @@ fn mean_link_utilization_is_sane_on_both_engines() {
         assert!(u > 0.05 && u <= 1.0, "{kind}: utilization {u}");
         assert_eq!(stats.mean_link_utilization(0), 0.0);
     }
+}
+
+/// Rank 0 queues a `large` message toward `large_dst`, then, 1 ps later,
+/// one packet toward `small_dst`; records each message's delivery time.
+struct LargeThenSmall {
+    large_dst: u32,
+    small_dst: u32,
+    large: u64,
+    done_ps: [Time; 2],
+}
+
+impl Application for LargeThenSmall {
+    fn start(&mut self, ctx: &mut Ctx) {
+        ctx.send(0, self.large_dst, self.large, 0);
+        ctx.compute(0, 1, 0);
+    }
+
+    fn on_compute_done(&mut self, ctx: &mut Ctx, _rank: u32, _tag: u64) {
+        ctx.send(0, self.small_dst, crate::PACKET_BYTES, 1);
+    }
+
+    fn on_message(&mut self, ctx: &mut Ctx, info: MsgInfo) {
+        self.done_ps[info.tag as usize] = ctx.now();
+    }
+}
+
+/// The NIC does not head-of-line block: a one-packet message queued
+/// behind a 32-packet one on another output port leaves at once, because
+/// the large message's packets defer once their port holds the per-port
+/// window. Skipping pumps that cannot inject must keep this.
+#[test]
+fn nic_pump_does_not_head_of_line_block_other_ports() {
+    let net = TorusParams {
+        cols: 4,
+        rows: 4,
+        board: 2,
+    }
+    .build();
+    let src = net.endpoints[0];
+    let (east, west) = (PortId(0), PortId(1));
+    let neighbor = |port| net.rank_of(net.topo.peer(src, port).node);
+    // Each neighbor is reachable over its own port only.
+    for port in [east, west] {
+        let mut cand = Vec::new();
+        let dst = net.endpoints[neighbor(port) as usize];
+        net.router.candidates(&net.topo, src, 0, dst, &mut cand);
+        assert!(
+            !cand.is_empty() && cand.iter().all(|h| h.port == port),
+            "{cand:?}"
+        );
+    }
+    let mut app = LargeThenSmall {
+        large_dst: neighbor(east),
+        small_dst: neighbor(west),
+        large: 32 * crate::PACKET_BYTES,
+        done_ps: [0; 2],
+    };
+    let stats = Engine::new(&net, SimConfig::default()).run(&mut app);
+    assert!(stats.clean(), "{stats:?}");
+    let packet_ps =
+        (crate::PACKET_BYTES as f64 * net.topo.link(src, east).spec.ps_per_byte) as Time;
+    let [large_ps, small_ps] = app.done_ps;
+    // The large message's last packet leaves after 31 serializations.
+    assert!(small_ps < 3 * packet_ps, "small message took {small_ps} ps");
+    assert!(
+        large_ps > 30 * packet_ps,
+        "large message took {large_ps} ps"
+    );
 }
