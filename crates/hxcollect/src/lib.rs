@@ -35,3 +35,6 @@ pub use schedule::{Op, OpKind, Payload, RecvAction, Schedule};
 
 /// Element width used throughout (FP32 gradients, §V-B "trained in FP32").
 pub const ELEM_BYTES: u64 = 4;
+
+#[cfg(test)]
+mod tests_replay;

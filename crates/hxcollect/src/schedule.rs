@@ -164,9 +164,18 @@ impl Schedule {
         }
     }
 
-    /// Validate structural sanity: dependency indices in range and acyclic
-    /// (deps must point backwards), segments within the data vector.
+    /// Validate structural sanity: one op list per rank, dependency
+    /// indices in range and acyclic (deps must point backwards), every send
+    /// and recv naming a rank of the schedule, segments within the data
+    /// vector.
     pub fn validate(&self) -> Result<(), String> {
+        if self.ops.len() != self.nranks {
+            return Err(format!(
+                "{} op lists for {} ranks",
+                self.ops.len(),
+                self.nranks
+            ));
+        }
         for (r, ops) in self.ops.iter().enumerate() {
             for (i, op) in ops.iter().enumerate() {
                 for &d in &op.deps {
@@ -174,18 +183,23 @@ impl Schedule {
                         return Err(format!("rank {r} op {i}: forward/self dep {d}"));
                     }
                 }
-                if let OpKind::Send {
-                    payload: Payload::Segment { off, len },
-                    to,
-                    ..
-                } = op.kind
-                {
-                    if (off + len) as usize > self.data_len {
-                        return Err(format!("rank {r} op {i}: segment out of range"));
+                match op.kind {
+                    OpKind::Send { to, payload, .. } => {
+                        if let Payload::Segment { off, len } = payload {
+                            if off as u64 + len as u64 > self.data_len as u64 {
+                                return Err(format!("rank {r} op {i}: segment out of range"));
+                            }
+                        }
+                        if to as usize >= self.nranks {
+                            return Err(format!("rank {r} op {i}: bad destination {to}"));
+                        }
                     }
-                    if to as usize >= self.nranks {
-                        return Err(format!("rank {r} op {i}: bad destination {to}"));
+                    OpKind::Recv { from, .. } => {
+                        if from as usize >= self.nranks {
+                            return Err(format!("rank {r} op {i}: bad source {from}"));
+                        }
                     }
+                    OpKind::Compute { .. } => {}
                 }
             }
         }
@@ -221,6 +235,43 @@ mod tests {
     fn segment_bounds_checked() {
         let mut s = Schedule::new(2, 4);
         s.send(0, 1, 0, Payload::Segment { off: 2, len: 4 }, vec![]);
+        assert!(s.validate().is_err());
+    }
+
+    #[test]
+    fn segment_bound_does_not_wrap() {
+        let mut s = Schedule::new(2, 4);
+        s.send(
+            0,
+            1,
+            0,
+            Payload::Segment {
+                off: u32::MAX,
+                len: 2,
+            },
+            vec![],
+        );
+        assert!(s.validate().is_err());
+    }
+
+    #[test]
+    fn opaque_send_destination_checked() {
+        let mut s = Schedule::new(2, 4);
+        s.send(0, 5, 0, Payload::Opaque { bytes: 8 }, vec![]);
+        assert_eq!(s.validate(), Err("rank 0 op 0: bad destination 5".into()));
+    }
+
+    #[test]
+    fn recv_source_checked() {
+        let mut s = Schedule::new(2, 4);
+        s.recv(1, 7, 0, RecvAction::Discard, vec![]);
+        assert_eq!(s.validate(), Err("rank 1 op 0: bad source 7".into()));
+    }
+
+    #[test]
+    fn one_op_list_per_rank() {
+        let mut s = Schedule::new(2, 4);
+        s.ops.push(Vec::new());
         assert!(s.validate().is_err());
     }
 
