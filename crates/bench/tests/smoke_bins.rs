@@ -77,7 +77,9 @@ fn fig10_failures_routed() {
 /// The cluster-lifetime sweep at quick scale: 64 boards, mid-run cable
 /// fail + repair events at every load point, per-job wait/completion rows
 /// and time-averaged fragmentation in the CSV — and the whole CSV is
-/// byte-for-byte reproducible for a fixed seed.
+/// byte-for-byte reproducible for a fixed seed and equal to the committed
+/// golden `tests/golden/cluster_sweep.csv`. Regenerate the golden only
+/// when cluster results are meant to change, and say so in the commit.
 #[test]
 fn cluster_sweep_csv_is_complete_and_deterministic() {
     let run = |tag: &str| {
@@ -101,6 +103,11 @@ fn cluster_sweep_csv_is_complete_and_deterministic() {
     };
 
     let body = run("a");
+    let golden =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/cluster_sweep.csv");
+    let golden =
+        std::fs::read_to_string(&golden).unwrap_or_else(|e| panic!("{}: {e}", golden.display()));
+    assert_eq!(body, golden, "cluster_sweep CSV drifted from its golden");
     let header = body.lines().next().unwrap();
     for col in ["wait_ps", "jct_ps", "frag_avg", "fails", "repairs"] {
         assert!(header.contains(col), "missing column {col}: {header}");

@@ -12,6 +12,19 @@
 //! the degraded (or repaired) network, served from a cache keyed on the
 //! failure-set id so recurring sets cost one simulation total.
 //!
+//! An iteration sim that does run reuses what it can: the bound
+//! `ScheduleApp` of the job's shape (grid rows, grid columns, elements per
+//! rank). [`ClusterSim`] keeps one bound app per shape that some running
+//! job has and rebinds it to each placement it measures
+//! ([`ScheduleApp::rebind`]), so a lifetime generates and binds each shape
+//! only while jobs of that shape run, not once per sim. Before every sim
+//! the cache drops each shape no running job has, except the one being
+//! measured (a job being placed is not running yet). Keeping every shape
+//! ever seen would hold the schedules of long-gone jobs: on the 8x8 heavy
+//! lifetime perfbench runs (`cluster_heavy_8x8`), that raised peak RSS
+//! from 21 to 33 MiB. With eviction, that lifetime binds 27 times for 306
+//! sims and holds at most 134,400 ops.
+//!
 //! Jobs are simulated in isolation even though they share the machine:
 //! for HammingMesh this is the paper's §IV-A no-interference property
 //! (traffic of a job placed on a virtual sub-HxMesh does not cross other
@@ -35,6 +48,7 @@ use hxtelemetry::{CounterId, GaugeId, HistId, HistogramU64, Registry, Sampler, T
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 
 /// Everything a cluster run is parameterized by.
@@ -136,6 +150,10 @@ struct Running {
 
 type IterKey = (Vec<usize>, Vec<usize>, FailureSetId, u64);
 
+/// A job's `job_allreduce` shape: grid rows, grid columns, elements per
+/// rank.
+type Shape = (usize, usize, usize);
+
 /// The cluster simulator. Build with [`ClusterSim::new`], consume with
 /// [`ClusterSim::run`].
 pub struct ClusterSim {
@@ -153,6 +171,9 @@ pub struct ClusterSim {
     /// (communication ps, busy link-ps). The failure-set key means a
     /// fail -> repair cycle returning to a seen set costs no simulation.
     iter_cache: BTreeMap<IterKey, (u64, u64)>,
+    /// Bound iteration schedules by job shape, each rebound per sim; only
+    /// the shapes of running jobs stay (see the module doc).
+    apps: BTreeMap<Shape, ScheduleApp>,
     records: BTreeMap<u32, JobRecord>,
     fail_rng: StdRng,
     // Metric integrals over time.
@@ -234,6 +255,7 @@ impl ClusterSim {
             running: BTreeMap::new(),
             events,
             iter_cache: BTreeMap::new(),
+            apps: BTreeMap::new(),
             records: BTreeMap::new(),
             fail_rng,
             last_metric_ps: 0,
@@ -727,6 +749,23 @@ impl ClusterSim {
         out
     }
 
+    /// The `job_allreduce` shape of a job placed on `placement`.
+    fn shape(&self, placement: &Placement, grad_bytes: u64) -> Shape {
+        (
+            placement.rows.len() * self.cfg.mesh.a,
+            placement.cols.len() * self.cfg.mesh.b,
+            (grad_bytes / hxcollect::ELEM_BYTES) as usize,
+        )
+    }
+
+    /// The shapes of the running jobs.
+    fn running_shapes(&self) -> Vec<Shape> {
+        self.running
+            .values()
+            .map(|r| self.shape(&r.placement, r.spec.grad_bytes))
+            .collect()
+    }
+
     /// Uncached: simulate one iteration of a placed job on the current
     /// network, with `failures` applied as in-run events (empty for the
     /// steady-state measurements). The in-situ path cannot memoize — the
@@ -738,11 +777,11 @@ impl ClusterSim {
         grad_bytes: u64,
         failures: FailureSchedule,
     ) -> SimStats {
+        let shape = self.shape(placement, grad_bytes);
+        let running = self.running_shapes();
+        self.apps.retain(|s, _| *s == shape || running.contains(s));
         let p = &self.cfg.mesh;
-        let grid_rows = placement.rows.len() * p.a;
-        let grid_cols = placement.cols.len() * p.b;
-        let elems = (grad_bytes / hxcollect::ELEM_BYTES) as usize;
-        let sched = job_allreduce(grid_rows, grid_cols, elems);
+        let (grid_rows, grid_cols, elems) = shape;
         let mut mapping = Vec::with_capacity(grid_rows * grid_cols);
         for gi in 0..grid_rows {
             let bi = placement.rows[gi / p.a] as u16;
@@ -753,13 +792,23 @@ impl ClusterSim {
                 mapping.push(p.rank_of(HxCoord { bi, bj, r, c }) as u32);
             }
         }
-        let mut app = ScheduleApp::with_mapping(&sched, mapping);
+        let app = match self.apps.entry(shape) {
+            Entry::Occupied(e) => {
+                let app = e.into_mut();
+                app.rebind(mapping);
+                app
+            }
+            Entry::Vacant(e) => e.insert(ScheduleApp::with_mapping(
+                &job_allreduce(grid_rows, grid_cols, elems),
+                mapping,
+            )),
+        };
         let cfg = SimConfig {
             seed: self.cfg.seed ^ 0x51u64,
             failures,
             ..SimConfig::default()
         };
-        let stats = simulate(&self.net, cfg, self.cfg.engine, &mut app);
+        let stats = simulate(&self.net, cfg, self.cfg.engine, app);
         assert!(
             stats.clean() && app.is_done(),
             "iteration sim incomplete for placement {:?}x{:?} under {:?}",
@@ -768,6 +817,11 @@ impl ClusterSim {
             self.net.topo.failure_set_id()
         );
         self.sim_invocations += 1;
+        #[cfg(test)]
+        {
+            let cached = self.apps.keys().copied().collect();
+            tests::APP_LOG.with_borrow_mut(|log| log.push((cached, running, shape)));
+        }
         stats
     }
 }
@@ -783,6 +837,16 @@ pub fn iteration_ps(compute_ps: u64, comm_ps: u64, overlap: f64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
+
+    /// After one iteration sim: the cached shapes, the running jobs'
+    /// shapes and the shape just measured.
+    type AppRecord = (Vec<Shape>, Vec<Shape>, Shape);
+
+    thread_local! {
+        /// One record per iteration sim this thread ran.
+        pub(super) static APP_LOG: RefCell<Vec<AppRecord>> = const { RefCell::new(Vec::new()) };
+    }
 
     #[test]
     fn overlap_formula_limits() {
@@ -959,6 +1023,45 @@ mod tests {
                 "p{p}: {streamed} vs {exact}"
             );
         }
+    }
+
+    /// After every iteration sim the bound-app cache holds the shape just
+    /// measured and otherwise only shapes of running jobs; the churn and
+    /// defrag of the run both evict shapes and reuse bound apps.
+    #[test]
+    fn app_cache_holds_only_running_shapes() {
+        let cfg = ClusterConfig {
+            num_jobs: 24,
+            mean_interarrival_ps: 4 * MS,
+            mean_fail_interval_ps: Some(5 * MS),
+            mean_repair_ps: 10 * MS,
+            ..tiny_cfg()
+        };
+        APP_LOG.with_borrow_mut(Vec::clear);
+        let report = ClusterSim::new(cfg).run();
+        let log = APP_LOG.take();
+        assert_eq!(log.len(), report.sim_invocations as usize);
+        let mut binds = 0;
+        let mut evictions = 0;
+        let mut prev: &[Shape] = &[];
+        for (cached, running, measured) in &log {
+            assert!(cached.contains(measured), "{measured:?} not cached");
+            for s in cached {
+                assert!(
+                    s == measured || running.contains(s),
+                    "{s:?} cached, running {running:?}, measured {measured:?}"
+                );
+            }
+            binds += usize::from(!prev.contains(measured));
+            evictions += prev.iter().filter(|s| !cached.contains(s)).count();
+            prev = cached;
+        }
+        assert!(evictions > 0, "no shape was ever evicted");
+        assert!(
+            binds < log.len(),
+            "no bound app was reused: {binds} binds for {} sims",
+            log.len()
+        );
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //!   where `base` is the prefix sum of the per-rank op counts. Every send
 //!   and compute carries its `g` as the simulator tag.
 //! * **Action table.** `action[g]` is what issuing op `g` does. A send
-//!   holds its simulator source and destination ranks, its bytes and the
-//!   `g` of the recv it is matched to; a compute holds its simulator rank
+//!   holds its schedule source and destination ranks, its bytes and the
+//!   `g` of the recv it is matched to; a compute holds its schedule rank
 //!   and duration; a recv is passive and completes when its message lands.
 //! * **CSR dependents.** The ops that wait on `g` are
 //!   `dependents[dep_start[g]..dep_start[g + 1]]`, in ascending op index,
@@ -22,6 +22,18 @@
 //! runtime matching. `start` issues the ready ops in `g` order and each
 //! completion issues its newly ready dependents in CSR order, so the
 //! command sequence the engines see depends only on the schedule.
+//!
+//! **Placement is applied at issue.** The bound arrays hold schedule
+//! ranks; the app keeps the placement (`mapping[r]` is the simulator rank
+//! of schedule rank `r`) and maps a send's endpoints or a compute's rank
+//! when it issues the op. So one bound app replays under any number of
+//! placements: [`ScheduleApp::rebind`] installs a new mapping (same
+//! length, injective, checked as at binding) and resets the replay state,
+//! recomputing every in-degree from the CSR dependents and restoring the
+//! op count and `finish_ps`, whether or not the previous run finished.
+//! A rebound app issues exactly the commands a freshly bound one would.
+//! The reset keeps no second per-op array: the largest schedules have
+//! about a million ops.
 
 use crate::schedule::{OpKind, Schedule};
 use hxsim::{Application, Ctx, MsgInfo};
@@ -29,6 +41,7 @@ use hxsim::{Application, Ctx, MsgInfo};
 /// What issuing one op does (see the module doc).
 #[derive(Clone, Copy, Debug)]
 enum Action {
+    /// `src` and `dst` are schedule ranks.
     Send {
         src: u32,
         dst: u32,
@@ -37,15 +50,19 @@ enum Action {
         bytes: u64,
     },
     Recv,
+    /// `rank` is a schedule rank.
     Compute {
         rank: u32,
         ps: u64,
     },
 }
 
-/// A schedule bound to simulator ranks, executable by [`hxsim::Engine`].
+/// A schedule bound for replay and placed on simulator ranks by its
+/// mapping, executable by [`hxsim::Engine`].
 pub struct ScheduleApp {
     action: Vec<Action>,
+    /// Simulator rank of each schedule rank, applied at issue.
+    mapping: Vec<u32>,
     /// Remaining dependency count per op.
     indeg: Vec<u32>,
     /// CSR offsets into `dependents`, one per op plus one.
@@ -66,15 +83,40 @@ impl ScheduleApp {
     /// Bind `sched` with an explicit placement: schedule rank `r` runs on
     /// simulator rank `mapping[r]`.
     pub fn with_mapping(sched: &Schedule, mapping: Vec<u32>) -> Self {
-        assert_eq!(mapping.len(), sched.nranks);
-        // hxlint: allow(P001) constructor contract: binding an invalid schedule is a caller bug, fail loudly
-        sched.validate().expect("invalid schedule");
+        let mut app = Self::bind(sched);
+        app.rebind(mapping);
+        app
+    }
+
+    /// Replay the bound schedule again under `mapping`: check it as
+    /// binding does, install it, and reset the replay state (see the
+    /// module doc). The previous run may have finished or been cut short.
+    pub fn rebind(&mut self, mapping: Vec<u32>) {
+        assert_eq!(
+            mapping.len(),
+            self.mapping.len(),
+            "mapping must place every schedule rank"
+        );
         let mut placed = mapping.clone();
         placed.sort_unstable();
         assert!(
             placed.windows(2).all(|w| w[0] != w[1]),
             "mapping must be injective"
         );
+        self.mapping = mapping;
+        self.indeg.fill(0);
+        for &d in &self.dependents {
+            self.indeg[d as usize] += 1;
+        }
+        self.remaining = self.action.len();
+        self.finish_ps = 0;
+    }
+
+    /// Flatten `sched` into the bound arrays. The mapping and the replay
+    /// state are left for [`Self::rebind`] to set.
+    fn bind(sched: &Schedule) -> Self {
+        // hxlint: allow(P001) constructor contract: binding an invalid schedule is a caller bug, fail loudly
+        sched.validate().expect("invalid schedule");
 
         let mut base = Vec::with_capacity(sched.nranks);
         let mut n = 0usize;
@@ -85,12 +127,10 @@ impl ScheduleApp {
 
         // Dependents in CSR form: count per op, prefix-sum, then fill in
         // op order so each list stays ascending.
-        let mut indeg = Vec::with_capacity(n);
         let mut dep_start = vec![0u32; n + 1];
         let mut edges = 0usize;
         for (r, ops) in sched.ops.iter().enumerate() {
             for op in ops {
-                indeg.push(op.deps.len() as u32);
                 edges += op.deps.len();
                 for &d in &op.deps {
                     dep_start[base[r] + d as usize + 1] += 1;
@@ -123,8 +163,8 @@ impl ScheduleApp {
                     OpKind::Send { to, tag, payload } => {
                         sends.push((r as u32, to, tag, i as u32));
                         Action::Send {
-                            src: mapping[r],
-                            dst: mapping[to as usize],
+                            src: r as u32,
+                            dst: to,
                             recv: u32::MAX,
                             bytes: payload.bytes(sched.elem_bytes).max(1),
                         }
@@ -133,10 +173,7 @@ impl ScheduleApp {
                         recvs.push((from, r as u32, tag, i as u32));
                         Action::Recv
                     }
-                    OpKind::Compute { ps } => Action::Compute {
-                        rank: mapping[r],
-                        ps,
-                    },
+                    OpKind::Compute { ps } => Action::Compute { rank: r as u32, ps },
                 });
             }
         }
@@ -181,10 +218,11 @@ impl ScheduleApp {
 
         Self {
             action,
-            indeg,
+            mapping: vec![0; sched.nranks],
+            indeg: vec![0; n],
             dep_start,
             dependents,
-            remaining: n,
+            remaining: 0,
             finish_ps: 0,
         }
     }
@@ -193,15 +231,17 @@ impl ScheduleApp {
         self.remaining == 0
     }
 
-    /// Issue op `g`, whose dependencies are all satisfied.
+    /// Issue op `g`, whose dependencies are all satisfied, on the
+    /// simulator ranks the mapping places it.
     fn issue(&self, ctx: &mut Ctx, g: u32) {
+        let at = |r: u32| self.mapping[r as usize];
         match self.action[g as usize] {
             Action::Send {
                 src, dst, bytes, ..
-            } => ctx.send(src, dst, bytes, g as u64),
+            } => ctx.send(at(src), at(dst), bytes, g as u64),
             // Passive: completes when the matched message arrives.
             Action::Recv => {}
-            Action::Compute { rank, ps } => ctx.compute(rank, ps, g as u64),
+            Action::Compute { rank, ps } => ctx.compute(at(rank), ps, g as u64),
         }
     }
 
@@ -235,20 +275,20 @@ impl Application for ScheduleApp {
         let Action::Send { dst, recv, .. } = self.action[info.tag as usize] else {
             unreachable!("message tags are send op ids");
         };
-        debug_assert_eq!(dst, info.dst_rank);
+        debug_assert_eq!(self.mapping[dst as usize], info.dst_rank);
         self.complete(ctx, recv);
     }
 
     fn on_send_complete(&mut self, ctx: &mut Ctx, info: MsgInfo) {
         debug_assert!(
-            matches!(self.action[info.tag as usize], Action::Send { src, .. } if src == info.src_rank)
+            matches!(self.action[info.tag as usize], Action::Send { src, .. } if self.mapping[src as usize] == info.src_rank)
         );
         self.complete(ctx, info.tag as u32);
     }
 
     fn on_compute_done(&mut self, ctx: &mut Ctx, rank: u32, tag: u64) {
         debug_assert!(
-            matches!(self.action[tag as usize], Action::Compute { rank: r, .. } if r == rank)
+            matches!(self.action[tag as usize], Action::Compute { rank: r, .. } if self.mapping[r as usize] == rank)
         );
         self.complete(ctx, tag as u32);
     }
@@ -337,6 +377,18 @@ mod tests {
     #[should_panic(expected = "mapping must be injective")]
     fn non_injective_mapping_is_rejected() {
         ScheduleApp::with_mapping(&ring_allreduce(4, 16), vec![3, 1, 0, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "mapping must place every schedule rank")]
+    fn rebind_with_wrong_length_mapping_is_rejected() {
+        ScheduleApp::new(&ring_allreduce(4, 16)).rebind(vec![0, 1, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "mapping must be injective")]
+    fn rebind_with_non_injective_mapping_is_rejected() {
+        ScheduleApp::new(&ring_allreduce(4, 16)).rebind(vec![2, 2, 0, 1]);
     }
 
     #[test]

@@ -579,39 +579,31 @@ impl HxMeshRouter {
     }
 
     /// Entry accelerators through which the line network `net` delivers a
-    /// packet heading for `t`: the target board's edge nodes on this line.
-    /// Entries whose global cable failed are skipped, unless that would
-    /// leave none.
-    fn entries(&self, topo: &Topology, net: NetRef, t: HxCoord, out: &mut Vec<NodeId>) {
-        let before = out.len();
-        match net {
-            NetRef::RowLine { bi, r } => {
-                for (c, dir) in [(0, Dir::West), (self.b - 1, Dir::East)] {
-                    let node = self.acc(bi, t.bj, r, c);
-                    if !topo.link_failed(node, self.ports[node.idx()][dir as usize])
-                        && !out.contains(&node)
-                    {
-                        out.push(node);
-                    }
-                }
-                if out.len() == before {
-                    out.push(self.acc(bi, t.bj, r, 0));
-                }
-            }
-            NetRef::ColLine { bj, c } => {
-                for (r, dir) in [(0, Dir::North), (self.a - 1, Dir::South)] {
-                    let node = self.acc(t.bi, bj, r, c);
-                    if !topo.link_failed(node, self.ports[node.idx()][dir as usize])
-                        && !out.contains(&node)
-                    {
-                        out.push(node);
-                    }
-                }
-                if out.len() == before {
-                    out.push(self.acc(t.bi, bj, 0, c));
-                }
+    /// packet heading for `t`: the target board's edge nodes on this line,
+    /// as a two-slot array and the number of slots used. Entries whose
+    /// global cable failed are skipped, unless that would leave none.
+    fn entries(&self, topo: &Topology, net: NetRef, t: HxCoord) -> ([NodeId; 2], usize) {
+        let edges = match net {
+            NetRef::RowLine { bi, r } => [
+                (self.acc(bi, t.bj, r, 0), Dir::West),
+                (self.acc(bi, t.bj, r, self.b - 1), Dir::East),
+            ],
+            NetRef::ColLine { bj, c } => [
+                (self.acc(t.bi, bj, 0, c), Dir::North),
+                (self.acc(t.bi, bj, self.a - 1, c), Dir::South),
+            ],
+        };
+        let mut out = [edges[0].0; 2];
+        let mut n = 0;
+        for (node, dir) in edges {
+            if !topo.link_failed(node, self.ports[node.idx()][dir as usize])
+                && !out[..n].contains(&node)
+            {
+                out[n] = node;
+                n += 1;
             }
         }
+        (out, n.max(1))
     }
     /// The structured §IV-C candidate set (board lines, exits, trees),
     /// locally failure-aware for single-cable cases; `candidates` runs
@@ -628,10 +620,10 @@ impl HxMeshRouter {
             // Global-network switch: up*/down* toward the entry accelerators,
             // skipping failed links as long as a healthy candidate remains.
             let t = self.coords[target.idx()];
-            let mut entries = Vec::with_capacity(2);
-            self.entries(topo, net, t, &mut entries);
+            let (entries, n) = self.entries(topo, net, t);
+            let entries = &entries[..n];
             let mut produced = false;
-            for e in &entries {
+            for e in entries {
                 let ports = self.table.down_ports(node, *e);
                 for &port in ports {
                     if !topo.link_failed(node, port) && !out.iter().any(|h| h.port == port) {
@@ -652,7 +644,7 @@ impl HxMeshRouter {
                 // Every healthy option is gone (isolating failure): fall
                 // back to the failure-blind candidate set so the contract
                 // of a non-empty set when node != target holds.
-                for e in &entries {
+                for e in entries {
                     for &port in self.table.down_ports(node, *e) {
                         if !out.iter().any(|h| h.port == port) {
                             out.push(Hop { port, vc });

@@ -9,6 +9,7 @@
 
 use crate::graph::{NodeId, PortId, Topology};
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::Mutex;
 
 /// Congestion oracle the simulator exposes to routers for source-side
@@ -303,13 +304,24 @@ impl FailoverTable {
 /// in this switch's down-table, go up (any up port, adaptively); once it
 /// is, follow the recorded down ports. One VC suffices (up/down is
 /// deadlock-free), so the table never changes VCs.
+///
+/// Flat layout: every node id maps to its switch index (or to none, outside
+/// the tree); each switch owns a range of up ports and a range of down
+/// entries `(target, port range)`, sorted by target so a lookup is one
+/// index plus one binary search. A target's down ports are in ascending
+/// port order, and all ports sit in one shared array.
 #[derive(Clone, Debug, Default)]
 pub struct UpDownTable {
-    /// Per switch node: ports that point towards the roots.
-    up: BTreeMap<NodeId, Vec<PortId>>,
-    /// Per switch node: target accelerator -> down ports reaching it
-    /// minimally inside the tree.
-    down: BTreeMap<NodeId, BTreeMap<NodeId, Vec<PortId>>>,
+    /// Per node id: its switch index, `u32::MAX` outside the tree.
+    switch_of: Vec<u32>,
+    /// Per switch: its up ports, a range of `ports`.
+    up: Vec<Range<u32>>,
+    /// Per switch: its down entries, a range of `down`.
+    down_of: Vec<Range<u32>>,
+    /// Down entries: a target accelerator and the range of `ports` that
+    /// reaches it minimally inside the tree.
+    down: Vec<(NodeId, Range<u32>)>,
+    ports: Vec<PortId>,
 }
 
 impl UpDownTable {
@@ -325,82 +337,106 @@ impl UpDownTable {
         is_up: impl Fn(NodeId, PortId) -> bool,
         leaf_target: impl Fn(NodeId, PortId) -> Option<NodeId>,
     ) -> Self {
-        let mut table = UpDownTable::default();
-        // Classify ports and seed leaf down entries.
+        let mut table = UpDownTable {
+            switch_of: vec![u32::MAX; topo.num_nodes()],
+            ..Self::default()
+        };
+        // Levels in order, so a switch's children are complete when it
+        // collects the targets below each of its down ports.
+        let mut below: Vec<(NodeId, PortId)> = Vec::new();
         for (lvl, switches) in levels.iter().enumerate() {
             for &sw in switches {
-                let nports = topo.num_ports(sw);
-                let mut ups = Vec::new();
-                let mut downs: BTreeMap<NodeId, Vec<PortId>> = BTreeMap::new();
-                for p in 0..nports {
+                below.clear();
+                let up_start = table.ports.len() as u32;
+                for p in 0..topo.num_ports(sw) {
                     let port = PortId(p as u16);
                     if is_up(sw, port) {
-                        ups.push(port);
+                        table.ports.push(port);
                     } else if lvl == 0 {
                         if let Some(t) = leaf_target(sw, port) {
-                            downs.entry(t).or_default().push(port);
+                            below.push((t, port));
+                        }
+                    } else {
+                        let child = topo.peer(sw, port).node;
+                        if let Some(c) = table.switch(child) {
+                            let entries = table.entry_range(c);
+                            below.extend(table.down[entries].iter().map(|e| (e.0, port)));
                         }
                     }
                 }
-                table.up.insert(sw, ups);
-                table.down.insert(sw, downs);
-            }
-        }
-        // Propagate down-reachability upwards, level by level.
-        for lvl in 1..levels.len() {
-            for &sw in &levels[lvl] {
-                let nports = topo.num_ports(sw);
-                let mut mine: BTreeMap<NodeId, Vec<PortId>> = BTreeMap::new();
-                for p in 0..nports {
-                    let port = PortId(p as u16);
-                    if is_up(sw, port) {
-                        continue;
+                let up_end = table.ports.len() as u32;
+                // By target, then port: each target's ports ascend.
+                below.sort_unstable();
+                let first_entry = table.down.len() as u32;
+                for (i, &(t, port)) in below.iter().enumerate() {
+                    let at = table.ports.len() as u32;
+                    if i == 0 || below[i - 1].0 != t {
+                        table.down.push((t, at..at));
                     }
-                    let peer = topo.peer(sw, port).node;
-                    if let Some(child_tab) = table.down.get(&peer) {
-                        for target in child_tab.keys() {
-                            mine.entry(*target).or_default().push(port);
-                        }
-                    }
+                    table.ports.push(port);
+                    let last = table.down.len() - 1;
+                    table.down[last].1.end = at + 1;
                 }
-                table.down.insert(sw, mine);
+                table.switch_of[sw.idx()] = table.up.len() as u32;
+                table.up.push(up_start..up_end);
+                table.down_of.push(first_entry..table.down.len() as u32);
             }
         }
         table
     }
 
+    /// The switch index of `node`, if the tree contains it.
+    fn switch(&self, node: NodeId) -> Option<usize> {
+        match self.switch_of.get(node.idx()) {
+            Some(&s) if s != u32::MAX => Some(s as usize),
+            _ => None,
+        }
+    }
+
+    fn entry_range(&self, s: usize) -> Range<usize> {
+        let r = &self.down_of[s];
+        r.start as usize..r.end as usize
+    }
+
+    fn port_slice(&self, r: &Range<u32>) -> &[PortId] {
+        &self.ports[r.start as usize..r.end as usize]
+    }
+
+    /// The down ports of switch `s` toward `target`, if it has an entry.
+    fn find_down(&self, s: usize, target: NodeId) -> Option<&[PortId]> {
+        let entries = &self.down[self.entry_range(s)];
+        let i = entries.binary_search_by_key(&target, |e| e.0).ok()?;
+        Some(self.port_slice(&entries[i].1))
+    }
+
     /// Is this node part of the tree this table describes?
     pub fn contains(&self, node: NodeId) -> bool {
-        self.up.contains_key(&node)
+        self.switch(node).is_some()
     }
 
     /// Appends up/down candidates at `node` for `target` on the given VC.
     /// Returns `true` if any candidate was produced.
     pub fn candidates(&self, node: NodeId, target: NodeId, vc: u8, out: &mut Vec<Hop>) -> bool {
-        if let Some(m) = self.down.get(&node) {
-            if let Some(ports) = m.get(&target) {
-                out.extend(ports.iter().map(|&port| Hop { port, vc }));
-                return !ports.is_empty();
-            }
-        }
-        if let Some(ups) = self.up.get(&node) {
-            out.extend(ups.iter().map(|&port| Hop { port, vc }));
-            return !ups.is_empty();
-        }
-        false
+        let Some(s) = self.switch(node) else {
+            return false;
+        };
+        let ports = self
+            .find_down(s, target)
+            .unwrap_or_else(|| self.port_slice(&self.up[s]));
+        out.extend(ports.iter().map(|&port| Hop { port, vc }));
+        !ports.is_empty()
     }
 
     /// All down ports at `node` toward `target` (empty slice if none).
     pub fn down_ports(&self, node: NodeId, target: NodeId) -> &[PortId] {
-        self.down
-            .get(&node)
-            .and_then(|m| m.get(&target))
-            .map(|v| v.as_slice())
+        self.switch(node)
+            .and_then(|s| self.find_down(s, target))
             .unwrap_or(&[])
     }
 
     pub fn up_ports(&self, node: NodeId) -> &[PortId] {
-        self.up.get(&node).map(|v| v.as_slice()).unwrap_or(&[])
+        self.switch(node)
+            .map_or(&[], |s| self.port_slice(&self.up[s]))
     }
 }
 
@@ -574,6 +610,133 @@ mod tests {
                 vc: 0
             }]
         );
+    }
+
+    /// The up*/down* table before the flat layout: a `BTreeMap` of up
+    /// ports and a `BTreeMap` of `BTreeMap`s of down ports. Kept as the
+    /// oracle of [`flat_updown_table_matches_map_table`].
+    type MapTable = (
+        BTreeMap<NodeId, Vec<PortId>>,
+        BTreeMap<NodeId, BTreeMap<NodeId, Vec<PortId>>>,
+    );
+
+    fn map_table(
+        topo: &Topology,
+        levels: &[Vec<NodeId>],
+        is_up: impl Fn(NodeId, PortId) -> bool,
+        leaf_target: impl Fn(NodeId, PortId) -> Option<NodeId>,
+    ) -> MapTable {
+        let (mut up, mut down) = (BTreeMap::new(), BTreeMap::new());
+        for (lvl, switches) in levels.iter().enumerate() {
+            for &sw in switches {
+                let mut ups = Vec::new();
+                let mut downs: BTreeMap<NodeId, Vec<PortId>> = BTreeMap::new();
+                for p in 0..topo.num_ports(sw) {
+                    let port = PortId(p as u16);
+                    if is_up(sw, port) {
+                        ups.push(port);
+                    } else if lvl == 0 {
+                        if let Some(t) = leaf_target(sw, port) {
+                            downs.entry(t).or_default().push(port);
+                        }
+                    }
+                }
+                up.insert(sw, ups);
+                down.insert(sw, downs);
+            }
+        }
+        for lvl in 1..levels.len() {
+            for &sw in &levels[lvl] {
+                let mut mine: BTreeMap<NodeId, Vec<PortId>> = BTreeMap::new();
+                for p in 0..topo.num_ports(sw) {
+                    let port = PortId(p as u16);
+                    if is_up(sw, port) {
+                        continue;
+                    }
+                    if let Some(child) = down.get(&topo.peer(sw, port).node) {
+                        for target in child.keys() {
+                            mine.entry(*target).or_default().push(port);
+                        }
+                    }
+                }
+                down.insert(sw, mine);
+            }
+        }
+        (up, down)
+    }
+
+    /// Random three-level trees with parallel links, wired in shuffled
+    /// order so a target's down ports are several and interleaved with
+    /// other targets' ports: every lookup of the flat table equals the
+    /// map table's, ports in the same (ascending) order.
+    #[test]
+    fn flat_updown_table_matches_map_table() {
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        let mut multi_port_targets = 0;
+        for seed in 0..8 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut t = Topology::new();
+            let eps: Vec<NodeId> = (0..12).map(|r| t.add_accelerator(r)).collect();
+            let leaves: Vec<NodeId> = (0..4).map(|i| t.add_switch(0, 0, i)).collect();
+            let mids: Vec<NodeId> = (0..3).map(|i| t.add_switch(1, 0, i)).collect();
+            let roots: Vec<NodeId> = (0..2).map(|i| t.add_switch(2, 0, i)).collect();
+            let mut links: Vec<(NodeId, NodeId)> = Vec::new();
+            for (i, &e) in eps.iter().enumerate() {
+                links.push((e, leaves[i % leaves.len()]));
+            }
+            for &l in &leaves {
+                for &m in &mids {
+                    for _ in 0..rng.random_range(1..3) {
+                        links.push((l, m));
+                    }
+                }
+            }
+            for &m in &mids {
+                for &r in &roots {
+                    links.push((m, r));
+                }
+            }
+            links.shuffle(&mut rng);
+            for (a, b) in links {
+                t.connect(a, b, spec());
+            }
+            let level = |n: NodeId| match t.kind(n) {
+                crate::graph::NodeKind::Switch { level, .. } => Some(level),
+                _ => None,
+            };
+            let is_up = |sw: NodeId, p: PortId| level(t.peer(sw, p).node) > level(sw);
+            let leaf_target = |sw: NodeId, p: PortId| {
+                let peer = t.peer(sw, p).node;
+                t.kind(peer).is_accelerator().then_some(peer)
+            };
+            let levels = [leaves.clone(), mids.clone(), roots.clone()];
+            let flat = UpDownTable::build(&t, &levels, is_up, leaf_target);
+            let (up, down) = map_table(&t, &levels, is_up, leaf_target);
+            let targets = eps.iter().chain(&leaves[..1]);
+            for n in (0..t.num_nodes() as u32).map(NodeId) {
+                assert_eq!(flat.contains(n), up.contains_key(&n), "{n:?}");
+                let ups = up.get(&n).map_or(&[][..], |v| v.as_slice());
+                assert_eq!(flat.up_ports(n), ups, "{n:?}");
+                for &target in targets.clone() {
+                    let downs = down.get(&n).and_then(|m| m.get(&target));
+                    let want = downs.map_or(&[][..], |v| v.as_slice());
+                    assert_eq!(flat.down_ports(n, target), want, "{n:?} -> {target:?}");
+                    multi_port_targets += usize::from(want.len() >= 2);
+                    let mut got = Vec::new();
+                    let produced = flat.candidates(n, target, 1, &mut got);
+                    let ports = downs.map_or(ups, |v| v.as_slice());
+                    let expect: Vec<Hop> = if up.contains_key(&n) {
+                        ports.iter().map(|&port| Hop { port, vc: 1 }).collect()
+                    } else {
+                        Vec::new()
+                    };
+                    assert_eq!(produced, !expect.is_empty(), "{n:?} -> {target:?}");
+                    assert_eq!(got, expect, "{n:?} -> {target:?}");
+                }
+            }
+        }
+        assert!(multi_port_targets > 0, "no target had two down ports");
     }
 
     #[test]

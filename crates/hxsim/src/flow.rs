@@ -227,12 +227,22 @@ pub struct FlowEngine<'n> {
     /// larger than the window interleave packet-by-packet in the packet
     /// engine, so flows behind them fair-share immediately.
     inj_queue: Vec<Vec<FlowId>>,
-    /// Recycled route link-vectors, to keep steady state allocation-free.
+    /// Recycled route link-vectors and route sets, to keep the
+    /// per-message path allocation-free in steady state.
     spare_links: Vec<Vec<u32>>,
-    /// Scratch for routing candidates.
+    spare_routes: Vec<Vec<Route>>,
+    /// Scratch for a route class's first-hop candidates.
+    first_cand: Vec<Hop>,
+    /// Scratch for the routing walk's candidates at each later hop.
     cand: Vec<Hop>,
+    /// Scratch for the routing walk's visited nodes.
+    visited: Vec<NodeId>,
     /// Scratch for waypoint classes.
     waypoints: Vec<NodeId>,
+    /// Scratch for the commands of one batch of application callbacks.
+    cmds: Vec<Cmd>,
+    /// Scratch for the gated flows a NIC queue release may let through.
+    nic_cand: Vec<FlowId>,
     /// The stats, the failure-epoch topology with its schedule cursor,
     /// and the telemetry, kept the same way as the packet engine keeps
     /// them (see `ledger.rs`).
@@ -287,8 +297,13 @@ impl<'n> FlowEngine<'n> {
             inc_gen: 0,
             inj_queue: vec![Vec::new(); total],
             spare_links: Vec::new(),
+            spare_routes: Vec::new(),
+            first_cand: Vec::new(),
             cand: Vec::new(),
+            visited: Vec::new(),
             waypoints: Vec::new(),
+            cmds: Vec::new(),
+            nic_cand: Vec::new(),
             ledger: Ledger::new(net, std::mem::take(&mut cfg.failures), "flow"),
             epoch_changed: 0,
             stalled: Vec::new(),
@@ -309,12 +324,13 @@ impl<'n> FlowEngine<'n> {
 
     /// Run the application to completion. Returns the collected statistics.
     pub fn run(mut self, app: &mut dyn Application) -> SimStats {
-        let mut cmds = Vec::new();
+        let mut cmds = std::mem::take(&mut self.cmds);
         {
             let mut ctx = Ctx::new(0, &mut cmds);
             app.start(&mut ctx);
         }
         self.apply_cmds(&mut cmds);
+        self.cmds = cmds;
         self.recompute_rates();
 
         loop {
@@ -401,7 +417,7 @@ impl<'n> FlowEngine<'n> {
     /// solution — untouched, so its drain seeds nothing and the epoch's
     /// solve fills nothing.
     fn complete_drained_flows(&mut self, quantum: f64, app: &mut dyn Application) {
-        let mut cmds = Vec::new();
+        let mut cmds = std::mem::take(&mut self.cmds);
         let mut i = 0;
         while i < self.active.len() {
             let f = self.active[i];
@@ -423,7 +439,8 @@ impl<'n> FlowEngine<'n> {
             }
             self.active.swap_remove(i);
             // Release the NIC injection FIFOs and let successors through.
-            let mut candidates: Vec<FlowId> = Vec::new();
+            let mut candidates = std::mem::take(&mut self.nic_cand);
+            candidates.clear();
             for li in Self::first_links(&self.flows[f as usize].routes) {
                 let q = &mut self.inj_queue[li as usize];
                 let pos = q
@@ -438,11 +455,12 @@ impl<'n> FlowEngine<'n> {
                     }
                 }
             }
-            for g in candidates {
+            for &g in &candidates {
                 if self.flows[g as usize].gated && self.nic_eligible(g) {
                     self.activate(g);
                 }
             }
+            self.nic_cand = candidates;
             let fl = &self.flows[f as usize];
             let (msg, latency_ps) = (fl.msg, fl.latency_ps);
             self.flush_routes(f);
@@ -459,6 +477,7 @@ impl<'n> FlowEngine<'n> {
             self.push_event(self.now + latency_ps as f64, Event::Deliver(msg));
         }
         self.apply_cmds(&mut cmds);
+        self.cmds = cmds;
     }
 
     /// Bank a flow's carried bytes into the traffic stats and release its
@@ -499,6 +518,7 @@ impl<'n> FlowEngine<'n> {
             r.links.clear();
             self.spare_links.push(r.links);
         }
+        self.spare_routes.push(routes);
     }
 
     /// Apply every scheduled link event due at the current epoch (within
@@ -550,6 +570,7 @@ impl<'n> FlowEngine<'n> {
                         let dst_node = self.net.endpoints[info.dst_rank as usize];
                         let (routes, latency_ps) = self.build_routes(src_node, dst_node);
                         if routes.is_empty() {
+                            self.spare_routes.push(routes);
                             self.stalled.push((f, since));
                             continue;
                         }
@@ -573,7 +594,8 @@ impl<'n> FlowEngine<'n> {
         }
         // Leave the old NIC injection FIFOs, letting successors through
         // exactly as a drain does.
-        let mut candidates: Vec<FlowId> = Vec::new();
+        let mut candidates = std::mem::take(&mut self.nic_cand);
+        candidates.clear();
         for li in Self::first_links(&self.flows[f as usize].routes) {
             let q = &mut self.inj_queue[li as usize];
             if let Some(pos) = q.iter().position(|&g| g == f) {
@@ -597,12 +619,13 @@ impl<'n> FlowEngine<'n> {
         let (routes, latency_ps) = self.build_routes(src_node, dst_node);
         if routes.is_empty() {
             // Temporarily disconnected: wait for a scheduled repair.
+            self.spare_routes.push(routes);
             self.stalled.push((f, self.now));
         } else {
             self.attach_routes(f, routes, latency_ps);
             self.ledger.flow_reroute(info, self.now.round() as Time);
         }
-        for g in candidates {
+        for &g in &candidates {
             if self.flows[g as usize].gated
                 && !self.flows[g as usize].routes.is_empty()
                 && self.nic_eligible(g)
@@ -610,6 +633,7 @@ impl<'n> FlowEngine<'n> {
                 self.activate(g);
             }
         }
+        self.nic_cand = candidates;
     }
 
     /// Install a freshly built route set on a gated flow: subscribe its
@@ -626,9 +650,11 @@ impl<'n> FlowEngine<'n> {
             fl.routes = routes;
             fl.latency_ps = latency_ps;
         }
-        let firsts: Vec<u32> = Self::first_links(&self.flows[f as usize].routes).collect();
-        for li in firsts {
-            self.inj_queue[li as usize].push(f);
+        let Self {
+            flows, inj_queue, ..
+        } = self;
+        for li in Self::first_links(&flows[f as usize].routes) {
+            inj_queue[li as usize].push(f);
         }
         if self.nic_eligible(f) {
             self.activate(f);
@@ -639,6 +665,7 @@ impl<'n> FlowEngine<'n> {
     /// the coalescing `quantum` (they fire early by < quantum).
     fn pop_due_events(&mut self, quantum: f64, app: &mut dyn Application) {
         let now_ps = self.now.round() as Time;
+        let mut cmds = std::mem::take(&mut self.cmds);
         while let Some(&Reverse((TimeKey(t), _, _))) = self.queue.peek() {
             if t > self.now + quantum {
                 break;
@@ -646,7 +673,6 @@ impl<'n> FlowEngine<'n> {
             let Some(Reverse((_, _, ev))) = self.queue.pop() else {
                 unreachable!()
             };
-            let mut cmds = Vec::new();
             match ev {
                 Event::Deliver(msg) => {
                     let m = &mut self.msgs[msg as usize];
@@ -665,6 +691,7 @@ impl<'n> FlowEngine<'n> {
             }
             self.apply_cmds(&mut cmds);
         }
+        self.cmds = cmds;
     }
 
     fn apply_cmds(&mut self, cmds: &mut Vec<Cmd>) {
@@ -718,6 +745,7 @@ impl<'n> FlowEngine<'n> {
             // Destination currently disconnected: the flow stalls at the
             // NIC and resumes if a scheduled repair reconnects it; a run
             // ending with stalled flows reports [`SimError::Disconnected`].
+            self.spare_routes.push(routes);
             self.stalled.push((f, self.now));
             return;
         }
@@ -744,19 +772,19 @@ impl<'n> FlowEngine<'n> {
             net.router
                 .waypoint_options(&topo, src_node, dst_node, &mut waypoints);
         }
-        let mut routes: Vec<Route> = Vec::new();
+        let mut routes = self.spare_routes.pop().unwrap_or_default();
         let mut latency_ps = 0u64;
+        let mut firsts = std::mem::take(&mut self.first_cand);
         for class in std::iter::once(None).chain(waypoints.iter().copied().map(Some)) {
             let target = class.unwrap_or(dst_node);
-            let mut cand = std::mem::take(&mut self.cand);
-            cand.clear();
-            net.router.candidates(&topo, src_node, 0, target, &mut cand);
-            let mut seen_ports: Vec<PortId> = Vec::with_capacity(cand.len());
-            for h in &cand {
-                if seen_ports.contains(&h.port) {
+            firsts.clear();
+            net.router
+                .candidates(&topo, src_node, 0, target, &mut firsts);
+            for (i, h) in firsts.iter().enumerate() {
+                // One route per distinct first-hop port.
+                if firsts[..i].iter().any(|e| e.port == h.port) {
                     continue;
                 }
-                seen_ports.push(h.port);
                 let (links, lat) = self.walk_route(&topo, src_node, dst_node, class, *h);
                 latency_ps = latency_ps.max(lat);
                 routes.push(Route {
@@ -765,8 +793,8 @@ impl<'n> FlowEngine<'n> {
                     carried: 0.0,
                 });
             }
-            self.cand = cand;
         }
+        self.first_cand = firsts;
         self.waypoints = waypoints;
         self.ledger.topo = topo;
         (routes, latency_ps)
@@ -839,7 +867,9 @@ impl<'n> FlowEngine<'n> {
     ) -> (Vec<u32>, u64) {
         let router = &self.net.router;
         let mut links = self.spare_links.pop().unwrap_or_default();
-        let mut visited: Vec<NodeId> = vec![src];
+        let mut visited = std::mem::take(&mut self.visited);
+        visited.clear();
+        visited.push(src);
         let mut latency_ps = 0u64;
         let mut node = src;
         let mut hop = first;
@@ -900,6 +930,7 @@ impl<'n> FlowEngine<'n> {
                 self.net.name
             );
         }
+        self.visited = visited;
         (links, latency_ps)
     }
 
