@@ -74,6 +74,35 @@ fn fig10_failures_routed() {
     std::fs::remove_file(&csv).ok();
 }
 
+/// Run `cluster_sweep` with `args` plus `--csv` and return the CSV.
+fn cluster_sweep_csv(args: &[&str], tag: &str) -> String {
+    let csv =
+        std::env::temp_dir().join(format!("hx_cluster_sweep_{}_{tag}.csv", std::process::id()));
+    let out = Command::new(env!("CARGO_BIN_EXE_cluster_sweep"))
+        .args(args)
+        .args(["--csv", csv.to_str().unwrap()])
+        .output()
+        .expect("spawn cluster_sweep");
+    assert!(
+        out.status.success(),
+        "cluster_sweep exited with {:?}\n--- stdout ---\n{}\n--- stderr ---\n{}",
+        out.status.code(),
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr),
+    );
+    let body = std::fs::read_to_string(&csv).expect("cluster_sweep CSV written");
+    std::fs::remove_file(&csv).ok();
+    body
+}
+
+/// The committed golden `tests/golden/<name>`.
+fn golden(name: &str) -> String {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
 /// The cluster-lifetime sweep at quick scale: 64 boards, mid-run cable
 /// fail + repair events at every load point, per-job wait/completion rows
 /// and time-averaged fragmentation in the CSV — and the whole CSV is
@@ -82,32 +111,14 @@ fn fig10_failures_routed() {
 /// when cluster results are meant to change, and say so in the commit.
 #[test]
 fn cluster_sweep_csv_is_complete_and_deterministic() {
-    let run = |tag: &str| {
-        let csv =
-            std::env::temp_dir().join(format!("hx_cluster_sweep_{}_{tag}.csv", std::process::id()));
-        let out = Command::new(env!("CARGO_BIN_EXE_cluster_sweep"))
-            .args(["--traces", "12", "--seed", "12648430"])
-            .args(["--csv", csv.to_str().unwrap()])
-            .output()
-            .expect("spawn cluster_sweep");
-        assert!(
-            out.status.success(),
-            "cluster_sweep exited with {:?}\n--- stdout ---\n{}\n--- stderr ---\n{}",
-            out.status.code(),
-            String::from_utf8_lossy(&out.stdout),
-            String::from_utf8_lossy(&out.stderr),
-        );
-        let body = std::fs::read_to_string(&csv).expect("cluster_sweep CSV written");
-        std::fs::remove_file(&csv).ok();
-        body
-    };
+    let run = |tag: &str| cluster_sweep_csv(&["--traces", "12", "--seed", "12648430"], tag);
 
     let body = run("a");
-    let golden =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/cluster_sweep.csv");
-    let golden =
-        std::fs::read_to_string(&golden).unwrap_or_else(|e| panic!("{}: {e}", golden.display()));
-    assert_eq!(body, golden, "cluster_sweep CSV drifted from its golden");
+    assert_eq!(
+        body,
+        golden("cluster_sweep.csv"),
+        "cluster_sweep CSV drifted from its golden"
+    );
     let header = body.lines().next().unwrap();
     for col in ["wait_ps", "jct_ps", "frag_avg", "fails", "repairs"] {
         assert!(header.contains(col), "missing column {col}: {header}");
@@ -131,6 +142,22 @@ fn cluster_sweep_csv_is_complete_and_deterministic() {
     );
 
     assert_eq!(body, run("b"), "same seed must reproduce the CSV exactly");
+}
+
+/// The in-situ cluster sweep: each fail/repair event also lands inside
+/// the iterations it interrupts, whose flows re-route mid-run, and the
+/// excess over the frozen-epoch model is charged to the job. Its CSV is
+/// pinned to the golden `tests/golden/cluster_sweep_in_situ.csv` (19 of
+/// its rows differ from the frozen-epoch run of the same seed, so the
+/// golden pins the in-situ penalties).
+#[test]
+fn cluster_sweep_in_situ_csv_matches_its_golden() {
+    let args = ["--mode", "in-situ", "--traces", "30", "--seed", "12648430"];
+    assert_eq!(
+        cluster_sweep_csv(&args, "in_situ"),
+        golden("cluster_sweep_in_situ.csv"),
+        "in-situ cluster_sweep CSV drifted from its golden"
+    );
 }
 
 /// The CI perf-smoke harness must run and write exactly its two

@@ -331,7 +331,7 @@ impl ClusterSim {
                     }
                 }
                 Event::CableRepair { node, port } => {
-                    if self.net.topo.restore_link(node, port) {
+                    if self.net.topo.link_failed(node, port) {
                         self.repair_events += 1;
                         if self.sink.enabled() {
                             self.sink.instant_args(
@@ -587,7 +587,8 @@ impl ClusterSim {
     }
 
     /// Draw one connectivity-preserving cable failure, schedule its
-    /// repair, and re-rate every running job on the new epoch.
+    /// repair, and hand it to [`ClusterSim::rerate_with_event`], which
+    /// applies it.
     fn fail_one_cable(&mut self, now: u64) {
         let mut pool = self.net.topo.cables();
         pool.shuffle(&mut self.fail_rng);
@@ -595,8 +596,9 @@ impl ClusterSim {
             if !self.net.topo.fail_link(node, port) {
                 continue; // already failed
             }
-            if !self.net.endpoints_connected() {
-                self.net.topo.restore_link(node, port);
+            let connected = self.net.endpoints_connected();
+            self.net.topo.restore_link(node, port); // end of the trial
+            if !connected {
                 continue;
             }
             self.fail_events += 1;
@@ -624,30 +626,23 @@ impl ClusterSim {
         self.rerate_with_event(now, None);
     }
 
-    /// The failure epoch moved (or, with `event = None`, a defrag moved
-    /// the placements): bank each running job's progress at its old rate,
-    /// re-measure its iteration time on the current network, and schedule
-    /// a fresh completion. With `in_situ_failures` on and a link event at
-    /// hand, the iteration each job had in flight is additionally
-    /// measured *in situ* — simulated from the pre-event epoch with the
+    /// A link event arrived (or, with `event = None`, a defrag moved the
+    /// placements): apply the event to the network, bank each running
+    /// job's progress at its old rate, re-measure its iteration time on
+    /// the current network, and schedule a fresh completion. With
+    /// `in_situ_failures` on, the iteration each job had in flight is
+    /// first measured *in situ*, on the still pre-event network with the
     /// event injected at the job's fractional position, so flows re-route
-    /// (or packets retransmit) inside the run — and the measured excess
+    /// (or packets retransmit) inside the run, and the measured excess
     /// over the frozen-epoch model is charged to that job's finish time.
     fn rerate_with_event(&mut self, now: u64, event: Option<(NodeId, PortId, LinkEventKind)>) {
         let ids: Vec<u32> = self.running.keys().copied().collect(); // id order
 
         // In-situ pass: the communication time of each interrupted
-        // iteration, keyed by job. Runs on the pre-event topology.
+        // iteration, keyed by job.
         let mut interrupted: BTreeMap<u32, u64> = BTreeMap::new();
-        if self.cfg.in_situ_failures {
-            if let Some((node, port, kind)) = event {
-                // Flip the link back to the state the in-flight iterations
-                // started under; the event then lands mid-simulation.
-                let flipped = match kind {
-                    LinkEventKind::Fail => self.net.topo.restore_link(node, port),
-                    LinkEventKind::Repair => self.net.topo.fail_link(node, port),
-                };
-                debug_assert!(flipped, "epoch event did not change the link");
+        if let Some((node, port, kind)) = event {
+            if self.cfg.in_situ_failures {
                 for &id in &ids {
                     let (placement, grad_bytes, frac, comm_old) = {
                         let r = &self.running[&id];
@@ -672,13 +667,12 @@ impl ClusterSim {
                     self.flows_rerouted += stats.flows_rerouted;
                     interrupted.insert(id, stats.finish_ps);
                 }
-                // Back to the post-event epoch for the steady-state rates.
-                let restored = match kind {
-                    LinkEventKind::Fail => self.net.topo.fail_link(node, port),
-                    LinkEventKind::Repair => self.net.topo.restore_link(node, port),
-                };
-                debug_assert!(restored, "post-event epoch not restored");
             }
+            let changed = match kind {
+                LinkEventKind::Fail => self.net.topo.fail_link(node, port),
+                LinkEventKind::Repair => self.net.topo.restore_link(node, port),
+            };
+            debug_assert!(changed, "epoch event did not change the link");
         }
         for id in ids {
             // Measure with the borrow released, then write back.

@@ -97,7 +97,7 @@ struct Waiver {
 
 /// Mark every token inside a `#[cfg(test)]` / `#[test]` item. The scan is
 /// attribute-driven: a test-ish attribute claims the next item, which
-/// extends to its matching `}` (or terminating `;` for braceless items).
+/// extends as far as [`item_end`] says.
 fn test_regions(toks: &[Token]) -> Vec<bool> {
     let mut in_test = vec![false; toks.len()];
     let mut i = 0usize;
@@ -149,20 +149,69 @@ fn matching(toks: &[Token], open: usize, open_c: char, close_c: char) -> usize {
     toks.len().saturating_sub(1)
 }
 
-/// End index of the item starting at `i`: the `}` matching its first
-/// body-level `{`, or the first `;` outside any nesting.
+/// Keywords that open an item, or a statement ending in a block.
+const ITEM_KEYWORDS: &[&str] = &[
+    "async", "const", "enum", "extern", "fn", "for", "if", "impl", "let", "loop", "match", "mod",
+    "static", "struct", "trait", "type", "union", "unsafe", "use", "while",
+];
+
+/// End index of the item starting at `i`. An item, a block, a macro
+/// invocation, or a statement opening with one of [`ITEM_KEYWORDS`] ends
+/// at the `}` matching its first body-level `{`, or at the first `;`
+/// outside any nesting. Anything else is one element of a list — a struct
+/// field, a struct-literal field, an enum variant — or an expression
+/// statement: it ends at its first `,` or `;` outside any nesting, or just
+/// before the bracket closing the enclosing list.
 fn item_end(toks: &[Token], i: usize) -> usize {
     let mut depth = 0usize;
-    for (j, t) in toks.iter().enumerate().skip(i) {
-        match t.tok {
-            Tok::Punct('(') | Tok::Punct('[') => depth += 1,
-            Tok::Punct(')') | Tok::Punct(']') => depth = depth.saturating_sub(1),
-            Tok::Punct('{') if depth == 0 => return matching(toks, j, '{', '}'),
-            Tok::Punct(';') if depth == 0 => return j,
-            _ => {}
+    if opens_item(toks, i) {
+        for (j, t) in toks.iter().enumerate().skip(i) {
+            match t.tok {
+                Tok::Punct('(') | Tok::Punct('[') => depth += 1,
+                Tok::Punct(')') | Tok::Punct(']') => depth = depth.saturating_sub(1),
+                Tok::Punct('{') if depth == 0 => return matching(toks, j, '{', '}'),
+                Tok::Punct(';') if depth == 0 => return j,
+                _ => {}
+            }
+        }
+    } else {
+        for (j, t) in toks.iter().enumerate().skip(i) {
+            match t.tok {
+                Tok::Punct('(') | Tok::Punct('[') | Tok::Punct('{') => depth += 1,
+                Tok::Punct(')') | Tok::Punct(']') | Tok::Punct('}') if depth == 0 => {
+                    return j.saturating_sub(1).max(i);
+                }
+                Tok::Punct(')') | Tok::Punct(']') | Tok::Punct('}') => depth -= 1,
+                Tok::Punct(',') | Tok::Punct(';') if depth == 0 => return j,
+                _ => {}
+            }
         }
     }
     toks.len().saturating_sub(1)
+}
+
+/// Whether the tokens from `i` on, past comments and a `pub` or
+/// `pub(..)` visibility, open a block or a macro invocation, or start
+/// with an item keyword.
+fn opens_item(toks: &[Token], i: usize) -> bool {
+    let mut j = i;
+    while toks
+        .get(j)
+        .is_some_and(|t| matches!(t.tok, Tok::LineComment(_)))
+    {
+        j += 1;
+    }
+    if toks.get(j).is_some_and(|t| t.is_ident("pub")) {
+        j += 1;
+        if toks.get(j).is_some_and(|t| t.is_punct('(')) {
+            j = matching(toks, j, '(', ')') + 1;
+        }
+    }
+    toks.get(j).is_some_and(|t| {
+        t.is_punct('{')
+            || ITEM_KEYWORDS.iter().any(|k| t.is_ident(k))
+            || toks.get(j + 1).is_some_and(|n| n.is_punct('!'))
+    })
 }
 
 /// Extract waivers from the token stream's line comments.
@@ -395,6 +444,86 @@ mod tests {
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].line, 2);
         assert_eq!(f[0].rule, "P001");
+    }
+
+    /// A `#[cfg(test)]` struct field is test code up to its comma; the
+    /// rest of the struct and the `impl` after it are library code.
+    #[test]
+    fn cfg_test_struct_field_ends_at_its_comma() {
+        let src = r#"
+            struct Engine {
+                #[cfg(test)]
+                probe: Probe,
+                live: u32
+            }
+            impl Engine {
+                fn push(&self) { x.unwrap(); }
+            }
+        "#;
+        let f = lint_source("f.rs", &cx("hxsim", FileKind::Lib), src);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!((f[0].line, f[0].rule.as_str()), (8, "P001"));
+    }
+
+    /// Struct-literal fields, the last one closed by the literal's `}`.
+    #[test]
+    fn cfg_test_struct_literal_fields_end_at_their_comma_or_brace() {
+        let src = r#"
+            fn new() -> Engine {
+                let e = Engine {
+                    #[cfg(test)]
+                    probe: Probe::new(a.unwrap()),
+                    live: b.unwrap(),
+                    #[cfg(test)]
+                    last: Probe::default()
+                };
+                c.unwrap();
+                e
+            }
+        "#;
+        let f = lint_source("f.rs", &cx("hxsim", FileKind::Lib), src);
+        let lines: Vec<u32> = f.iter().map(|f| f.line).collect();
+        assert_eq!(lines, [6, 10], "{f:?}");
+    }
+
+    /// Enum variants: unit, tuple and struct-like.
+    #[test]
+    fn cfg_test_enum_variants_end_at_their_comma() {
+        let src = r#"
+            enum Ev {
+                #[cfg(test)]
+                Named { a: u32 },
+                #[cfg(test)]
+                Tuple(u32),
+                #[cfg(test)]
+                Probe,
+                Live
+            }
+            fn f() { x.unwrap(); }
+        "#;
+        let f = lint_source("f.rs", &cx("hxsim", FileKind::Lib), src);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].line, 11);
+    }
+
+    /// Generic items and macro items keep their whole body: the commas
+    /// between their parameters do not end them.
+    #[test]
+    fn cfg_test_generic_items_are_not_cut_at_their_commas() {
+        let src = r#"
+            #[cfg(test)]
+            impl<A, B> Pair<A, B> {
+                fn get(&self) { x.unwrap(); }
+            }
+            #[cfg(test)]
+            pub(crate) fn f<T, U>(t: T, u: U) { y.unwrap(); }
+            #[cfg(test)]
+            macro_rules! m { ($a:expr, $b:expr) => { $a.unwrap() }; }
+            fn live() { z.unwrap(); }
+        "#;
+        let f = lint_source("f.rs", &cx("hxsim", FileKind::Lib), src);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].line, 10);
     }
 
     #[test]

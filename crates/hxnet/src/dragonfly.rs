@@ -13,7 +13,7 @@
 
 use crate::cable_link;
 use crate::graph::{Cable, Network, NodeId, PortId, Topology};
-use crate::route::{FailoverTable, Hop, LoadProbe, Router};
+use crate::route::{Hop, LoadProbe, Router};
 use std::collections::BTreeMap;
 
 #[derive(Clone, Debug)]
@@ -222,7 +222,6 @@ impl DragonflyParams {
             local_port,
             endpoint_port,
             group_of,
-            failover: FailoverTable::new(),
         };
         Network {
             topo,
@@ -238,12 +237,11 @@ impl DragonflyParams {
 
 /// Minimal + Valiant (UGAL-L) Dragonfly routing.
 ///
-/// Failure-aware: while any link is failed, the minimal candidate set is
-/// corrected by a [`FailoverTable`] — dead global cables stop being
-/// offered, local hops toward switches that lost their direct link are
-/// suppressed, and cut minimal routes fall back to failure-aware shortest
-/// paths. UGAL's Valiant escape only picks intermediates the failure set
-/// leaves reachable.
+/// Under fault injection [`Router::next_hops`] corrects the minimal set:
+/// dead global cables stop being offered, local hops toward switches that
+/// lost their direct link are suppressed, and cut minimal routes fall
+/// back to failure-aware shortest paths. UGAL's Valiant escape only picks
+/// intermediates the failure set leaves reachable.
 pub struct DragonflyRouter {
     groups: u32,
     switches: Vec<NodeId>,
@@ -258,7 +256,6 @@ pub struct DragonflyRouter {
     endpoint_port: BTreeMap<NodeId, BTreeMap<NodeId, PortId>>,
     /// switch -> group id.
     group_of: BTreeMap<NodeId, u32>,
-    failover: FailoverTable,
 }
 
 impl DragonflyRouter {
@@ -278,10 +275,15 @@ impl DragonflyRouter {
             crate::graph::NodeKind::Switch { .. } => target,
         }
     }
+}
 
-    /// The failure-blind minimal (l, g, l) candidate set; `candidates`
-    /// corrects it through the [`FailoverTable`] when links are failed.
-    fn structured_candidates(
+impl Router for DragonflyRouter {
+    fn num_vcs(&self) -> u8 {
+        3
+    }
+
+    /// The failure-blind minimal (l, g, l) set.
+    fn candidates(
         &self,
         topo: &Topology,
         node: NodeId,
@@ -289,6 +291,9 @@ impl DragonflyRouter {
         target: NodeId,
         out: &mut Vec<Hop>,
     ) {
+        if node == target {
+            return;
+        }
         if topo.kind(node).is_accelerator() {
             for p in 0..topo.num_ports(node) {
                 out.push(Hop {
@@ -338,35 +343,6 @@ impl DragonflyRouter {
             }
         }
     }
-}
-
-impl Router for DragonflyRouter {
-    fn num_vcs(&self) -> u8 {
-        3
-    }
-
-    fn candidates(
-        &self,
-        topo: &Topology,
-        node: NodeId,
-        vc: u8,
-        target: NodeId,
-        out: &mut Vec<Hop>,
-    ) {
-        if vc >= self.num_vcs() {
-            // Escape VC: sticky failure-epoch routing (see FailoverTable).
-            self.failover.escape_candidates(topo, node, vc, target, out);
-            return;
-        }
-        if node == target {
-            return;
-        }
-        self.structured_candidates(topo, node, vc, target, out);
-        if topo.has_failures() {
-            self.failover
-                .filter(topo, node, self.num_vcs(), target, out);
-        }
-    }
 
     fn select_waypoint(
         &self,
@@ -390,7 +366,7 @@ impl Router for DragonflyRouter {
         }];
         let min_q = {
             let mut cand = Vec::new();
-            self.candidates(topo, ssw, 0, dst, &mut cand);
+            self.next_hops(topo, ssw, 0, dst, &mut cand);
             cand.iter()
                 .map(|h| probe.queued_bytes(ssw, h.port))
                 .min()
@@ -404,14 +380,12 @@ impl Router for DragonflyRouter {
         let iw = self.switches[ig as usize * self.a + (rng.next_u32() as usize % self.a)];
         // Under fault injection, never steer a packet at an intermediate
         // the failure set cut off (in either phase of the Valiant path).
-        if topo.has_failures()
-            && !(self.failover.reachable(topo, ssw, iw) && self.failover.reachable(topo, iw, dst))
-        {
+        if topo.has_failures() && !(topo.reachable(ssw, iw) && topo.reachable(iw, dst)) {
             return None;
         }
         let val_q = {
             let mut cand = Vec::new();
-            self.candidates(topo, ssw, 0, iw, &mut cand);
+            self.next_hops(topo, ssw, 0, iw, &mut cand);
             cand.iter()
                 .map(|h| probe.queued_bytes(ssw, h.port))
                 .min()

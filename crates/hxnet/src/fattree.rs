@@ -8,7 +8,7 @@
 
 use crate::cable_link;
 use crate::graph::{Cable, Network, NodeId, PortId, Topology};
-use crate::route::{FailoverTable, Hop, Router, UpDownTable};
+use crate::route::{Hop, Router, UpDownTable};
 
 /// Parameters of a fat tree. Use the preset constructors for the paper's
 /// exact App. C configurations.
@@ -230,7 +230,7 @@ impl FatTreeParams {
             },
         );
         Network {
-            router: Box::new(FatTreeRouter::new(table)),
+            router: Box::new(FatTreeRouter { table }),
             topo,
             endpoints,
             name: self.name.clone(),
@@ -240,23 +240,12 @@ impl FatTreeParams {
 
 /// Up*/down* adaptive routing on a fat tree (one VC; deadlock-free).
 ///
-/// Failure-aware: while any link is failed, the up/down candidate set is
-/// corrected by a [`FailoverTable`] — dead up/down ports are skipped, up
-/// ports whose spine can no longer reach the target are not offered, and
-/// when a switch's whole structured set is cut the router falls back to
-/// failure-aware shortest paths.
+/// Under fault injection [`Router::next_hops`] corrects the up/down set:
+/// dead up/down ports are skipped, up ports whose spine can no longer
+/// reach the target are not offered, and when a switch's whole structured
+/// set is cut the hops fall back to failure-aware shortest paths.
 pub struct FatTreeRouter {
     table: UpDownTable,
-    failover: FailoverTable,
-}
-
-impl FatTreeRouter {
-    fn new(table: UpDownTable) -> Self {
-        Self {
-            table,
-            failover: FailoverTable::new(),
-        }
-    }
 }
 
 impl Router for FatTreeRouter {
@@ -272,11 +261,6 @@ impl Router for FatTreeRouter {
         target: NodeId,
         out: &mut Vec<Hop>,
     ) {
-        if vc >= self.num_vcs() {
-            // Escape VC: sticky failure-epoch routing (see FailoverTable).
-            self.failover.escape_candidates(topo, node, vc, target, out);
-            return;
-        }
         if node == target {
             return;
         }
@@ -290,10 +274,6 @@ impl Router for FatTreeRouter {
             }
         } else {
             self.table.candidates(node, target, vc, out);
-        }
-        if topo.has_failures() {
-            self.failover
-                .filter(topo, node, self.num_vcs(), target, out);
         }
     }
 }
@@ -317,7 +297,7 @@ pub fn single_switch(n: usize, name: &str) -> Network {
         },
     );
     Network {
-        router: Box::new(FatTreeRouter::new(table)),
+        router: Box::new(FatTreeRouter { table }),
         topo,
         endpoints,
         name: name.to_string(),
@@ -372,7 +352,7 @@ mod tests {
             let mut hops = 0;
             while node != dst {
                 let mut cand = Vec::new();
-                net.router.candidates(&net.topo, node, 0, dst, &mut cand);
+                net.router.next_hops(&net.topo, node, 0, dst, &mut cand);
                 assert!(!cand.is_empty(), "stuck at {node:?} toward {dst:?}");
                 node = net.topo.peer(node, cand[0].port).node;
                 hops += 1;
@@ -445,7 +425,7 @@ mod tests {
             net.topo.fail_link(leaf, p);
         }
         let mut cand = Vec::new();
-        net.router.candidates(&net.topo, leaf, 0, dst, &mut cand);
+        net.router.next_hops(&net.topo, leaf, 0, dst, &mut cand);
         assert_eq!(cand.len(), 1);
         assert_eq!(cand[0].port, ups[0]);
         // Also kill the surviving spine's *down* link toward dst's leaf:
@@ -463,8 +443,7 @@ mod tests {
         // Isolating dst entirely makes the router report unreachable
         // (empty candidate set) instead of looping.
         net.topo.fail_link(dst, PortId(0));
-        cand.clear();
-        net.router.candidates(&net.topo, leaf, 0, dst, &mut cand);
+        net.router.next_hops(&net.topo, leaf, 0, dst, &mut cand);
         assert!(cand.is_empty(), "{cand:?}");
         // Repair: the full candidate set returns.
         net.topo.restore_link(dst, PortId(0));
@@ -472,8 +451,7 @@ mod tests {
         for &p in &ups[1..] {
             net.topo.restore_link(leaf, p);
         }
-        cand.clear();
-        net.router.candidates(&net.topo, leaf, 0, dst, &mut cand);
+        net.router.next_hops(&net.topo, leaf, 0, dst, &mut cand);
         assert_eq!(cand.len(), ups.len());
         check_reachability(&net, &[(0, 31)], 4);
     }

@@ -8,6 +8,7 @@
 //! only the routing algorithms care about the distinction.
 
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Identifier of a node (accelerator or switch) inside one [`Topology`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -117,11 +118,12 @@ pub struct Node {
 ///
 /// The set id returns to a previous value when the failure set does: a
 /// fail → restore → fail cycle on the same cable yields the same id as
-/// the first failure. Failure-aware routing caches key on this, so
-/// the cluster simulator's fail/repair churn (which toggles the same few
-/// cables over days of simulated time) reuses BFS state instead of
-/// recomputing it every epoch, while any *different* set — including the
-/// empty one — changes the id and invalidates the cache.
+/// the first failure. The cluster simulator's iteration-time memo keys on
+/// this, so its fail/repair churn (which toggles the same few cables over
+/// days of simulated time) re-simulates a recurring set once, while any
+/// *different* set — including the empty one — changes the id. (The
+/// failure-aware routing distances are not keyed on it: they live in the
+/// [`Topology`] and are dropped by every change of the set.)
 ///
 /// The fingerprint XORs a splitmix64-mixed hash of each failed cable's
 /// canonical end; XOR is commutative and self-inverse, so it is maintained
@@ -155,6 +157,10 @@ pub struct Topology {
     /// XOR-accumulated fingerprint of the current failure set (see
     /// [`FailureSetId`]); updated in O(1) alongside `failed_links`.
     failure_fingerprint: u64,
+    /// Per target node: the failure-aware hop distance from every node to
+    /// it ([`Topology::hops_to`]). One slot per node, each filled on first
+    /// use; every change to the graph or the failure set drops them all.
+    dist_to: OnceLock<Box<[OnceLock<Vec<u32>>]>>,
 }
 
 impl Topology {
@@ -171,6 +177,7 @@ impl Topology {
 
     /// Add a node with no ports yet; returns its id.
     pub fn add_node(&mut self, kind: NodeKind) -> NodeId {
+        self.dist_to.take();
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Node {
             kind,
@@ -191,6 +198,7 @@ impl Topology {
     /// on each side and returns them as `(port_on_a, port_on_b)`.
     pub fn connect(&mut self, a: NodeId, b: NodeId, spec: LinkSpec) -> (PortId, PortId) {
         assert_ne!(a, b, "self-loops are not allowed");
+        self.dist_to.take();
         let pa = PortId(self.nodes[a.idx()].ports.len() as u16);
         let pb = PortId(self.nodes[b.idx()].ports.len() as u16);
         self.nodes[a.idx()].ports.push(Link {
@@ -243,6 +251,7 @@ impl Topology {
         self.nodes[peer.node.idx()].ports[peer.port.idx()].failed = true;
         self.failed_links += 1;
         self.failure_fingerprint ^= Self::cable_hash(node, port, peer);
+        self.dist_to.take();
         true
     }
 
@@ -266,6 +275,7 @@ impl Topology {
         self.nodes[peer.node.idx()].ports[peer.port.idx()].failed = false;
         self.failed_links -= 1;
         self.failure_fingerprint ^= Self::cable_hash(node, port, peer);
+        self.dist_to.take();
         true
     }
 
@@ -396,9 +406,30 @@ impl Topology {
     /// Unweighted BFS hop distance from `src` over **healthy** links only:
     /// failed links are treated as absent. `u32::MAX` marks nodes the
     /// current failure set disconnects from `src`. This is the metric the
-    /// failure-aware routing fallback and the cable-failure sweeps use.
+    /// failure-aware routing rule and the cable-failure sweeps use.
     pub fn bfs_hops_healthy(&self, src: NodeId) -> Vec<u32> {
         self.bfs(src, true)
+    }
+
+    /// Failure-aware hop distance from every node to `target` under the
+    /// current failure set (`u32::MAX`: disconnected), computed on first
+    /// use and kept until [`Topology::fail_link`] or
+    /// [`Topology::restore_link`] changes the set. The distances behind
+    /// [`crate::route::Router::next_hops`] and the waypoint reachability
+    /// checks.
+    pub fn hops_to(&self, target: NodeId) -> &[u32] {
+        let slots = self
+            .dist_to
+            .get_or_init(|| self.nodes.iter().map(|_| OnceLock::new()).collect());
+        // Links are full-duplex and fail in both directions, so the BFS
+        // tree rooted at the target doubles as distance-to-target.
+        slots[target.idx()].get_or_init(|| self.bfs_hops_healthy(target))
+    }
+
+    /// Whether the current failure set leaves `target` reachable from
+    /// `node` (over [`Topology::hops_to`]).
+    pub fn reachable(&self, node: NodeId, target: NodeId) -> bool {
+        self.hops_to(target)[node.idx()] != u32::MAX
     }
 
     /// All cables — non-PCB full-duplex links — as one canonical

@@ -23,7 +23,7 @@
 //! VC is reached).
 
 use crate::graph::{Cable, Network, NodeId, PortId, Topology};
-use crate::route::{FailoverTable, Hop, LoadProbe, Router, UpDownTable};
+use crate::route::{Hop, LoadProbe, Router, UpDownTable};
 use crate::{cable_link, pcb_link};
 use std::collections::BTreeMap;
 
@@ -325,7 +325,6 @@ impl HxMeshParams {
             acc_at,
             table,
             switch_net,
-            failover: FailoverTable::new(),
         };
         Network {
             topo,
@@ -358,11 +357,6 @@ pub struct HxMeshRouter {
     acc_at: Vec<NodeId>,
     table: UpDownTable,
     switch_net: BTreeMap<NodeId, NetRef>,
-    /// Safety net for fault injection beyond the structured handling
-    /// below: guarantees progress and failed-link avoidance for *any*
-    /// failure set (e.g. both exits of a board line cut at once), not
-    /// just the single-cable cases §IV-C's adaptivity covers.
-    failover: FailoverTable,
 }
 
 /// Highest VC of the 3-VC scheme; wrap shortcuts are disabled here.
@@ -605,10 +599,17 @@ impl HxMeshRouter {
         }
         (out, n.max(1))
     }
-    /// The structured §IV-C candidate set (board lines, exits, trees),
-    /// locally failure-aware for single-cable cases; `candidates` runs
-    /// it through the [`FailoverTable`] whenever any link is failed.
-    fn structured_candidates(
+}
+
+impl Router for HxMeshRouter {
+    fn num_vcs(&self) -> u8 {
+        3
+    }
+
+    /// The §IV-C set (board lines, exits, trees), locally failure-aware
+    /// for the single-cable cases; [`Router::next_hops`] covers any other
+    /// failure set (e.g. both exits of a board line cut at once).
+    fn candidates(
         &self,
         topo: &Topology,
         node: NodeId,
@@ -616,6 +617,9 @@ impl HxMeshRouter {
         target: NodeId,
         out: &mut Vec<Hop>,
     ) {
+        if node == target {
+            return;
+        }
         if let Some(&net) = self.switch_net.get(&node) {
             // Global-network switch: up*/down* toward the entry accelerators,
             // skipping failed links as long as a healthy candidate remains.
@@ -718,35 +722,6 @@ impl HxMeshRouter {
             self.exit_row_candidates(topo, node, co, vc, out);
         }
     }
-}
-
-impl Router for HxMeshRouter {
-    fn num_vcs(&self) -> u8 {
-        3
-    }
-
-    fn candidates(
-        &self,
-        topo: &Topology,
-        node: NodeId,
-        vc: u8,
-        target: NodeId,
-        out: &mut Vec<Hop>,
-    ) {
-        if vc >= self.num_vcs() {
-            // Escape VC: sticky failure-epoch routing (see FailoverTable).
-            self.failover.escape_candidates(topo, node, vc, target, out);
-            return;
-        }
-        if node == target {
-            return;
-        }
-        self.structured_candidates(topo, node, vc, target, out);
-        if topo.has_failures() {
-            self.failover
-                .filter(topo, node, self.num_vcs(), target, out);
-        }
-    }
 
     fn select_waypoint(
         &self,
@@ -765,7 +740,7 @@ impl Router for HxMeshRouter {
         // the failure set leaves both phases of it routable.
         if topo.has_failures() {
             let w = self.acc(d.bi, s.bj, d.r, d.c);
-            if !(self.failover.reachable(topo, src, w) && self.failover.reachable(topo, w, dst)) {
+            if !(topo.reachable(src, w) && topo.reachable(w, dst)) {
                 return None;
             }
         }
@@ -805,9 +780,7 @@ impl Router for HxMeshRouter {
         let d = self.coords[dst.idx()];
         if s.bi != d.bi && s.bj != d.bj {
             let w = self.acc(d.bi, s.bj, d.r, d.c);
-            if !topo.has_failures()
-                || (self.failover.reachable(topo, src, w) && self.failover.reachable(topo, w, dst))
-            {
+            if !topo.has_failures() || (topo.reachable(src, w) && topo.reachable(w, dst)) {
                 out.push(w);
             }
         }

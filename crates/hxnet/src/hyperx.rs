@@ -6,9 +6,8 @@
 //! ports to the column network, and every row/column network is a single
 //! switch (dimension-wise fully connected). We therefore build HyperX
 //! through the HammingMesh constructor, which also gives us its adaptive
-//! routing — including the failure-aware candidate filtering of
-//! `hxnet::route::FailoverTable` — for free: HyperX traffic routes around
-//! failed cables exactly like an Hx1Mesh does.
+//! routing for free, and [`crate::route::Router::next_hops`] routes HyperX
+//! traffic around failed cables exactly like an Hx1Mesh's.
 
 use crate::graph::Network;
 use crate::hammingmesh::HxMeshParams;
@@ -102,7 +101,7 @@ mod tests {
             let (mut node, mut vc, mut hops) = (src, 0u8, 0u32);
             while node != dst {
                 let mut cand = Vec::new();
-                net.router.candidates(&net.topo, node, vc, dst, &mut cand);
+                net.router.next_hops(&net.topo, node, vc, dst, &mut cand);
                 assert!(!cand.is_empty(), "stuck at {node:?} toward {d}");
                 for h in &cand {
                     assert!(!net.topo.link_failed(node, h.port));

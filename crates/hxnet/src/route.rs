@@ -6,11 +6,15 @@
 //! Slingshot/InfiniBand — §IV-C). Source-side decisions that need global
 //! state (Valiant bounce groups for Dragonfly, the intermediate board for
 //! HammingMesh) are expressed as a *waypoint* stored in the packet header.
+//!
+//! Routing around failed cables is not topology-specific: one provided
+//! method, [`Router::next_hops`], applies it to every scheme's structured
+//! [`Router::candidates`], over failure-aware distances the [`Topology`]
+//! keeps ([`Topology::hops_to`]).
 
 use crate::graph::{NodeId, PortId, Topology};
 use std::collections::BTreeMap;
 use std::ops::Range;
-use std::sync::Mutex;
 
 /// Congestion oracle the simulator exposes to routers for source-side
 /// decisions (e.g. UGAL's local-queue comparison).
@@ -41,22 +45,89 @@ pub trait Router: Send + Sync {
     /// Number of virtual channels this routing scheme requires.
     fn num_vcs(&self) -> u8;
 
-    /// Append all minimal next-hop candidates for a packet currently at
-    /// `node` on VC `vc`, heading for `target`, into `out`.
+    /// Append the scheme's structured next-hop candidates for a packet
+    /// currently at `node` on VC `vc < num_vcs()`, heading for `target`,
+    /// into `out`.
     ///
     /// `target` is the packet's waypoint while one is active, the final
-    /// destination afterwards. Implementations must guarantee progress: the
-    /// candidate set is non-empty whenever `node != target`, and following
-    /// any sequence of candidates reaches `target` in finitely many hops.
-    ///
-    /// **Fault-injection contract** (every shipped router honors it, via
-    /// [`FailoverTable`]): no candidate ever uses a link marked failed by
-    /// [`Topology::fail_link`], and the progress guarantee holds as long
-    /// as the current failure set leaves `target` reachable from `node`.
-    /// When failures *disconnect* the pair, the candidate set is empty —
-    /// the router reports unreachability instead of looping — and the
-    /// simulation engines turn that into a hard error naming the pair.
+    /// destination afterwards. On the healthy graph the set is non-empty
+    /// whenever `node != target`, and following any sequence of
+    /// candidates reaches `target` in finitely many hops. The set may
+    /// ignore failed links (HxMesh's §IV-C adaptivity handles the
+    /// single-cable cases itself); simulators call [`Router::next_hops`],
+    /// which makes it failure-aware.
     fn candidates(&self, topo: &Topology, node: NodeId, vc: u8, target: NodeId, out: &mut Vec<Hop>);
+
+    /// The hops a simulator may take: `out` is cleared, then filled with
+    /// [`Router::candidates`] made failure-aware by one rule for every
+    /// topology. While [`Topology::has_failures`] holds, the structured
+    /// set is filtered:
+    ///
+    /// 1. candidates whose link is failed, or that do not strictly
+    ///    decrease the failure-aware distance to the target
+    ///    ([`Topology::hops_to`]), are dropped, and so are repeated ports,
+    ///    so every surviving hop makes provable progress and no walk can
+    ///    revisit a node, however ties are broken;
+    /// 2. if nothing survives — all structured routes are cut — the set is
+    ///    every healthy port on a failure-aware shortest path, on the
+    ///    escape VC `num_vcs()` (the engines allocate one VC beyond the
+    ///    scheme's);
+    /// 3. the set is left empty when the failure set disconnects the pair:
+    ///    the router reports unreachability instead of looping, and the
+    ///    engines turn that into a hard error naming the pair.
+    ///
+    /// With no failures present the structured set is returned as is, so
+    /// healthy routing is the failure-blind scheme, bit for bit.
+    ///
+    /// The escape VC is *sticky*: a packet on `vc >= num_vcs()` gets every
+    /// healthy port that strictly decreases the failure-aware distance to
+    /// the target, on that VC, failures or not (escape packets outlive the
+    /// failure set that sent them there). Inheriting the structured VC
+    /// instead is unsound on the wrap topologies: a torus/HxMesh detour
+    /// can cross a dateline the VC ladder never crosses on that VC,
+    /// closing a credit cycle. Strictly-decreasing routing over one shared
+    /// distance function is acyclic per destination, so the escape network
+    /// is deadlock-free on its own VC, and the structured VCs keep their
+    /// guarantees because nothing new enters them
+    /// (`tests/fault_injection.rs` pins the torus/HxMesh wrap regression;
+    /// this is Duato's escape-channel condition). The remaining trade-off
+    /// is fidelity, not correctness: while any failure exists, non-minimal
+    /// adaptive hops (HxMesh wrap-arounds, Dragonfly local detours) that
+    /// do not shorten the failure-aware distance are suppressed.
+    fn next_hops(&self, topo: &Topology, node: NodeId, vc: u8, target: NodeId, out: &mut Vec<Hop>) {
+        out.clear();
+        let escape_vc = self.num_vcs();
+        if vc >= escape_vc {
+            if node != target {
+                healthy_descents(topo, node, target, vc, |d, next| next < d, out);
+            }
+            return;
+        }
+        self.candidates(topo, node, vc, target, out);
+        if !topo.has_failures() || node == target {
+            return;
+        }
+        let dist = topo.hops_to(target);
+        let d = dist[node.idx()];
+        out.retain(|h| {
+            let link = topo.link(node, h.port);
+            !link.failed && dist[link.peer.node.idx()] < d
+        });
+        if out.is_empty() {
+            healthy_descents(topo, node, target, escape_vc, |d, next| next + 1 == d, out);
+            return;
+        }
+        // The retain above can leave duplicates when a router offers the
+        // same port under several roles.
+        let mut i = 0;
+        while i < out.len() {
+            if out[..i].iter().any(|h| h.port == out[i].port) {
+                out.swap_remove(i);
+            } else {
+                i += 1;
+            }
+        }
+    }
 
     /// Source-side path selection, called once at injection. Returning
     /// `Some(w)` routes the packet to waypoint `w` first (per
@@ -95,206 +166,34 @@ pub trait Router: Send + Sync {
     }
 }
 
-/// Failure-aware routing fallback shared by every topology router.
-///
-/// The structured routers (up*/down*, UGAL, dimension-order, HxMesh) are
-/// built for the healthy graph; under fault injection their candidate sets
-/// can offer a dead link or — worse — steer a packet into a region whose
-/// only way out was cut. `FailoverTable` repairs that generically: while
-/// [`Topology::has_failures`] holds, a router passes its structured
-/// candidate set through [`FailoverTable::filter`], which
-///
-/// 1. drops candidates whose immediate link is failed, and candidates
-///    that do not strictly decrease the *failure-aware* BFS distance to
-///    the target (so every surviving hop makes provable progress and no
-///    walk can revisit a node, no matter how ties are broken);
-/// 2. if nothing survives — all minimal routes are cut — replaces the set
-///    with every healthy port on a failure-aware shortest path (the
-///    "failover" routes), escaping to the dedicated failover VC (see
-///    below);
-/// 3. leaves the set empty when the failure set disconnects the pair,
-///    which per the [`Router`] contract means "unreachable".
-///
-/// Distances are healthy-graph BFS trees rooted at each requested target,
-/// computed lazily and memoized per [`Topology::failure_set_id`]: the
-/// cache is invalidated whenever the failure *set* changes, and — because
-/// the id is content-based, not a monotone epoch — it is *retained* when
-/// the set returns to the cached one, as in the cluster simulator's
-/// fail → restore → fail churn on the same cable. With no failures present
-/// the router never calls in here, so pristine-network routing (and its
-/// performance) is bit-identical to the failure-blind code.
-///
-/// ## Failover VC discipline
-///
-/// Step-2 failover routes do **not** inherit the packet's current VC:
-/// they escape to a dedicated VC, `escape_vc = Router::num_vcs()` (the
-/// engines allocate one VC beyond what the router's structured scheme
-/// uses). Inheriting the primary VC is unsound on the wrap topologies —
-/// a torus/HxMesh failover hop can traverse a dateline the structured
-/// VC ladder never crosses on that VC, closing a credit cycle. The
-/// escape VC is *sticky*: once a packet rides it, every later hop comes
-/// from [`FailoverTable::escape_candidates`], which offers exactly the
-/// healthy ports that strictly decrease the failure-aware BFS distance
-/// to the target. Strictly-decreasing routing over one shared distance
-/// function is acyclic per destination, so the escape network is
-/// deadlock-free on its own VC, and the structured VCs keep their own
-/// guarantees because nothing new enters them
-/// (`tests/fault_injection.rs` pins the torus/HxMesh wrap regression).
-///
-/// The remaining trade-off is fidelity, not correctness: while any
-/// failure exists, non-minimal adaptive escapes (HxMesh wrap-arounds,
-/// Dragonfly local detours) that don't shorten the failure-aware
-/// distance are suppressed.
-#[derive(Debug, Default)]
-pub struct FailoverTable {
-    cache: Mutex<FailoverCache>,
-}
-
-#[derive(Debug, Default)]
-struct FailoverCache {
-    /// Failure set the cached distances were computed under.
-    set: crate::graph::FailureSetId,
-    /// Per target: failure-aware BFS distance from every node to it.
-    dist: BTreeMap<NodeId, Vec<u32>>,
-}
-
-impl FailoverTable {
-    pub fn new() -> Self {
-        Self::default()
+/// Push every healthy port at `node` whose peer's failure-aware distance
+/// to `target` passes `descends(own distance, peer distance)`, on `vc`.
+/// Pushes nothing when the pair is disconnected.
+fn healthy_descents(
+    topo: &Topology,
+    node: NodeId,
+    target: NodeId,
+    vc: u8,
+    descends: impl Fn(u32, u32) -> bool,
+    out: &mut Vec<Hop>,
+) {
+    let dist = topo.hops_to(target);
+    let d = dist[node.idx()];
+    if d == u32::MAX {
+        return;
     }
-
-    /// Run `f` with the failure-aware distance vector toward `target`
-    /// (recomputing the cache if the failure set changed since it was
-    /// filled — a set the cache already holds is served as-is, however
-    /// many fail/restore transitions happened in between).
-    fn with_dist<R>(&self, topo: &Topology, target: NodeId, f: impl FnOnce(&[u32]) -> R) -> R {
-        // hxlint: allow(P001) lock poisoning only follows a panic already unwinding this thread's caller
-        let mut cache = self.cache.lock().unwrap();
-        if cache.set != topo.failure_set_id() {
-            cache.set = topo.failure_set_id();
-            cache.dist.clear();
-        }
-        let dist = cache
-            .dist
-            .entry(target)
-            // Links are full-duplex and fail in both directions, so the
-            // BFS tree rooted at the target doubles as distance-to-target.
-            .or_insert_with(|| topo.bfs_hops_healthy(target));
-        f(dist)
-    }
-
-    /// Whether the current failure set leaves `target` reachable from
-    /// `node`. Used by source-side waypoint selection to avoid steering
-    /// packets at a cut-off intermediate.
-    pub fn reachable(&self, topo: &Topology, node: NodeId, target: NodeId) -> bool {
-        if !topo.has_failures() {
-            return true;
-        }
-        self.with_dist(topo, target, |dist| dist[node.idx()] != u32::MAX)
-    }
-
-    /// Apply the failure filter described on [`FailoverTable`] to a
-    /// structured candidate set. `escape_vc` is the dedicated failover
-    /// VC the step-2 routes escape to — routers pass their own
-    /// `num_vcs()` (the engines allocate one VC beyond it). Call only
-    /// when [`Topology::has_failures`] — the healthy path must stay
-    /// untouched.
-    pub fn filter(
-        &self,
-        topo: &Topology,
-        node: NodeId,
-        escape_vc: u8,
-        target: NodeId,
-        out: &mut Vec<Hop>,
-    ) {
-        debug_assert!(topo.has_failures());
-        if node == target {
-            out.clear();
-            return;
-        }
-        self.with_dist(topo, target, |dist| {
-            let d = dist[node.idx()];
-            if d == u32::MAX {
-                out.clear(); // disconnected: report unreachable
-                return;
-            }
-            out.retain(|h| {
-                let link = topo.link(node, h.port);
-                !link.failed && dist[link.peer.node.idx()] < d
+    for (p, link) in topo.node(node).ports.iter().enumerate() {
+        if !link.failed && descends(d, dist[link.peer.node.idx()]) {
+            out.push(Hop {
+                port: PortId(p as u16),
+                vc,
             });
-            if out.is_empty() {
-                // All structured routes are cut here: fail over to every
-                // healthy shortest-path port in the failure-aware graph,
-                // escaping to the dedicated failover VC (see the VC
-                // discipline section on [`FailoverTable`]).
-                for (p, link) in topo.node(node).ports.iter().enumerate() {
-                    if !link.failed && dist[link.peer.node.idx()] + 1 == d {
-                        out.push(Hop {
-                            port: PortId(p as u16),
-                            vc: escape_vc,
-                        });
-                    }
-                }
-            } else {
-                // The retain above can leave duplicates when a router
-                // offers the same port under several roles.
-                let mut i = 0;
-                while i < out.len() {
-                    if out[..i].iter().any(|h| h.port == out[i].port) {
-                        out.swap_remove(i);
-                    } else {
-                        i += 1;
-                    }
-                }
-            }
-            debug_assert!(
-                !out.is_empty(),
-                "reachable target {target:?} but no healthy shortest-path port at {node:?}"
-            );
-        });
-    }
-
-    /// Candidates for a packet already riding the escape VC (sticky —
-    /// see the VC discipline section on [`FailoverTable`]): every
-    /// healthy port that strictly decreases the failure-aware BFS
-    /// distance to `target`, all on `escape_vc`. Replaces the
-    /// structured scheme entirely; a router whose `candidates` is
-    /// called with `vc >= num_vcs()` must delegate here unconditionally
-    /// (even after every failure repaired — in-flight escape packets
-    /// outlive the failure set, and the healthy-graph BFS keeps them
-    /// progressing and acyclic). Leaves `out` empty when the pair is
-    /// disconnected.
-    pub fn escape_candidates(
-        &self,
-        topo: &Topology,
-        node: NodeId,
-        escape_vc: u8,
-        target: NodeId,
-        out: &mut Vec<Hop>,
-    ) {
-        out.clear();
-        if node == target {
-            return;
         }
-        self.with_dist(topo, target, |dist| {
-            let d = dist[node.idx()];
-            if d == u32::MAX {
-                return; // disconnected: report unreachable
-            }
-            for (p, link) in topo.node(node).ports.iter().enumerate() {
-                if !link.failed && dist[link.peer.node.idx()] < d {
-                    out.push(Hop {
-                        port: PortId(p as u16),
-                        vc: escape_vc,
-                    });
-                }
-            }
-            debug_assert!(
-                !out.is_empty(),
-                "reachable target {target:?} but no distance-decreasing port at {node:?}"
-            );
-        });
     }
+    debug_assert!(
+        !out.is_empty(),
+        "reachable target {target:?} but no healthy descending port at {node:?}"
+    );
 }
 
 /// Up*/down* routing tables for tree-structured (sub)networks.
@@ -445,15 +344,14 @@ impl UpDownTable {
 /// VC 0) — **not** deadlock-free in general; used as a reference router in
 /// tests and for diameter measurements, not in the evaluation runs.
 ///
-/// Failure-aware: under fault injection the static table is corrected by
-/// a [`FailoverTable`], so candidates avoid failed links and re-route over
-/// the failure-aware shortest paths.
+/// The table is the healthy graph's; under fault injection
+/// [`Router::next_hops`] corrects it, so hops avoid failed links and
+/// re-route over the failure-aware shortest paths.
 pub struct ShortestPathRouter {
     /// dist[node][target_endpoint_index]
     dist: Vec<Vec<u32>>,
     /// endpoint node -> dense index
     endpoint_index: BTreeMap<NodeId, usize>,
-    failover: FailoverTable,
 }
 
 impl ShortestPathRouter {
@@ -476,7 +374,6 @@ impl ShortestPathRouter {
         Self {
             dist,
             endpoint_index,
-            failover: FailoverTable::new(),
         }
     }
 
@@ -498,11 +395,6 @@ impl Router for ShortestPathRouter {
         target: NodeId,
         out: &mut Vec<Hop>,
     ) {
-        if vc >= self.num_vcs() {
-            // Escape VC: sticky failure-epoch routing (see FailoverTable).
-            self.failover.escape_candidates(topo, node, vc, target, out);
-            return;
-        }
         let ti = self.endpoint_index[&target];
         let d = self.dist[node.idx()][ti];
         if d == 0 {
@@ -515,10 +407,6 @@ impl Router for ShortestPathRouter {
                     vc,
                 });
             }
-        }
-        if topo.has_failures() {
-            self.failover
-                .filter(topo, node, self.num_vcs(), target, out);
         }
     }
 }
@@ -771,7 +659,7 @@ mod tests {
 
         let cands = |t: &Topology, node| {
             let mut out = Vec::new();
-            r.candidates(t, node, 0, e1, &mut out);
+            r.next_hops(t, node, 0, e1, &mut out);
             out
         };
         assert_eq!(cands(&t, l0).len(), 2); // either root works
@@ -781,12 +669,12 @@ mod tests {
         assert_eq!(c.len(), 1, "{c:?}");
         assert_eq!(c[0].port, l0b);
         assert!(!t.link_failed(l0, c[0].port));
-        assert!(r.failover.reachable(&t, l0, e1));
+        assert!(t.reachable(l0, e1));
 
         t.fail_link(l0, l0b);
         assert!(cands(&t, l0).is_empty(), "disconnected pair must be empty");
         assert!(cands(&t, e0).is_empty());
-        assert!(!r.failover.reachable(&t, l0, e1));
+        assert!(!t.reachable(l0, e1));
 
         // Repair brings the original candidate set back.
         t.restore_link(l0, l0a);
@@ -794,14 +682,13 @@ mod tests {
         assert_eq!(cands(&t, l0).len(), 2);
     }
 
-    /// The content-keyed failover cache must never serve one failure set's
-    /// distances for another: failing cable A, repairing it, and failing
-    /// cable B instead has to route around B (not A), and the cycle
-    /// A -> repair -> A again must reproduce the first failure's routes
-    /// exactly (the satellite regression for `restore_link` interaction
-    /// with cached failover state).
+    /// The topology's failure-aware distances must never serve one failure
+    /// set's distances for another: failing cable A, repairing it, and
+    /// failing cable B instead has to route around B (not A), and the
+    /// cycle A -> repair -> A again must reproduce the first failure's
+    /// routes exactly.
     #[test]
-    fn failover_cache_is_keyed_on_the_failure_set() {
+    fn failover_distances_follow_the_failure_set() {
         let mut t = Topology::new();
         let e0 = t.add_accelerator(0);
         let e1 = t.add_accelerator(1);
@@ -818,7 +705,7 @@ mod tests {
         let r = ShortestPathRouter::build(&t, &[e0, e1]);
         let cands = |t: &Topology| {
             let mut out = Vec::new();
-            r.candidates(t, l0, 0, e1, &mut out);
+            r.next_hops(t, l0, 0, e1, &mut out);
             out
         };
 
@@ -827,7 +714,8 @@ mod tests {
         assert_eq!(around_a.len(), 1);
         assert_eq!(around_a[0].port, l0b);
 
-        // Same-size, different set: the cache must recompute, not replay A.
+        // Same-size, different set: the distances must be recomputed, not
+        // replayed from A.
         t.restore_link(l0, l0a);
         t.fail_link(l0, l0b);
         let around_b = cands(&t);
@@ -835,7 +723,7 @@ mod tests {
         assert_eq!(around_b[0].port, l0a);
 
         // fail -> restore -> fail on the same cable: identical routes to
-        // the first failure (served from the retained cache entry).
+        // the first failure.
         t.restore_link(l0, l0b);
         t.fail_link(l0, l0b);
         assert_eq!(cands(&t), around_b);

@@ -13,7 +13,7 @@
 //! wrap-around link bumps the dateline bit.
 
 use crate::graph::{Cable, Network, NodeId, PortId, Topology};
-use crate::route::{FailoverTable, Hop, Router};
+use crate::route::{Hop, Router};
 use crate::{cable_link, pcb_link};
 
 /// Port slots of a torus accelerator, same order as HammingMesh.
@@ -102,7 +102,6 @@ impl TorusParams {
             cols: self.cols as u16,
             rows: self.rows as u16,
             ports,
-            failover: FailoverTable::new(),
         };
         Network {
             topo,
@@ -115,16 +114,15 @@ impl TorusParams {
 
 /// Dimension-order adaptive-direction torus routing with dateline VCs.
 ///
-/// Failure-aware: while any link is failed, the dimension-order candidate
-/// set is corrected by a [`FailoverTable`] — a dead ring link in the
-/// minimal direction diverts traffic the long way round (or through the
-/// other dimension first) along failure-aware shortest paths.
+/// Under fault injection [`Router::next_hops`] corrects the
+/// dimension-order set: a dead ring link in the minimal direction diverts
+/// traffic the long way round (or through the other dimension first)
+/// along failure-aware shortest paths.
 pub struct TorusRouter {
     cols: u16,
     rows: u16,
     /// E,W,N,S ports per accelerator node index.
     ports: Vec<[PortId; 4]>,
-    failover: FailoverTable,
 }
 
 impl TorusRouter {
@@ -151,17 +149,12 @@ impl Router for TorusRouter {
 
     fn candidates(
         &self,
-        topo: &Topology,
+        _topo: &Topology,
         node: NodeId,
         vc: u8,
         target: NodeId,
         out: &mut Vec<Hop>,
     ) {
-        if vc >= self.num_vcs() {
-            // Escape VC: sticky failure-epoch routing (see FailoverTable).
-            self.failover.escape_candidates(topo, node, vc, target, out);
-            return;
-        }
         if node == target {
             return;
         }
@@ -207,10 +200,6 @@ impl Router for TorusRouter {
                     vc: nvc,
                 });
             }
-        }
-        if topo.has_failures() {
-            self.failover
-                .filter(topo, node, self.num_vcs(), target, out);
         }
     }
 }
@@ -333,7 +322,7 @@ mod tests {
         let mut hops = 0;
         while node != dn {
             let mut cand = Vec::new();
-            net.router.candidates(&net.topo, node, vc, dn, &mut cand);
+            net.router.next_hops(&net.topo, node, vc, dn, &mut cand);
             assert!(!cand.is_empty(), "stuck at {node:?}");
             for h in &cand {
                 assert!(!net.topo.link_failed(node, h.port), "dead link offered");

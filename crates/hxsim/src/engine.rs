@@ -276,7 +276,7 @@ pub struct Engine<'n> {
 impl<'n> Engine<'n> {
     pub fn new(net: &'n Network, mut cfg: SimConfig) -> Self {
         // One VC beyond the router's structured set: the escape VC that
-        // failover detours use (see `hxnet::route::FailoverTable`). It
+        // failover detours use (see `hxnet::Router::next_hops`). It
         // carries no traffic on healthy runs — the round-robin arbiter
         // skips its empty queue — so allocating it unconditionally keeps
         // healthy results bit-identical.
@@ -762,15 +762,12 @@ impl<'n> Engine<'n> {
             .unwrap_or(0)
     }
 
-    /// The routing step: `node`'s candidates toward `target` on `vc`, into
-    /// `out`. `out` is cleared first because routers read it: the HxMesh
-    /// switch path dedupes against it, and `FailoverTable::filter`
-    /// rewrites all of it.
+    /// The routing step: `node`'s hops toward `target` on `vc`, into `out`
+    /// (which [`hxnet::Router::next_hops`] clears first).
     fn route(&self, node: NodeId, target: NodeId, vc: u8, out: &mut Vec<Hop>) {
-        out.clear();
         self.net
             .router
-            .candidates(&self.ledger.topo, node, vc, target, out);
+            .next_hops(&self.ledger.topo, node, vc, target, out);
     }
 
     /// The route class of `pkt` at `node`: its target — the waypoint

@@ -53,10 +53,9 @@
 //! ## Fault injection: frozen failure sets and mid-run link events
 //!
 //! Routes avoid links marked failed via [`hxnet::Topology::fail_link`]
-//! exactly like the packet engine does, because both ask the same
-//! [`hxnet::Router`] for candidates: under fault injection every router
-//! filters its first-hop, transit, and waypoint candidates through
-//! `hxnet::route::FailoverTable`, so the multipath route sets built here
+//! exactly like the packet engine does, because both take their first-hop,
+//! transit, and waypoint hops from the same failure-aware
+//! [`hxnet::Router::next_hops`], so the multipath route sets built here
 //! contain only healthy links and the two engines agree on which paths
 //! exist. Waypoint classes the failure set cuts off are dropped by
 //! `Router::waypoint_options` before any subflow is built over them.
@@ -777,9 +776,8 @@ impl<'n> FlowEngine<'n> {
         let mut firsts = std::mem::take(&mut self.first_cand);
         for class in std::iter::once(None).chain(waypoints.iter().copied().map(Some)) {
             let target = class.unwrap_or(dst_node);
-            firsts.clear();
             net.router
-                .candidates(&topo, src_node, 0, target, &mut firsts);
+                .next_hops(&topo, src_node, 0, target, &mut firsts);
             for (i, h) in firsts.iter().enumerate() {
                 // One route per distinct first-hop port.
                 if firsts[..i].iter().any(|e| e.port == h.port) {
@@ -890,8 +888,7 @@ impl<'n> FlowEngine<'n> {
             }
             let target = waypoint.unwrap_or(dst);
             let mut cand = std::mem::take(&mut self.cand);
-            cand.clear();
-            router.candidates(topo, node, hop.vc, target, &mut cand);
+            router.next_hops(topo, node, hop.vc, target, &mut cand);
             assert!(
                 !cand.is_empty(),
                 "router produced no candidates at {node:?} (vc {}) toward {target:?} \

@@ -1,6 +1,6 @@
 //! Mid-run link failure tests: in-run fail/repair epochs, stall/resume,
 //! retransmit recovery, structured disconnection errors, and the
-//! escape-VC discipline (see `hxnet::route::FailoverTable`).
+//! escape-VC discipline (see `hxnet::Router::next_hops`).
 
 use crate::apps::{Alltoall, MessageBlast};
 use crate::{
@@ -212,7 +212,7 @@ fn failover_detours_escape_to_the_dedicated_vc() {
     topo.fail_link(n0, WEST);
     let mut cand = Vec::new();
     net.router
-        .candidates(&topo, n0, 0, net.endpoints[2], &mut cand);
+        .next_hops(&topo, n0, 0, net.endpoints[2], &mut cand);
     assert!(!cand.is_empty(), "failover produced no detour");
     for h in &cand {
         assert_eq!(
@@ -224,7 +224,7 @@ fn failover_detours_escape_to_the_dedicated_vc() {
     }
     // And the escape VC keeps making progress from any node.
     let mut cand2 = Vec::new();
-    net.router.candidates(
+    net.router.next_hops(
         &topo,
         net.endpoints[4],
         net.router.num_vcs(),

@@ -2,10 +2,9 @@
 //! [`hammingmesh::hxnet::Topology::fail_link`] and assert both simulation
 //! engines still deliver every message. Every router is failure-aware —
 //! the HxMesh router routes around dead cables (other board-line exit,
-//! other tree entry), and the baseline routers (fat tree, Dragonfly,
-//! HyperX, torus) re-route through `hxnet::route::FailoverTable`, closing
-//! the ROADMAP gap that the comparison topologies could not be simulated
-//! under faults at all.
+//! other tree entry), and every router's hops re-route through
+//! `hxnet::Router::next_hops`, so the baseline topologies (fat tree,
+//! Dragonfly, HyperX, torus) can be simulated under faults too.
 //!
 //! Scope: any cable (accelerator <-> switch, switch <-> switch, and the
 //! torus' inter-board links) may fail; on-board PCB traces are assumed
@@ -189,7 +188,7 @@ fn failed_link_carries_no_traffic() {
         let mut hops = 0;
         while node != dn {
             let mut cand = Vec::new();
-            net.router.candidates(&net.topo, node, vc, dn, &mut cand);
+            net.router.next_hops(&net.topo, node, vc, dn, &mut cand);
             assert!(!cand.is_empty(), "stuck at {node:?} toward rank {d}");
             for h in &cand {
                 assert!(
@@ -376,7 +375,7 @@ fn restore_link_brings_the_original_route_back() {
             let (mut node, mut vc) = (src, 0u8);
             while node != dst {
                 let mut cand = Vec::new();
-                net.router.candidates(&net.topo, node, vc, dst, &mut cand);
+                net.router.next_hops(&net.topo, node, vc, dst, &mut cand);
                 assert!(!cand.is_empty(), "{}: stuck at {node:?}", net.name);
                 route.push((node, cand[0].port));
                 vc = cand[0].vc;
@@ -422,12 +421,10 @@ fn restore_link_brings_the_original_route_back() {
     }
 }
 
-/// Regression for `restore_link` against cached failover state: a
-/// fail -> restore -> fail cycle on the *same* cable must produce
-/// candidate sets identical to the first failure at every hop, on every
-/// topology. The failover cache is keyed on the failure-set id (content,
-/// not epoch), so the second failure is typically served from the cached
-/// BFS of the first — this test pins that the reuse is not stale: the
+/// Regression for `restore_link` against the topology's failure-aware
+/// distances: a fail -> restore -> fail cycle on the *same* cable must
+/// produce hop sets identical to the first failure at every hop, on every
+/// topology. Every change of the failure set drops the distances, so the
 /// interleaved healthy and failed queries may not bleed into each other.
 #[test]
 fn refail_same_cable_reproduces_first_failure_routes() {
@@ -464,7 +461,7 @@ fn refail_same_cable_reproduces_first_failure_routes() {
             let (mut node, mut vc) = (src, 0u8);
             while node != dst {
                 let mut cand = Vec::new();
-                net.router.candidates(&net.topo, node, vc, dst, &mut cand);
+                net.router.next_hops(&net.topo, node, vc, dst, &mut cand);
                 assert!(!cand.is_empty(), "{}: stuck at {node:?}", net.name);
                 sets.push(cand.iter().map(|h| (h.port, h.vc)).collect());
                 vc = cand[0].vc;
@@ -480,7 +477,7 @@ fn refail_same_cable_reproduces_first_failure_routes() {
         let (mut node, mut vc) = (src, 0u8);
         while node != dst && pick.is_none() {
             let mut cand = Vec::new();
-            net.router.candidates(&net.topo, node, vc, dst, &mut cand);
+            net.router.next_hops(&net.topo, node, vc, dst, &mut cand);
             let hop = cand[0];
             if net.topo.link(node, hop.port).spec.cable != Cable::Pcb {
                 net.topo.fail_link(node, hop.port);

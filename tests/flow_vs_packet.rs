@@ -37,7 +37,7 @@
 //! ## Tolerance bands under fault injection (failed cables)
 //!
 //! With cables failed, both engines route over the same failure-aware
-//! candidate sets (`hxnet::route::FailoverTable`), so the agreement story
+//! hop sets (`hxnet::Router::next_hops`), so the agreement story
 //! is unchanged in kind; the bands below are the healthy-class bands
 //! re-centred on measured ratios (seeded, deterministic failure sets),
 //! widened where failures push traffic into the latency regime:

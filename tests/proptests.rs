@@ -9,7 +9,7 @@ use hammingmesh::hxcollect::{
     bidirectional_ring_allreduce, binomial_tree_allreduce, ring_allreduce, torus2d_allreduce,
 };
 use hammingmesh::hxnet::route::ShortestPathRouter;
-use hammingmesh::hxnet::{Network, PortId};
+use hammingmesh::hxnet::{Network, NodeId, PortId};
 use hammingmesh::prelude::*;
 use proptest::prelude::*;
 
@@ -159,7 +159,7 @@ proptest! {
             let mut hops = 0u32;
             while node != dst {
                 let mut cand = Vec::new();
-                net.router.candidates(&net.topo, node, vc, dst, &mut cand);
+                net.router.next_hops(&net.topo, node, vc, dst, &mut cand);
                 prop_assert!(
                     !cand.is_empty(),
                     "{}: stuck at {:?} toward rank {} ({} failed cables)",
@@ -197,18 +197,96 @@ proptest! {
         }
         let pnode = net.endpoints[probe];
         let mut cand = Vec::new();
-        net.router.candidates(&net.topo, pnode, 0, vnode, &mut cand);
+        net.router.next_hops(&net.topo, pnode, 0, vnode, &mut cand);
         prop_assert!(cand.is_empty(), "{}: {:?}", net.name, cand);
-        cand.clear();
-        net.router.candidates(&net.topo, vnode, 0, pnode, &mut cand);
+        net.router.next_hops(&net.topo, vnode, 0, pnode, &mut cand);
         prop_assert!(cand.is_empty(), "{}: {:?}", net.name, cand);
         // Repair: routing between the pair works again.
         for p in 0..net.topo.num_ports(vnode) {
             net.topo.restore_link(vnode, PortId(p as u16));
         }
-        cand.clear();
-        net.router.candidates(&net.topo, pnode, 0, vnode, &mut cand);
+        net.router.next_hops(&net.topo, pnode, 0, vnode, &mut cand);
         prop_assert!(!cand.is_empty(), "{}: no route after repair", net.name);
+    }
+
+    /// A long-lived topology answers like a freshly failed one. One
+    /// network takes a random sequence of connectivity-preserving fail
+    /// and restore steps, returns to earlier failure sets included, with
+    /// queries in between that fill its failure-aware distances. After
+    /// every step, `next_hops` on every VC (the escape VC included) and
+    /// the waypoint reachability answer random queries exactly like a
+    /// fresh build of the same family with the same cables failed.
+    #[test]
+    fn prop_long_lived_topology_answers_like_a_fresh_one(
+        net_idx in 0usize..7,
+        seed in 0u64..10_000,
+    ) {
+        use hammingmesh::hxnet::route::ZeroLoad;
+        use rand::{Rng, SeedableRng};
+        let mut net = fault_net(net_idx);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let cables = net.topo.cables();
+        let mut failed: Vec<(NodeId, PortId)> = Vec::new();
+        let mut earlier = vec![Vec::new()];
+        for _ in 0..10 {
+            match rng.random_range(0..3) {
+                0 => {
+                    let (n, p) = cables[rng.random_range(0..cables.len())];
+                    if net.topo.fail_link(n, p) {
+                        if net.endpoints_connected() {
+                            failed.push((n, p));
+                        } else {
+                            net.topo.restore_link(n, p);
+                        }
+                    }
+                }
+                1 if !failed.is_empty() => {
+                    let (n, p) = failed.remove(rng.random_range(0..failed.len()));
+                    net.topo.restore_link(n, p);
+                }
+                _ => {
+                    let set: Vec<(NodeId, PortId)> =
+                        earlier[rng.random_range(0..earlier.len())].clone();
+                    for &(n, p) in failed.iter().filter(|c| !set.contains(c)) {
+                        net.topo.restore_link(n, p);
+                    }
+                    for &(n, p) in &set {
+                        net.topo.fail_link(n, p);
+                    }
+                    failed = set;
+                }
+            }
+            earlier.push(failed.clone());
+            let mut fresh = fault_net(net_idx);
+            for &(n, p) in &failed {
+                fresh.topo.fail_link(n, p);
+            }
+            prop_assert_eq!(net.topo.failure_set_id(), fresh.topo.failure_set_id());
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            for _ in 0..12 {
+                let node = NodeId(rng.random_range(0..net.topo.num_nodes() as u32));
+                let src = net.endpoints[rng.random_range(0..net.num_ranks())];
+                let dst = net.endpoints[rng.random_range(0..net.num_ranks())];
+                let vc = rng.random_range(0..net.router.num_vcs() + 1);
+                net.router.next_hops(&net.topo, node, vc, dst, &mut got);
+                fresh.router.next_hops(&fresh.topo, node, vc, dst, &mut want);
+                prop_assert_eq!(&got, &want, "{}: {:?} vc {} -> {:?}", net.name, node, vc, dst);
+                prop_assert_eq!(net.topo.reachable(node, dst), fresh.topo.reachable(node, dst));
+                if src == dst {
+                    continue;
+                }
+                let (mut ways, mut fresh_ways) = (Vec::new(), Vec::new());
+                net.router.waypoint_options(&net.topo, src, dst, &mut ways);
+                fresh.router.waypoint_options(&fresh.topo, src, dst, &mut fresh_ways);
+                prop_assert_eq!(ways, fresh_ways, "{}: {:?} -> {:?}", net.name, src, dst);
+                let pick_seed = rng.random_range(0..u64::MAX);
+                let pick = |n: &Network| {
+                    let mut r = rand::rngs::StdRng::seed_from_u64(pick_seed);
+                    n.router.select_waypoint(&n.topo, src, dst, &ZeroLoad, &mut r)
+                };
+                prop_assert_eq!(pick(&net), pick(&fresh), "{}: {:?} -> {:?}", net.name, src, dst);
+            }
+        }
     }
 
     /// Any interleaving of allocate / deallocate / cable-fail / repair
