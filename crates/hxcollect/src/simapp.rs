@@ -1,27 +1,46 @@
 //! Replay a [`Schedule`] inside the simulators.
 //!
 //! Binding ([`ScheduleApp::with_mapping`]) flattens the schedule once into
-//! arrays indexed by a global op id, and the [`Application`] callbacks then
-//! only index those arrays:
+//! arrays indexed by an op id, and the [`Application`] callbacks then only
+//! index those arrays:
 //!
-//! * **Global op ids.** Op `i` of schedule rank `r` is `g = base[r] + i`,
-//!   where `base` is the prefix sum of the per-rank op counts. Every send
-//!   and compute carries its `g` as the simulator tag.
+//! * **Time-major op ids.** Op `i` of schedule rank `r` is
+//!   `off[i] + slot[r]`. `slot` orders the ranks by op count, longest
+//!   first, ties broken by rank, so the ranks that have an op `i` are a
+//!   prefix of that order; `off[i]` counts the ops of all earlier steps
+//!   (the ops with a smaller index). The ops of one step sit together, and
+//!   inside a rank the ids rise with the op index. Both tables are
+//!   O(ranks + steps); there is no per-op id table. Every send and compute
+//!   carries its id as the simulator tag.
 //! * **Action table.** `action[g]` is what issuing op `g` does. A send
 //!   holds its schedule source and destination ranks, its bytes and the
-//!   `g` of the recv it is matched to; a compute holds its schedule rank
+//!   id of the recv it is matched to; a compute holds its schedule rank
 //!   and duration; a recv is passive and completes when its message lands.
 //! * **CSR dependents.** The ops that wait on `g` are
 //!   `dependents[dep_start[g]..dep_start[g + 1]]`, in ascending op index,
 //!   and `indeg[g]` counts the dependencies of `g` still outstanding.
 //!
+//! **Why time-major.** The ranks of a collective advance in step, so the
+//! callbacks of one stretch of simulated time complete ops of a few
+//! neighbouring steps on every rank. Time-major ids keep those ops, their
+//! in-degrees and their dependent lists in a few contiguous stretches of
+//! the per-op arrays. Numbering rank by rank (a per-rank prefix sum plus
+//! the op index) would scatter them over one spot per rank, a rank's op
+//! count apart: on the 256-rank disjoint rings, 256 regions about 4k ops
+//! apart, so nearly every callback's in-degree and dependent loads would
+//! miss the cache.
+//!
 //! Sends and receives are matched *statically*, by `(src, dst, tag)` in
 //! program order: the k-th send from `src` to `dst` with tag `t` pairs with
-//! the k-th recv on `dst` from `src` with tag `t`. A schedule with an
-//! unpaired send or recv is rejected at binding, so replay needs no
-//! runtime matching. `start` issues the ready ops in `g` order and each
-//! completion issues its newly ready dependents in CSR order, so the
-//! command sequence the engines see depends only on the schedule.
+//! the k-th recv on `dst` from `src` with tag `t`. Binding groups each
+//! side by `(src, dst)` with counting passes, program order kept inside a
+//! group, and sorts a group by `(tag, op)` only when its tags are not
+//! already ascending. A schedule with an unpaired send or recv is rejected
+//! at binding, naming the first in `(src, dst, tag, op)` order, so replay
+//! needs no runtime matching. `start` issues the ready ops rank by rank in
+//! op order, and each completion issues its newly ready dependents in CSR
+//! order. Neither order depends on the ids, so the command sequence the
+//! engines see depends only on the schedule.
 //!
 //! **Placement is applied at issue.** The bound arrays hold schedule
 //! ranks; the app keeps the placement (`mapping[r]` is the simulator rank
@@ -37,6 +56,7 @@
 
 use crate::schedule::{OpKind, Schedule};
 use hxsim::{Application, Ctx, MsgInfo};
+use std::cmp::Reverse;
 
 /// What issuing one op does (see the module doc).
 #[derive(Clone, Copy, Debug)]
@@ -45,7 +65,7 @@ enum Action {
     Send {
         src: u32,
         dst: u32,
-        /// Global op id of the matched recv.
+        /// Op id of the matched recv.
         recv: u32,
         bytes: u64,
     },
@@ -57,9 +77,172 @@ enum Action {
     },
 }
 
+/// Time-major op ids (see the module doc).
+struct OpIds {
+    /// Position of each schedule rank in the order by op count, longest
+    /// first, ties broken by rank.
+    slot: Vec<u32>,
+    /// `off[i]` counts the ops of steps `0..i`; the last entry is the
+    /// schedule's op count.
+    off: Vec<u32>,
+}
+
+impl OpIds {
+    fn new(sched: &Schedule) -> Self {
+        let len = |r: u32| sched.ops[r as usize].len();
+        let mut order: Vec<u32> = (0..sched.nranks as u32).collect();
+        order.sort_unstable_by_key(|&r| (Reverse(len(r)), r));
+        let mut slot = vec![0; order.len()];
+        for (s, &r) in order.iter().enumerate() {
+            slot[r as usize] = s as u32;
+        }
+        let steps = order.first().map_or(0, |&r| len(r));
+        let mut off = Vec::with_capacity(steps + 1);
+        off.push(0);
+        // The ranks with an op at step `i`: a prefix of `order` that
+        // shrinks as `i` grows (the longest rank always has one).
+        let mut running = order.len();
+        for i in 0..steps {
+            while len(order[running - 1]) <= i {
+                running -= 1;
+            }
+            off.push(off[i] + running as u32);
+        }
+        Self { slot, off }
+    }
+
+    /// Number of ops.
+    fn len(&self) -> usize {
+        self.off[self.off.len() - 1] as usize
+    }
+
+    /// Id of op `i` of schedule rank `r`.
+    fn id(&self, r: usize, i: usize) -> u32 {
+        self.off[i] + self.slot[r]
+    }
+
+    /// Ids of schedule rank `r`'s ops, in op order.
+    fn of_rank(&self, r: usize) -> impl Iterator<Item = u32> + '_ {
+        let s = self.slot[r];
+        self.off
+            .windows(2)
+            .take_while(move |w| w[1] - w[0] > s)
+            .map(move |w| w[0] + s)
+    }
+}
+
+/// One end of a message, for static matching: its tag, its op index on
+/// its own rank, and the receiving schedule rank. The source rank is the
+/// range the end sits in.
+#[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
+struct End {
+    tag: u64,
+    op: u32,
+    dst: u32,
+}
+
+/// Scratch for spreading one rank's sends over its range grouped by
+/// destination: a counting pass over the destinations it sends to.
+struct Spread {
+    /// Per destination: sends counted, then the next write position.
+    /// All zero between calls.
+    at: Vec<u32>,
+    /// The destinations of the rank's sends, each once.
+    dsts: Vec<u32>,
+}
+
+impl Spread {
+    fn new(nranks: usize) -> Self {
+        Self {
+            at: vec![0; nranks],
+            dsts: Vec::with_capacity(nranks),
+        }
+    }
+
+    /// Write `sent`, one rank's sends in program order, to `out` grouped
+    /// by ascending destination, in program order inside a group.
+    fn by_dst(&mut self, sent: &[End], out: &mut [End]) {
+        for e in sent {
+            let c = &mut self.at[e.dst as usize];
+            if *c == 0 {
+                self.dsts.push(e.dst);
+            }
+            *c += 1;
+        }
+        self.dsts.sort_unstable();
+        let mut start = 0;
+        for &d in &self.dsts {
+            let c = &mut self.at[d as usize];
+            (start, *c) = (start + *c, start);
+        }
+        for e in sent {
+            let c = &mut self.at[e.dst as usize];
+            out[*c as usize] = *e;
+            *c += 1;
+        }
+        for &d in &self.dsts {
+            self.at[d as usize] = 0;
+        }
+        self.dsts.clear();
+    }
+}
+
+/// Split the leading group, the ends to `dst`, off `ends`, which are
+/// ordered by destination.
+fn take_group<'a>(ends: &mut &'a mut [End], dst: u32) -> &'a mut [End] {
+    let k = ends.partition_point(|e| e.dst == dst);
+    let (group, rest) = std::mem::take(ends).split_at_mut(k);
+    *ends = rest;
+    group
+}
+
+/// Pair the sends `tx` and the recvs `rx` of group `(src, dst)`, each in
+/// program order, and record each send's recv in `action`. A side whose
+/// tags are not ascending is sorted by `(tag, op)` first; then the k-th
+/// send and the k-th recv must share a tag. Otherwise panic naming the
+/// first unpaired end, as one walk over every group in `(src, dst)` order
+/// would (every earlier group paired in full).
+fn pair(ids: &OpIds, action: &mut [Action], src: usize, tx: &mut [End], rx: &mut [End]) {
+    for ends in [&mut *tx, &mut *rx] {
+        if !ends.is_sorted_by_key(|e| e.tag) {
+            ends.sort_unstable();
+        }
+    }
+    for k in 0..tx.len().max(rx.len()) {
+        match (tx.get(k), rx.get(k)) {
+            (Some(s), Some(r)) if s.tag == r.tag => {
+                if let Action::Send { recv, .. } = &mut action[ids.id(src, s.op as usize) as usize]
+                {
+                    *recv = ids.id(r.dst as usize, r.op as usize);
+                }
+            }
+            (Some(s), r) if r.is_none_or(|r| s.tag < r.tag) => {
+                let why = if k > 0 && tx[k - 1].tag == s.tag {
+                    "recv count mismatch"
+                } else {
+                    "no matching recv"
+                };
+                let key = (src, s.dst, s.tag);
+                // hxlint: allow(P001) static matching rejects malformed schedules loudly by design
+                panic!("send rank {src} op {}, key {key:?}: {why}", s.op);
+            }
+            _ => {
+                let r = &rx[k];
+                let key = (src, r.dst, r.tag);
+                // hxlint: allow(P001) static matching rejects malformed schedules loudly by design
+                panic!(
+                    "recv rank {} op {}, key {key:?}: unmatched recv",
+                    r.dst, r.op
+                );
+            }
+        }
+    }
+}
+
 /// A schedule bound for replay and placed on simulator ranks by its
 /// mapping, executable by [`hxsim::Engine`].
 pub struct ScheduleApp {
+    ids: OpIds,
     action: Vec<Action>,
     /// Simulator rank of each schedule rank, applied at issue.
     mapping: Vec<u32>,
@@ -113,27 +296,30 @@ impl ScheduleApp {
     }
 
     /// Flatten `sched` into the bound arrays. The mapping and the replay
-    /// state are left for [`Self::rebind`] to set.
+    /// state are left for [`Self::rebind`] to set. Every array is sized
+    /// from counts before it is filled.
     fn bind(sched: &Schedule) -> Self {
         // hxlint: allow(P001) constructor contract: binding an invalid schedule is a caller bug, fail loudly
         sched.validate().expect("invalid schedule");
+        let ids = OpIds::new(sched);
+        let (nranks, n) = (sched.nranks, ids.len());
 
-        let mut base = Vec::with_capacity(sched.nranks);
-        let mut n = 0usize;
-        for ops in &sched.ops {
-            base.push(n);
-            n += ops.len();
-        }
-
-        // Dependents in CSR form: count per op, prefix-sum, then fill in
-        // op order so each list stays ascending.
+        // Count the dependents of every op, the sends of every rank and
+        // the recvs from every rank, then prefix-sum each count.
         let mut dep_start = vec![0u32; n + 1];
+        let mut send_start = vec![0u32; nranks + 1];
+        let mut recv_start = vec![0u32; nranks + 1];
         let mut edges = 0usize;
         for (r, ops) in sched.ops.iter().enumerate() {
             for op in ops {
                 edges += op.deps.len();
                 for &d in &op.deps {
-                    dep_start[base[r] + d as usize + 1] += 1;
+                    dep_start[ids.id(r, d as usize) as usize + 1] += 1;
+                }
+                match op.kind {
+                    OpKind::Send { .. } => send_start[r + 1] += 1,
+                    OpKind::Recv { from, .. } => recv_start[from as usize + 1] += 1,
+                    OpKind::Compute { .. } => {}
                 }
             }
         }
@@ -141,27 +327,41 @@ impl ScheduleApp {
             n < u32::MAX as usize && edges <= u32::MAX as usize,
             "{n} ops with {edges} dependencies overflow u32 op ids"
         );
-        for g in 0..n {
-            dep_start[g + 1] += dep_start[g];
+        for counts in [&mut dep_start, &mut send_start, &mut recv_start] {
+            for k in 1..counts.len() {
+                counts[k] += counts[k - 1];
+            }
         }
+
+        // Fill in rank-major op order, so each dependent list stays in
+        // ascending op index. Message ends land grouped by `(src, dst)` in
+        // program order: a recv goes straight into its source's range,
+        // whose destinations come in ascending rank order; a rank's sends
+        // are gathered in `sent` and spread over its range by destination.
         let mut cursor = dep_start.clone();
         let mut dependents = vec![0u32; edges];
-        // Sends keyed `(src, dst, tag, op)`, recvs `(from, rank, tag, op)`:
-        // once sorted, each key's group lists its ops in program order.
-        let mut sends: Vec<(u32, u32, u64, u32)> = Vec::new();
-        let mut recvs: Vec<(u32, u32, u64, u32)> = Vec::new();
-        let mut action = Vec::with_capacity(n);
+        let mut action = vec![Action::Recv; n];
+        let mut sends = vec![End::default(); send_start[nranks] as usize];
+        let mut recvs = vec![End::default(); recv_start[nranks] as usize];
+        let mut recv_at = recv_start.clone();
+        let most_sends = send_start.windows(2).map(|w| w[1] - w[0]).max();
+        let mut sent = Vec::with_capacity(most_sends.unwrap_or(0) as usize);
+        let mut spread = Spread::new(nranks);
         for (r, ops) in sched.ops.iter().enumerate() {
             for (i, op) in ops.iter().enumerate() {
-                let g = (base[r] + i) as u32;
+                let g = ids.id(r, i);
                 for &d in &op.deps {
-                    let c = &mut cursor[base[r] + d as usize];
+                    let c = &mut cursor[ids.id(r, d as usize) as usize];
                     dependents[*c as usize] = g;
                     *c += 1;
                 }
-                action.push(match op.kind {
+                action[g as usize] = match op.kind {
                     OpKind::Send { to, tag, payload } => {
-                        sends.push((r as u32, to, tag, i as u32));
+                        sent.push(End {
+                            tag,
+                            op: i as u32,
+                            dst: to,
+                        });
                         Action::Send {
                             src: r as u32,
                             dst: to,
@@ -170,55 +370,46 @@ impl ScheduleApp {
                         }
                     }
                     OpKind::Recv { from, tag, .. } => {
-                        recvs.push((from, r as u32, tag, i as u32));
+                        let k = &mut recv_at[from as usize];
+                        recvs[*k as usize] = End {
+                            tag,
+                            op: i as u32,
+                            dst: r as u32,
+                        };
+                        *k += 1;
                         Action::Recv
                     }
                     OpKind::Compute { ps } => Action::Compute { rank: r as u32, ps },
-                });
+                };
             }
+            let range = send_start[r] as usize..send_start[r + 1] as usize;
+            spread.by_dst(&sent, &mut sends[range]);
+            sent.clear();
         }
 
-        // Static matching: in a well-formed schedule the k-th sorted send
-        // and the k-th sorted recv share a key, which pairs each key's
-        // sends and recvs in program order. The first pair that differs
-        // names the op left unpaired.
-        sends.sort_unstable();
-        recvs.sort_unstable();
-        let key = |e: &(u32, u32, u64, u32)| (e.0, e.1, e.2);
-        for k in 0..sends.len().max(recvs.len()) {
-            match (sends.get(k), recvs.get(k)) {
-                (Some(s), Some(rv)) if key(s) == key(rv) => {
-                    if let Action::Send { recv, .. } =
-                        &mut action[base[s.0 as usize] + s.3 as usize]
-                    {
-                        *recv = (base[rv.1 as usize] + rv.3 as usize) as u32;
-                    }
-                }
-                (Some(s), rv) if rv.is_none_or(|rv| key(s) < key(rv)) => {
-                    let why = if k > 0 && key(&sends[k - 1]) == key(s) {
-                        "recv count mismatch"
-                    } else {
-                        "no matching recv"
-                    };
-                    // hxlint: allow(P001) static matching rejects malformed schedules loudly by design
-                    panic!("send rank {} op {}, key {:?}: {why}", s.0, s.3, key(s));
-                }
-                _ => {
-                    let rv = &recvs[k];
-                    // hxlint: allow(P001) static matching rejects malformed schedules loudly by design
-                    panic!(
-                        "recv rank {} op {}, key {:?}: unmatched recv",
-                        rv.1,
-                        rv.3,
-                        key(rv)
-                    );
-                }
+        // Static matching, one `(src, dst)` group at a time in ascending
+        // order, so the first unpaired end named is the first in
+        // `(src, dst, tag, op)` order.
+        for src in 0..nranks {
+            let mut tx = &mut sends[send_start[src] as usize..send_start[src + 1] as usize];
+            let mut rx = &mut recvs[recv_start[src] as usize..recv_start[src + 1] as usize];
+            while let Some(dst) = tx
+                .first()
+                .into_iter()
+                .chain(rx.first())
+                .map(|e| e.dst)
+                .min()
+            {
+                let group_tx = take_group(&mut tx, dst);
+                let group_rx = take_group(&mut rx, dst);
+                pair(&ids, &mut action, src, group_tx, group_rx);
             }
         }
 
         Self {
+            ids,
             action,
-            mapping: vec![0; sched.nranks],
+            mapping: vec![0; nranks],
             indeg: vec![0; n],
             dep_start,
             dependents,
@@ -263,9 +454,12 @@ impl ScheduleApp {
 
 impl Application for ScheduleApp {
     fn start(&mut self, ctx: &mut Ctx) {
-        for g in 0..self.action.len() as u32 {
-            if self.indeg[g as usize] == 0 {
-                self.issue(ctx, g);
+        // Rank by rank in op order (see the module doc).
+        for r in 0..self.mapping.len() {
+            for g in self.ids.of_rank(r) {
+                if self.indeg[g as usize] == 0 {
+                    self.issue(ctx, g);
+                }
             }
         }
     }
@@ -419,12 +613,76 @@ mod tests {
             s.recv(1, 0, 5, RecvAction::Discard, vec![]),
         ];
         let app = ScheduleApp::new(&s);
-        let rank1 = s.ops[0].len() as u32;
-        let matched = |op: u32| match app.action[op as usize] {
-            Action::Send { recv, .. } => recv - rank1,
-            a => panic!("op {op} is {a:?}"),
-        };
-        let got = [matched(sends[0]), matched(sends[1]), matched(third)];
-        assert_eq!(got, recvs);
+        let got = [sends[0], sends[1], third].map(|op| matched(&app, 0, op));
+        assert_eq!(got, recvs.map(|op| app.ids.id(1, op as usize)));
+    }
+
+    /// The op id of the recv that op `op` of schedule rank `src`, a send,
+    /// is matched to.
+    fn matched(app: &ScheduleApp, src: usize, op: u32) -> u32 {
+        match app.action[app.ids.id(src, op as usize) as usize] {
+            Action::Send { recv, .. } => recv,
+            a => panic!("rank {src} op {op} is {a:?}"),
+        }
+    }
+
+    /// One `(src, dst)` group whose tags come in different orders on the
+    /// send side and on the recv side still pairs the k-th send with a tag
+    /// with the k-th recv with that tag.
+    #[test]
+    fn group_with_unordered_tags_pairs_by_tag_in_program_order() {
+        let mut s = Schedule::new(2, 4);
+        let sends = [7, 5, 7, 6].map(|tag| s.send(0, 1, tag, BYTES, vec![]));
+        let recvs = [6, 7, 5, 7].map(|tag| s.recv(1, 0, tag, RecvAction::Discard, vec![]));
+        let app = ScheduleApp::new(&s);
+        let got = sends.map(|op| matched(&app, 0, op));
+        let want = [recvs[1], recvs[2], recvs[3], recvs[0]].map(|op| app.ids.id(1, op as usize));
+        assert_eq!(got, want);
+    }
+
+    /// Ranks of different lengths, ties included: the ids are a bijection
+    /// onto `0..n`, rise with the op index inside a rank, and each step's
+    /// ops take consecutive ids, after every earlier step's; the ranks go
+    /// longest first, ties broken by rank.
+    #[test]
+    fn op_ids_are_time_major() {
+        let lens = [2usize, 5, 0, 3, 5, 1, 3];
+        let mut s = Schedule::new(lens.len(), 4);
+        for (r, &len) in lens.iter().enumerate() {
+            for i in 0..len as u32 {
+                s.compute(r, 10, i.checked_sub(1).into_iter().collect());
+            }
+        }
+        let ids = ScheduleApp::new(&s).ids;
+        assert_eq!(ids.slot, [4, 0, 6, 2, 1, 5, 3]);
+        let n = s.num_ops();
+        assert_eq!(ids.len(), n);
+        let mut seen = vec![false; n];
+        for (r, &len) in lens.iter().enumerate() {
+            let of_rank: Vec<u32> = (0..len).map(|i| ids.id(r, i)).collect();
+            assert!(
+                of_rank.windows(2).all(|w| w[0] < w[1]),
+                "rank {r}: {of_rank:?}"
+            );
+            assert_eq!(ids.of_rank(r).collect::<Vec<_>>(), of_rank);
+            for g in of_rank {
+                assert!(
+                    !std::mem::replace(&mut seen[g as usize], true),
+                    "id {g} twice"
+                );
+            }
+        }
+        assert!(seen.iter().all(|&s| s));
+        let mut next = 0;
+        for i in 0..lens.into_iter().max().unwrap_or(0) {
+            let mut step: Vec<u32> = (0..lens.len())
+                .filter(|&r| lens[r] > i)
+                .map(|r| ids.id(r, i))
+                .collect();
+            step.sort_unstable();
+            let end = next + step.len() as u32;
+            assert_eq!(step, (next..end).collect::<Vec<_>>(), "step {i}");
+            next = end;
+        }
     }
 }

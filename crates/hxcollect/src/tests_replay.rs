@@ -1,10 +1,11 @@
 //! Differential proof that the dense replay is exact: schedules from every
 //! generator and hand-built ones, bound under random injective placements
-//! onto small networks, give the same `SimStats`, bit for bit, on both
-//! engines, as the map-based replay [`ScheduleApp`] replaced (kept here as
-//! the oracle, [`MapScheduleApp`]). The dense app is bound once per case
-//! and rebound for every later run, one of them cut short, so a rebound
-//! app is proved against a freshly bound oracle.
+//! onto small networks, give the same `SimStats`, bit for bit, and the same
+//! stream of callbacks, on both engines, as the map-based replay
+//! [`ScheduleApp`] replaced (kept here as the oracle, [`MapScheduleApp`]).
+//! The dense app is bound once per case and rebound for every later run,
+//! one of them cut short, so a rebound app is proved against a freshly
+//! bound oracle.
 
 use crate::allreduce::{
     bidirectional_ring_allreduce, binomial_tree_allreduce, disjoint_rings_allreduce, job_allreduce,
@@ -17,7 +18,7 @@ use hxnet::fattree::FatTreeParams;
 use hxnet::hammingmesh::HxMeshParams;
 use hxnet::torus::TorusParams;
 use hxnet::Network;
-use hxsim::{simulate, Application, Ctx, EngineKind, MsgInfo, SimConfig};
+use hxsim::{simulate, Application, Ctx, EngineKind, MsgInfo, SimConfig, SimStats};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -170,6 +171,59 @@ impl Application for MapScheduleApp<'_> {
     }
 }
 
+/// A callback an app received: its kind (`'m'` message, `'s'` send
+/// complete, `'c'` compute done), `ctx.now()`, the source and destination
+/// ranks (a compute's rank twice) and the bytes (0 for a compute).
+type Callback = (char, u64, u32, u32, u64);
+
+/// Records every callback, then hands it to the app it wraps.
+struct Recorded<'a> {
+    app: &'a mut dyn Application,
+    log: Vec<Callback>,
+}
+
+impl Application for Recorded<'_> {
+    fn start(&mut self, ctx: &mut Ctx) {
+        self.app.start(ctx);
+    }
+
+    fn on_message(&mut self, ctx: &mut Ctx, info: MsgInfo) {
+        let (src, dst) = (info.src_rank, info.dst_rank);
+        self.log.push(('m', ctx.now(), src, dst, info.bytes));
+        self.app.on_message(ctx, info);
+    }
+
+    fn on_send_complete(&mut self, ctx: &mut Ctx, info: MsgInfo) {
+        let (src, dst) = (info.src_rank, info.dst_rank);
+        self.log.push(('s', ctx.now(), src, dst, info.bytes));
+        self.app.on_send_complete(ctx, info);
+    }
+
+    fn on_compute_done(&mut self, ctx: &mut Ctx, rank: u32, tag: u64) {
+        self.log.push(('c', ctx.now(), rank, rank, 0));
+        self.app.on_compute_done(ctx, rank, tag);
+    }
+}
+
+/// Simulate `app` and return its stats and the callbacks it received.
+fn recorded(
+    net: &Network,
+    cfg: SimConfig,
+    kind: EngineKind,
+    app: &mut dyn Application,
+) -> (SimStats, Vec<Callback>) {
+    let mut rec = Recorded {
+        app,
+        log: Vec::new(),
+    };
+    let stats = simulate(net, cfg, kind, &mut rec);
+    (stats, rec.log)
+}
+
+/// One replay's results: its `SimStats` (`Debug`), `finish_ps`, `is_done`
+/// and callbacks.
+type Run = (String, u64, bool, Vec<Callback>);
+
 /// Where a case's schedule comes from.
 #[derive(Clone, Copy, Debug)]
 enum Source {
@@ -287,9 +341,8 @@ impl Case {
     /// then B cut short at half of A's finish time, then B in full; on
     /// the packet engine with two seeds, A then B. The oracle binds afresh
     /// for every run; the dense app is bound once, under A, and rebound
-    /// before every later run. Each run yields its `SimStats` (`Debug`),
-    /// `finish_ps` and `is_done`.
-    fn run(&self, oracle: bool) -> Vec<(String, u64, bool)> {
+    /// before every later run.
+    fn run(&self, oracle: bool) -> Vec<Run> {
         let sched = self.schedule();
         let net = net_for(self.net_idx);
         let a = self.placement(sched.nranks, &net, 0);
@@ -306,7 +359,7 @@ impl Case {
             (packet, s2, &b, false),
         ];
         let mut dense = ScheduleApp::with_mapping(&sched, a.clone());
-        let mut out: Vec<(String, u64, bool)> = Vec::new();
+        let mut out: Vec<Run> = Vec::new();
         for (i, &(kind, seed, mapping, cut)) in runs.iter().enumerate() {
             let mut cfg = SimConfig {
                 seed,
@@ -317,14 +370,14 @@ impl Case {
             }
             out.push(if oracle {
                 let mut app = MapScheduleApp::with_mapping(&sched, mapping.clone());
-                let stats = simulate(&net, cfg, kind, &mut app);
-                (format!("{stats:?}"), app.finish_ps, app.remaining == 0)
+                let (stats, log) = recorded(&net, cfg, kind, &mut app);
+                (format!("{stats:?}"), app.finish_ps, app.remaining == 0, log)
             } else {
                 if i > 0 {
                     dense.rebind(mapping.clone());
                 }
-                let stats = simulate(&net, cfg, kind, &mut dense);
-                (format!("{stats:?}"), dense.finish_ps, dense.is_done())
+                let (stats, log) = recorded(&net, cfg, kind, &mut dense);
+                (format!("{stats:?}"), dense.finish_ps, dense.is_done(), log)
             });
         }
         out
@@ -413,11 +466,21 @@ fn check(case: &Case) -> Result<(), proptest::test_runner::TestCaseError> {
     // Every source is deadlock-free, so a replay that does not finish
     // would verify nothing; only the cut-short run (index 1) may stop
     // early.
+    let done: Vec<bool> = oracle.iter().map(|o| o.2).collect();
     prop_assert!(
-        oracle.iter().enumerate().all(|(i, o)| i == 1 || o.2),
-        "{case:?}: {oracle:?}"
+        done.iter().enumerate().all(|(i, &d)| i == 1 || d),
+        "{case:?}: done {done:?}"
     );
-    prop_assert_eq!(got, oracle, "{:?}", case);
+    for (i, (g, o)) in got.iter().zip(&oracle).enumerate() {
+        prop_assert_eq!((&g.0, g.1, g.2), (&o.0, o.1, o.2), "{:?} run {}", case, i);
+        let differ = g.3.iter().zip(&o.3).position(|(a, b)| a != b);
+        prop_assert!(
+            g.3 == o.3,
+            "{case:?} run {i}: {} callbacks against the oracle's {}, first differing at {differ:?}",
+            g.3.len(),
+            o.3.len()
+        );
+    }
     Ok(())
 }
 
@@ -427,7 +490,8 @@ proptest! {
     /// The dense replay is the map-based replay, bit for bit: every
     /// `SimStats` field (compared through `Debug`, which prints every
     /// integer exactly and every field the struct ever grows),
-    /// `finish_ps` and `is_done` match on both engines.
+    /// `finish_ps`, `is_done` and every callback, in order, match on both
+    /// engines.
     #[test]
     fn prop_dense_replay_matches_map_replay(source in 0..NUM_SOURCES, seed in 0u64..u64::MAX) {
         check(&Case::draw(source, seed))?;
