@@ -26,6 +26,10 @@ pub struct Measurement {
     pub bw_fraction: f64,
     /// The run finished with every message delivered.
     pub clean: bool,
+    /// Events the simulator executed ([`hxsim::SimStats::events`]).
+    pub events: u64,
+    /// Messages the run sent.
+    pub messages: u64,
 }
 
 /// Allreduce algorithm selector (§V-A2).
@@ -119,6 +123,8 @@ pub fn allreduce_bandwidth(
         bytes_per_rank: s_bytes,
         bw_fraction: model::allreduce_bw_fraction(s_bytes, stats.finish_ps, inj),
         clean: stats.clean() && app.is_done(),
+        events: stats.events,
+        messages: stats.messages_sent,
     }
 }
 
@@ -148,6 +154,8 @@ pub fn alltoall_bandwidth(
         bytes_per_rank: per_rank,
         bw_fraction: model::alltoall_bw_fraction(per_rank, stats.finish_ps, inj),
         clean: stats.clean(),
+        events: stats.events,
+        messages: stats.messages_sent,
     }
 }
 

@@ -128,41 +128,18 @@ impl BoardMesh {
     }
 
     /// Largest `u x v` virtual sub-mesh the greedy allocator could place
-    /// right now, by area. For each candidate width `v` the rows are
-    /// scanned exactly as [`BoardMesh::allocate`]'s greedy core does —
-    /// rows whose free set (or whose intersection with the running common
-    /// set) drops below `v` are skipped — and the row count the scan
-    /// accumulates is precisely the largest `u` for which
-    /// `greedy_find(u, v)` would succeed. Rows need not be adjacent,
-    /// columns must be common: this is the allocator's own feasibility,
-    /// not the NP-hard maximum biclique.
+    /// right now, by area. For each candidate width `v` this runs
+    /// [`BoardMesh::allocate`]'s greedy row scan over every row; the rows
+    /// it keeps are precisely the largest `u` for which `greedy_find(u, v)`
+    /// would succeed. Rows need not be adjacent, columns must be common:
+    /// this is the allocator's own feasibility, not the NP-hard maximum
+    /// biclique.
     pub fn largest_free_rect(&self) -> (usize, usize) {
-        let free: Vec<Vec<usize>> = (0..self.y).map(|r| self.free_cols(r)).collect();
         let mut best = (0usize, 0usize);
         for v in 1..=self.x {
-            let mut selected = 0usize;
-            let mut common: Vec<usize> = Vec::new();
-            for cols in &free {
-                if cols.len() < v {
-                    continue;
-                }
-                if selected == 0 {
-                    common = cols.clone();
-                    selected = 1;
-                } else {
-                    let inter: Vec<usize> = common
-                        .iter()
-                        .copied()
-                        .filter(|c| cols.contains(c))
-                        .collect();
-                    if inter.len() >= v {
-                        common = inter;
-                        selected += 1;
-                    }
-                }
-            }
-            if selected * v > best.0 * best.1 {
-                best = (selected, v);
+            let rows = self.greedy_scan(v, self.y).0.len();
+            if rows * v > best.0 * best.1 {
+                best = (rows, v);
             }
         }
         best
@@ -216,15 +193,27 @@ impl BoardMesh {
         if u > self.y || v > self.x {
             return None;
         }
-        let mut selected: Vec<usize> = Vec::with_capacity(u);
+        let (rows, mut cols) = self.greedy_scan(v, u);
+        cols.truncate(v);
+        (rows.len() == u).then_some((rows, cols))
+    }
+
+    /// The greedy row scan for width `v`: walk the rows in order and keep
+    /// each row whose free columns, intersected with those of the rows
+    /// kept so far, still number at least `v`, until `limit` rows are
+    /// kept. Returns the kept rows and their common free columns.
+    fn greedy_scan(&self, v: usize, limit: usize) -> (Vec<usize>, Vec<usize>) {
+        let mut selected: Vec<usize> = Vec::new();
         let mut common: Vec<usize> = Vec::new();
         for row in 0..self.y {
+            if selected.len() == limit {
+                break;
+            }
             let free = self.free_cols(row);
             if free.len() < v {
                 continue;
             }
             if selected.is_empty() {
-                selected.push(row);
                 common = free;
             } else {
                 let inter: Vec<usize> = common
@@ -232,17 +221,14 @@ impl BoardMesh {
                     .copied()
                     .filter(|c| free.contains(c))
                     .collect();
-                if inter.len() >= v {
-                    selected.push(row);
-                    common = inter;
+                if inter.len() < v {
+                    continue;
                 }
+                common = inter;
             }
-            if selected.len() == u {
-                common.truncate(v);
-                return Some((selected, common));
-            }
+            selected.push(row);
         }
-        None
+        (selected, common)
     }
 
     /// Candidate shapes for `boards` boards under the heuristics, in

@@ -7,7 +7,7 @@
 //! run** — the time-varying failure model the static layers cannot
 //! express. The architecture follows the host/scheduler split of
 //! discrete-event cluster frameworks (DSLab): a deterministic event queue
-//! drives a scheduler (FIFO + backfill + optional defragmentation) against
+//! (the simulators' own [`hxsim::EventQueue`]) drives a scheduler (FIFO + backfill + optional defragmentation) against
 //! a placement substrate ([`hxalloc::BoardMesh`]) and a rate oracle (the
 //! [`hxsim`] engines replaying each job's [`hxcollect`] schedule on its
 //! virtual sub-HxMesh).
@@ -38,7 +38,6 @@
 //! assert!(report.makespan_ps > 0);
 //! ```
 
-pub mod events;
 pub mod job;
 pub mod metrics;
 pub mod sim;

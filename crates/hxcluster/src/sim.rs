@@ -33,7 +33,6 @@
 //! neighbor's lines). Queueing, placement, and failure dynamics — the
 //! quantities this layer reports — are modeled exactly.
 
-use crate::events::{Event, EventQueue};
 use crate::job::{exponential_ps, sample_jobs, JobSpec};
 use crate::metrics::{ClusterReport, JobRecord};
 use hxalloc::workload::JobSizeDistribution;
@@ -43,7 +42,9 @@ use hxcollect::simapp::ScheduleApp;
 use hxnet::graph::FailureSetId;
 use hxnet::hammingmesh::{HxCoord, HxMeshParams};
 use hxnet::{Network, NodeId, PortId};
-use hxsim::{simulate, EngineKind, FailureSchedule, LinkEventKind, SimConfig, SimStats};
+use hxsim::{
+    simulate, EngineKind, EventQueue, FailureSchedule, LinkEventKind, SimConfig, SimStats,
+};
 use hxtelemetry::{CounterId, GaugeId, HistId, HistogramU64, Registry, Sampler, TraceSink};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -125,6 +126,22 @@ impl ClusterConfig {
 
 const MS: u64 = 1_000_000_000;
 
+/// One cluster-level occurrence, popped from the lifetime's
+/// [`EventQueue`] in time order (push order within one picosecond).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Event {
+    /// Job `id` enters the submission queue.
+    Arrival(u32),
+    /// Job `id` finishes its last iteration — valid only while the job's
+    /// rate `generation` is current; a fail/repair re-rate in between
+    /// leaves a stale completion in the queue, which is skipped.
+    Completion { job: u32, generation: u32 },
+    /// Draw and fail one random connectivity-preserving cable.
+    CableFail,
+    /// Repair the cable failed at `(node, port)`.
+    CableRepair { node: NodeId, port: PortId },
+}
+
 /// A placed, training job.
 #[derive(Debug)]
 struct Running {
@@ -166,7 +183,7 @@ pub struct ClusterSim {
     /// re-rates walk this map, and float summation order must not depend
     /// on hash-map iteration for runs to reproduce byte-identically.
     running: BTreeMap<u32, Running>,
-    events: EventQueue,
+    events: EventQueue<u64, Event>,
     /// Iteration-time memo: (placement rows, cols, failure set, bytes) ->
     /// (communication ps, busy link-ps). The failure-set key means a
     /// fail -> repair cycle returning to a seen set costs no simulation.
@@ -224,7 +241,7 @@ impl ClusterSim {
             cfg.compute_ps,
             &mut workload_rng,
         );
-        let mut events = EventQueue::new();
+        let mut events = EventQueue::default();
         for j in &jobs {
             events.push(j.arrival_ps, Event::Arrival(j.id));
         }
@@ -295,7 +312,7 @@ impl ClusterSim {
         while let Some((now, ev)) = self.events.pop() {
             if !self.work_remains() {
                 // Every job is done or rejected; whatever is left in the
-                // heap (pending repairs, the next failure draw) happens on
+                // queue (pending repairs, the next failure draw) happens on
                 // an idle cluster and would only dilute the time averages.
                 break;
             }

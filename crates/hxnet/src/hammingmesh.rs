@@ -208,7 +208,9 @@ impl HxMeshParams {
         let mut leaves_all: Vec<NodeId> = Vec::new();
         let mut spines_all: Vec<NodeId> = Vec::new();
         let mut up_boundary: BTreeMap<NodeId, usize> = BTreeMap::new();
-        let mut switch_net: BTreeMap<NodeId, NetRef> = BTreeMap::new();
+        // Switches are numbered after every accelerator, one line at a
+        // time, so each line extends this to the topology's new size.
+        let mut switch_net: Vec<Option<NetRef>> = vec![None; topo.num_nodes()];
         let mut group = 0u32;
 
         let mut build_line = |topo: &mut Topology,
@@ -226,7 +228,6 @@ impl HxMeshParams {
                     ports[acc.idx()][dir as usize] = pa;
                 }
                 up_boundary.insert(sw, topo.num_ports(sw));
-                switch_net.insert(sw, net);
                 leaves_all.push(sw);
             } else {
                 // Two-level fat tree over the line, optionally tapered.
@@ -256,14 +257,11 @@ impl HxMeshParams {
                 }
                 for &s in &spines {
                     up_boundary.insert(s, topo.num_ports(s));
-                    switch_net.insert(s, net);
-                }
-                for &l in &leaves {
-                    switch_net.insert(l, net);
                 }
                 leaves_all.extend(leaves);
                 spines_all.extend(spines);
             }
+            switch_net.resize(topo.num_nodes(), Some(net));
         };
 
         for bi in 0..self.y {
@@ -356,7 +354,9 @@ pub struct HxMeshRouter {
     /// Accelerator node at flattened (bi, bj, r, c).
     acc_at: Vec<NodeId>,
     table: UpDownTable,
-    switch_net: BTreeMap<NodeId, NetRef>,
+    /// The line network of each global switch, by node index (`None` for
+    /// accelerators).
+    switch_net: Vec<Option<NetRef>>,
 }
 
 /// Highest VC of the 3-VC scheme; wrap shortcuts are disabled here.
@@ -620,9 +620,10 @@ impl Router for HxMeshRouter {
         if node == target {
             return;
         }
-        if let Some(&net) = self.switch_net.get(&node) {
+        if let Some(net) = self.switch_net[node.idx()] {
             // Global-network switch: up*/down* toward the entry accelerators,
-            // skipping failed links as long as a healthy candidate remains.
+            // skipping failed links. Empty when every down and up port
+            // failed; `Router::next_hops` then detours.
             let t = self.coords[target.idx()];
             let (entries, n) = self.entries(topo, net, t);
             let entries = &entries[..n];
@@ -644,27 +645,6 @@ impl Router for HxMeshRouter {
                     }
                 }
             }
-            if out.is_empty() {
-                // Every healthy option is gone (isolating failure): fall
-                // back to the failure-blind candidate set so the contract
-                // of a non-empty set when node != target holds.
-                for e in entries {
-                    for &port in self.table.down_ports(node, *e) {
-                        if !out.iter().any(|h| h.port == port) {
-                            out.push(Hop { port, vc });
-                        }
-                    }
-                }
-                if out.is_empty() {
-                    out.extend(
-                        self.table
-                            .up_ports(node)
-                            .iter()
-                            .map(|&port| Hop { port, vc }),
-                    );
-                }
-            }
-            debug_assert!(!out.is_empty(), "tree switch with no candidates");
             return;
         }
 

@@ -224,7 +224,7 @@ impl Application for UniformRandom {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Engine, SimConfig};
+    use crate::{simulate, Engine, EngineKind, SimConfig};
     use hxnet::fattree::single_switch;
     use hxnet::hammingmesh::HxMeshParams;
     use hxnet::torus::TorusParams;
@@ -259,10 +259,12 @@ mod tests {
     #[test]
     fn alltoall_completes_on_hxmesh() {
         let net = HxMeshParams::square(2, 2).build();
-        let mut app = Alltoall::new(net.num_ranks(), 16 * 1024, 2);
-        let stats = Engine::new(&net, SimConfig::default()).run(&mut app);
-        assert!(stats.clean(), "{stats:?}");
-        assert_eq!(stats.messages_delivered as usize, 16 * 15);
+        for kind in EngineKind::all() {
+            let mut app = Alltoall::new(net.num_ranks(), 16 * 1024, 2);
+            let stats = simulate(&net, SimConfig::default(), kind, &mut app);
+            assert!(stats.clean(), "{kind}: {stats:?}");
+            assert_eq!(stats.messages_delivered as usize, 16 * 15);
+        }
     }
 
     #[test]
@@ -273,10 +275,12 @@ mod tests {
             board: 2,
         }
         .build();
-        let mut app = Permutation::new(net.num_ranks(), 32 * 1024, 2, 7);
-        let stats = Engine::new(&net, SimConfig::default()).run(&mut app);
-        assert!(stats.clean(), "{stats:?}");
-        assert_eq!(stats.messages_delivered, 32);
+        for kind in EngineKind::all() {
+            let mut app = Permutation::new(net.num_ranks(), 32 * 1024, 2, 7);
+            let stats = simulate(&net, SimConfig::default(), kind, &mut app);
+            assert!(stats.clean(), "{kind}: {stats:?}");
+            assert_eq!(stats.messages_delivered, 32);
+        }
     }
 
     #[test]
@@ -305,14 +309,16 @@ mod tests {
             .build(),
         ];
         for net in &nets {
-            let mut app = UniformRandom::new(net.num_ranks(), 24 * 1024, 8, 99);
-            // 200 ms guard
-            let cfg = SimConfig {
-                max_time_ps: 200_000_000_000,
-                ..Default::default()
-            };
-            let stats = Engine::new(net, cfg).run(&mut app);
-            assert!(stats.clean(), "{}: {stats:?}", net.name);
+            for kind in EngineKind::all() {
+                let mut app = UniformRandom::new(net.num_ranks(), 24 * 1024, 8, 99);
+                // 200 ms guard
+                let cfg = SimConfig {
+                    max_time_ps: 200_000_000_000,
+                    ..Default::default()
+                };
+                let stats = simulate(net, cfg, kind, &mut app);
+                assert!(stats.clean(), "{} ({kind}): {stats:?}", net.name);
+            }
         }
     }
 
@@ -333,12 +339,12 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let net = HxMeshParams::square(2, 2).build();
-        let run = || {
-            let mut app = Alltoall::new(net.num_ranks(), 8192, 1);
-            Engine::new(&net, SimConfig::default())
-                .run(&mut app)
-                .finish_ps
-        };
-        assert_eq!(run(), run());
+        for kind in EngineKind::all() {
+            let run = || {
+                let mut app = Alltoall::new(net.num_ranks(), 8192, 1);
+                simulate(&net, SimConfig::default(), kind, &mut app).finish_ps
+            };
+            assert_eq!(run(), run(), "{kind}");
+        }
     }
 }

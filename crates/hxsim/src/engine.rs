@@ -4,13 +4,12 @@ pub use crate::app::{Application, Cmd, Ctx, MsgInfo};
 use crate::failure::{LinkEvent, LinkEventKind};
 use crate::ledger::Ledger;
 use crate::stats::SimStats;
-use crate::{RetransmitPolicy, Time};
+use crate::{EventQueue, RetransmitPolicy, Time};
 use hxnet::route::{Hop, LoadProbe};
 use hxnet::{Network, NodeId, PortId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::ops::Range;
 
 /// Which max-min solver scope the flow engine uses on each epoch.
@@ -43,12 +42,6 @@ pub enum RateMode {
 pub struct SimConfig {
     /// Input-buffer capacity per (port, VC) in bytes.
     pub buffer_bytes: u64,
-    /// Virtual cut-through: a transit packet becomes routable downstream
-    /// after one flit ([`crate::FLIT_BYTES`]) plus wire latency, instead
-    /// of after full store-and-forward reception. Links still carry every
-    /// byte, so bandwidth accounting is exact; only per-hop pipelining
-    /// changes.
-    pub cut_through: bool,
     /// Injection throttle: a NIC keeps at most this many bytes queued in
     /// its node's output queues before pacing further packets.
     pub nic_window_bytes: u64,
@@ -82,7 +75,6 @@ impl Default for SimConfig {
     fn default() -> Self {
         Self {
             buffer_bytes: crate::DEFAULT_BUFFER_BYTES,
-            cut_through: true,
             nic_window_bytes: 32 * crate::PACKET_BYTES,
             nic_port_window_bytes: 4 * crate::PACKET_BYTES,
             use_waypoints: true,
@@ -238,8 +230,7 @@ pub struct Engine<'n> {
     cfg: SimConfig,
     num_vcs: usize,
     now: Time,
-    seq: u64,
-    queue: BinaryHeap<Reverse<(Time, u64, Event)>>,
+    queue: EventQueue<Time, Event>,
     nodes: Vec<NodeState>,
     packets: Vec<PacketState>,
     free_packets: Vec<PacketId>,
@@ -311,8 +302,7 @@ impl<'n> Engine<'n> {
             net,
             num_vcs,
             now: 0,
-            seq: 0,
-            queue: BinaryHeap::new(),
+            queue: EventQueue::default(),
             nodes,
             packets: Vec::new(),
             free_packets: Vec::new(),
@@ -327,12 +317,6 @@ impl<'n> Engine<'n> {
             probe: PumpProbe::default(),
             cfg,
         }
-    }
-
-    #[inline]
-    fn push_event(&mut self, t: Time, e: Event) {
-        self.seq += 1;
-        self.queue.push(Reverse((t, self.seq, e)));
     }
 
     /// Run the application to completion. Returns the collected statistics.
@@ -358,8 +342,8 @@ impl<'n> Engine<'n> {
             // horizon and stays inert, keeping such runs bit-identical
             // to runs with no schedule at all.
             if let Some(ev) = self.ledger.next_link_event() {
-                let due = match self.queue.peek() {
-                    Some(&Reverse((t, _, _))) => ev.at_ps <= t,
+                let due = match self.queue.next_time() {
+                    Some(t) => ev.at_ps <= t,
                     None => {
                         if self.parked.is_empty() {
                             break;
@@ -379,7 +363,7 @@ impl<'n> Engine<'n> {
                     continue;
                 }
             }
-            let Some(Reverse((t, _, ev))) = self.queue.pop() else {
+            let Some((t, ev)) = self.queue.pop() else {
                 break;
             };
             debug_assert!(t >= self.now, "time went backwards");
@@ -564,7 +548,7 @@ impl<'n> Engine<'n> {
             }
             let info = self.msgs[msg as usize].info;
             self.ledger.packet_retransmit(info, delay, self.now);
-            self.push_event(self.now + delay, Event::Retransmit(pkt));
+            self.queue.push(self.now + delay, Event::Retransmit(pkt));
         }
     }
 
@@ -581,7 +565,7 @@ impl<'n> Engine<'n> {
                     tag,
                 } => self.start_send(src, dst, bytes, tag),
                 Cmd::Compute { rank, ps, tag } => {
-                    self.push_event(self.now + ps, Event::Compute(rank, tag));
+                    self.queue.push(self.now + ps, Event::Compute(rank, tag));
                 }
             }
         }
@@ -913,7 +897,7 @@ impl<'n> Engine<'n> {
             .replace((peer.node, peer.port, vc));
         self.packets[pkt as usize].in_flight = true;
         let msg = self.packets[pkt as usize].msg;
-        self.push_event(
+        self.queue.push(
             self.now + ser,
             Event::PortFree {
                 node,
@@ -923,13 +907,11 @@ impl<'n> Engine<'n> {
                 release: prev_held,
             },
         );
-        let fwd_ser = if self.cfg.cut_through {
-            (bytes.min(crate::FLIT_BYTES) as f64 * link.spec.ps_per_byte).round() as u64
-        } else {
-            ser
-        };
+        // Virtual cut-through: the packet becomes routable downstream after
+        // one flit plus wire latency; the link still carries every byte.
+        let fwd_ser = (bytes.min(crate::FLIT_BYTES) as f64 * link.spec.ps_per_byte).round() as u64;
         let gen = self.packets[pkt as usize].gen;
-        self.push_event(
+        self.queue.push(
             self.now + fwd_ser + link.spec.latency_ps + crate::HOP_LATENCY_PS,
             Event::Arrive(peer.node, peer.port, pkt, gen),
         );

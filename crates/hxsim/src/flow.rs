@@ -85,13 +85,11 @@ use crate::app::{Application, Cmd, Ctx, MsgInfo};
 use crate::failure::LinkEventKind;
 use crate::ledger::Ledger;
 use crate::stats::SimStats;
-use crate::{RateMode, SimConfig, Time};
+use crate::{EventQueue, RateMode, SimConfig, Time};
 use fill::Fill;
 use hxnet::route::Hop;
 use hxnet::{Network, NodeId, PortId, Topology};
 use std::borrow::Cow;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 mod fill;
 
@@ -153,9 +151,9 @@ enum Event {
     Compute(u32, u64),
 }
 
-/// Heap key ordering f64 times; all simulation times are finite and >= 0.
+/// Queue key ordering f64 times; all simulation times are finite and >= 0.
 #[derive(Clone, Copy, PartialEq, Debug)]
-struct TimeKey(f64);
+pub(crate) struct TimeKey(pub(crate) f64);
 
 impl Eq for TimeKey {}
 
@@ -179,8 +177,7 @@ pub struct FlowEngine<'n> {
     net: &'n Network,
     cfg: SimConfig,
     now: f64,
-    seq: u64,
-    queue: BinaryHeap<Reverse<(TimeKey, u64, Event)>>,
+    queue: EventQueue<TimeKey, Event>,
     flows: Vec<FlowState>,
     free_flows: Vec<FlowId>,
     /// Flows currently draining.
@@ -274,8 +271,7 @@ impl<'n> FlowEngine<'n> {
         Self {
             net,
             now: 0.0,
-            seq: 0,
-            queue: BinaryHeap::new(),
+            queue: EventQueue::default(),
             flows: Vec::new(),
             free_flows: Vec::new(),
             active: Vec::new(),
@@ -315,12 +311,6 @@ impl<'n> FlowEngine<'n> {
         (self.port_base[node.idx()] + port.idx()) as u32
     }
 
-    #[inline]
-    fn push_event(&mut self, t: f64, e: Event) {
-        self.seq += 1;
-        self.queue.push(Reverse((TimeKey(t), self.seq, e)));
-    }
-
     /// Run the application to completion. Returns the collected statistics.
     pub fn run(mut self, app: &mut dyn Application) -> SimStats {
         let mut cmds = std::mem::take(&mut self.cmds);
@@ -341,8 +331,8 @@ impl<'n> FlowEngine<'n> {
                     t_next = t_next.min(self.now + fl.remaining / fl.rate);
                 }
             }
-            if let Some(Reverse((TimeKey(t), _, _))) = self.queue.peek() {
-                t_next = t_next.min(*t);
+            if let Some(TimeKey(t)) = self.queue.next_time() {
+                t_next = t_next.min(t);
             }
             // Merge the failure schedule into the epoch instants. When
             // traffic is exhausted (`t_next` infinite) a pending event
@@ -473,7 +463,8 @@ impl<'n> FlowEngine<'n> {
                 app.on_send_complete(&mut ctx, info);
             }
             // The last byte still has to propagate down the route.
-            self.push_event(self.now + latency_ps as f64, Event::Deliver(msg));
+            self.queue
+                .push(TimeKey(self.now + latency_ps as f64), Event::Deliver(msg));
         }
         self.apply_cmds(&mut cmds);
         self.cmds = cmds;
@@ -665,13 +656,7 @@ impl<'n> FlowEngine<'n> {
     fn pop_due_events(&mut self, quantum: f64, app: &mut dyn Application) {
         let now_ps = self.now.round() as Time;
         let mut cmds = std::mem::take(&mut self.cmds);
-        while let Some(&Reverse((TimeKey(t), _, _))) = self.queue.peek() {
-            if t > self.now + quantum {
-                break;
-            }
-            let Some(Reverse((_, _, ev))) = self.queue.pop() else {
-                unreachable!()
-            };
+        while let Some((_, ev)) = self.queue.pop_due(TimeKey(self.now + quantum)) {
             match ev {
                 Event::Deliver(msg) => {
                     let m = &mut self.msgs[msg as usize];
@@ -703,7 +688,8 @@ impl<'n> FlowEngine<'n> {
                     tag,
                 } => self.start_send(src, dst, bytes, tag),
                 Cmd::Compute { rank, ps, tag } => {
-                    self.push_event(self.now + ps as f64, Event::Compute(rank, tag));
+                    self.queue
+                        .push(TimeKey(self.now + ps as f64), Event::Compute(rank, tag));
                 }
             }
         }
@@ -1140,10 +1126,9 @@ impl<'n> FlowEngine<'n> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::apps::{Alltoall, MessageBlast, Permutation, UniformRandom};
+    use crate::apps::{Alltoall, MessageBlast};
     use hxnet::fattree::single_switch;
     use hxnet::hammingmesh::HxMeshParams;
-    use hxnet::torus::TorusParams;
 
     #[test]
     fn single_message_time_matches_fluid_model() {
@@ -1180,77 +1165,6 @@ mod tests {
             stats.finish_ps,
             solo
         );
-    }
-
-    #[test]
-    fn alltoall_completes_on_hxmesh() {
-        let net = HxMeshParams::square(2, 2).build();
-        let mut app = Alltoall::new(net.num_ranks(), 16 * 1024, 2);
-        let stats = FlowEngine::new(&net, SimConfig::default()).run(&mut app);
-        assert!(stats.clean(), "{stats:?}");
-        assert_eq!(stats.messages_delivered as usize, 16 * 15);
-    }
-
-    #[test]
-    fn permutation_completes_on_torus() {
-        let net = TorusParams {
-            cols: 4,
-            rows: 4,
-            board: 2,
-        }
-        .build();
-        let mut app = Permutation::new(net.num_ranks(), 32 * 1024, 2, 7);
-        let stats = FlowEngine::new(&net, SimConfig::default()).run(&mut app);
-        assert!(stats.clean(), "{stats:?}");
-        assert_eq!(stats.messages_delivered, 32);
-    }
-
-    #[test]
-    fn uniform_random_completes_on_all_topologies() {
-        let nets = vec![
-            HxMeshParams::square(2, 4).build(),
-            TorusParams {
-                cols: 8,
-                rows: 8,
-                board: 2,
-            }
-            .build(),
-            hxnet::dragonfly::DragonflyParams {
-                a: 4,
-                p: 2,
-                h: 2,
-                groups: 5,
-            }
-            .build(),
-            hxnet::fattree::FatTreeParams::scaled_nonblocking(64, 16).build(),
-            hxnet::hyperx::HyperXParams {
-                x: 8,
-                y: 8,
-                radix: 64,
-            }
-            .build(),
-        ];
-        for net in &nets {
-            let mut app = UniformRandom::new(net.num_ranks(), 24 * 1024, 8, 99);
-            let cfg = SimConfig {
-                max_time_ps: 200_000_000_000,
-                ..Default::default()
-            };
-            let stats = FlowEngine::new(net, cfg).run(&mut app);
-            assert!(stats.clean(), "{}: {stats:?}", net.name);
-        }
-    }
-
-    #[test]
-    fn deterministic_across_runs() {
-        let net = HxMeshParams::square(2, 2).build();
-        let run = || {
-            let mut app = Alltoall::new(net.num_ranks(), 8192, 1);
-            FlowEngine::new(&net, SimConfig::default())
-                .run(&mut app)
-                .finish_ps
-        };
-        assert_eq!(run(), run());
     }
 
     #[test]

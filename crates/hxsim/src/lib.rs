@@ -22,7 +22,9 @@
 //! run ledger (`ledger.rs`): the [`SimStats`], the failure-epoch topology
 //! that in-run [`FailureSchedule`] events advance, and the hxtelemetry
 //! counters and trace events, whose names are spelled there once. So a
-//! packet run and a flow run report the same metrics schema.
+//! packet run and a flow run report the same metrics schema. Both pop
+//! their timed events from one [`EventQueue`] (earliest first, push order
+//! among equal times), which hxcluster's lifetime loop uses too.
 //!
 //! Time is measured in integer **picoseconds**; at 400 Gb/s one byte is
 //! exactly 20 ps, so all serialization times are exact.
@@ -46,6 +48,7 @@ pub mod engine;
 pub mod failure;
 pub mod flow;
 mod ledger;
+pub mod queue;
 pub mod stats;
 
 #[cfg(test)]
@@ -59,6 +62,7 @@ pub use app::{Application, Cmd, Ctx, MsgInfo};
 pub use engine::{Engine, RateMode, SimConfig};
 pub use failure::{FailureSchedule, LinkEvent, LinkEventKind, RetransmitPolicy};
 pub use flow::FlowEngine;
+pub use queue::EventQueue;
 pub use stats::{SimError, SimStats};
 
 /// Simulated time in picoseconds.

@@ -1,5 +1,5 @@
 //! Engine edge-case tests: tiny buffers, congestion backpressure, window
-//! effects, cut-through vs store-and-forward, and timeouts.
+//! effects, and timeouts.
 
 use crate::apps::{Alltoall, MessageBlast, UniformRandom};
 use crate::{Application, Ctx, Engine, MsgInfo, SimConfig, Time};
@@ -20,22 +20,6 @@ fn tiny_buffers_still_drain() {
     let mut app = Alltoall::new(net.num_ranks(), 64 << 10, 2);
     let stats = Engine::new(&net, cfg).run(&mut app);
     assert!(stats.clean(), "{stats:?}");
-}
-
-#[test]
-fn store_and_forward_is_slower_than_cut_through() {
-    let net = HxMeshParams::square(2, 2).build();
-    let run = |cut_through: bool| {
-        let cfg = SimConfig {
-            cut_through,
-            ..SimConfig::default()
-        };
-        let mut app = MessageBlast::pairs(vec![(0, 15, 256 << 10)]);
-        Engine::new(&net, cfg).run(&mut app).finish_ps
-    };
-    let ct = run(true);
-    let sf = run(false);
-    assert!(ct < sf, "cut-through {ct} !< store-and-forward {sf}");
 }
 
 #[test]
