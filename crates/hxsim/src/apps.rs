@@ -222,7 +222,7 @@ impl Application for UniformRandom {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::{simulate, Engine, EngineKind, SimConfig};
     use hxnet::fattree::single_switch;
@@ -256,35 +256,32 @@ mod tests {
         assert!(gbps > 350.0 && gbps <= 400.0, "got {gbps} Gb/s");
     }
 
-    #[test]
-    fn alltoall_completes_on_hxmesh() {
+    // The smoke checks below run once per engine: the packet engine's
+    // tests are here, the flow engine's call the same checks from
+    // `flow::tests`.
+
+    pub(crate) fn check_alltoall_completes_on_hxmesh(kind: EngineKind) {
         let net = HxMeshParams::square(2, 2).build();
-        for kind in EngineKind::all() {
-            let mut app = Alltoall::new(net.num_ranks(), 16 * 1024, 2);
-            let stats = simulate(&net, SimConfig::default(), kind, &mut app);
-            assert!(stats.clean(), "{kind}: {stats:?}");
-            assert_eq!(stats.messages_delivered as usize, 16 * 15);
-        }
+        let mut app = Alltoall::new(net.num_ranks(), 16 * 1024, 2);
+        let stats = simulate(&net, SimConfig::default(), kind, &mut app);
+        assert!(stats.clean(), "{kind}: {stats:?}");
+        assert_eq!(stats.messages_delivered as usize, 16 * 15);
     }
 
-    #[test]
-    fn permutation_completes_on_torus() {
+    pub(crate) fn check_permutation_completes_on_torus(kind: EngineKind) {
         let net = TorusParams {
             cols: 4,
             rows: 4,
             board: 2,
         }
         .build();
-        for kind in EngineKind::all() {
-            let mut app = Permutation::new(net.num_ranks(), 32 * 1024, 2, 7);
-            let stats = simulate(&net, SimConfig::default(), kind, &mut app);
-            assert!(stats.clean(), "{kind}: {stats:?}");
-            assert_eq!(stats.messages_delivered, 32);
-        }
+        let mut app = Permutation::new(net.num_ranks(), 32 * 1024, 2, 7);
+        let stats = simulate(&net, SimConfig::default(), kind, &mut app);
+        assert!(stats.clean(), "{kind}: {stats:?}");
+        assert_eq!(stats.messages_delivered, 32);
     }
 
-    #[test]
-    fn uniform_random_is_deadlock_free_on_all_topologies() {
+    pub(crate) fn check_uniform_random_on_all_topologies(kind: EngineKind) {
         let nets = vec![
             HxMeshParams::square(2, 4).build(),
             TorusParams {
@@ -309,17 +306,39 @@ mod tests {
             .build(),
         ];
         for net in &nets {
-            for kind in EngineKind::all() {
-                let mut app = UniformRandom::new(net.num_ranks(), 24 * 1024, 8, 99);
-                // 200 ms guard
-                let cfg = SimConfig {
-                    max_time_ps: 200_000_000_000,
-                    ..Default::default()
-                };
-                let stats = simulate(net, cfg, kind, &mut app);
-                assert!(stats.clean(), "{} ({kind}): {stats:?}", net.name);
-            }
+            let mut app = UniformRandom::new(net.num_ranks(), 24 * 1024, 8, 99);
+            // 200 ms guard
+            let cfg = SimConfig {
+                max_time_ps: 200_000_000_000,
+                ..Default::default()
+            };
+            let stats = simulate(net, cfg, kind, &mut app);
+            assert!(stats.clean(), "{} ({kind}): {stats:?}", net.name);
         }
+    }
+
+    pub(crate) fn check_deterministic_given_seed(kind: EngineKind) {
+        let net = HxMeshParams::square(2, 2).build();
+        let run = || {
+            let mut app = Alltoall::new(net.num_ranks(), 8192, 1);
+            simulate(&net, SimConfig::default(), kind, &mut app).finish_ps
+        };
+        assert_eq!(run(), run(), "{kind}");
+    }
+
+    #[test]
+    fn alltoall_completes_on_hxmesh() {
+        check_alltoall_completes_on_hxmesh(EngineKind::Packet);
+    }
+
+    #[test]
+    fn permutation_completes_on_torus() {
+        check_permutation_completes_on_torus(EngineKind::Packet);
+    }
+
+    #[test]
+    fn uniform_random_is_deadlock_free_on_all_topologies() {
+        check_uniform_random_on_all_topologies(EngineKind::Packet);
     }
 
     #[test]
@@ -338,13 +357,6 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let net = HxMeshParams::square(2, 2).build();
-        for kind in EngineKind::all() {
-            let run = || {
-                let mut app = Alltoall::new(net.num_ranks(), 8192, 1);
-                simulate(&net, SimConfig::default(), kind, &mut app).finish_ps
-            };
-            assert_eq!(run(), run(), "{kind}");
-        }
+        check_deterministic_given_seed(EngineKind::Packet);
     }
 }

@@ -1126,7 +1126,9 @@ impl<'n> FlowEngine<'n> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::apps::tests as smoke;
     use crate::apps::{Alltoall, MessageBlast};
+    use crate::EngineKind;
     use hxnet::fattree::single_switch;
     use hxnet::hammingmesh::HxMeshParams;
 
@@ -1165,6 +1167,26 @@ mod tests {
             stats.finish_ps,
             solo
         );
+    }
+
+    #[test]
+    fn alltoall_completes_on_hxmesh() {
+        smoke::check_alltoall_completes_on_hxmesh(EngineKind::Flow);
+    }
+
+    #[test]
+    fn permutation_completes_on_torus() {
+        smoke::check_permutation_completes_on_torus(EngineKind::Flow);
+    }
+
+    #[test]
+    fn uniform_random_completes_on_all_topologies() {
+        smoke::check_uniform_random_on_all_topologies(EngineKind::Flow);
+    }
+
+    #[test]
+    fn deterministic_across_runs() {
+        smoke::check_deterministic_given_seed(EngineKind::Flow);
     }
 
     #[test]
