@@ -617,12 +617,15 @@ fn fault_inert(quick: bool, net: &Network, bytes: u64) -> Scenario {
 }
 
 /// Benchmark the thread pool under the rayon shim: the Fig. 8 and Fig. 9
-/// Monte-Carlo trace sweeps once at `RAYON_NUM_THREADS=1` and once at
-/// the environment thread count. `ok` when the two runs produce bitwise
-/// identical samples (the pool's index-ordered collection contract); the
-/// ≥ 1.5× speedup gate is enforced only when the parallel leg actually
-/// ran ≥ 4 wide on ≥ 4 cores — below that the speedup is unearnable —
-/// and not under `--quick`, whose millisecond sweeps measure spawn cost.
+/// Monte-Carlo trace sweeps at `RAYON_NUM_THREADS=1` and at the
+/// environment thread count, each leg timed as the best of three runs (a
+/// single sub-second wall swung fig8's speedup from 0.69 to 2.26 between
+/// runs of one binary). `ok` when every run's samples are bitwise
+/// identical to the first one-thread run's (the pool's index-ordered
+/// collection contract); the ≥ 1.5× speedup gate is enforced only when
+/// the parallel leg actually ran ≥ 4 wide on ≥ 4 cores — below that the
+/// speedup is unearnable — and not under `--quick`, whose millisecond
+/// sweeps measure spawn cost.
 ///
 /// The vendored shim re-reads `RAYON_NUM_THREADS` on every parallel call,
 /// which is what lets one process measure both configurations.
@@ -642,16 +645,6 @@ fn parallel_sweeps(quick: bool, cores: usize, threads: usize) -> [Scenario; 2] {
         vec![a, b]
     };
 
-    std::env::set_var("RAYON_NUM_THREADS", "1");
-    let (d8_seq, w8_seq) = timed(run_fig8);
-    let (d9_seq, w9_seq) = timed(run_fig9);
-    match &saved {
-        Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
-        None => std::env::remove_var("RAYON_NUM_THREADS"),
-    }
-    let (d8_par, w8_par) = timed(run_fig8);
-    let (d9_par, w9_par) = timed(run_fig9);
-
     let identical = |a: &[Distribution], b: &[Distribution]| {
         a.len() == b.len()
             && a.iter().zip(b).all(|(x, y)| {
@@ -662,6 +655,25 @@ fn parallel_sweeps(quick: bool, cores: usize, threads: usize) -> [Scenario; 2] {
                         .all(|(p, q)| p.to_bits() == q.to_bits())
             })
     };
+    // Best of three walls; the first run's samples are the reference
+    // every later run of the sweep must match.
+    let leg = |run: &dyn Fn() -> Vec<Distribution>, reference: &mut Option<Vec<Distribution>>| {
+        best_of(3, || {
+            let d = run();
+            identical(reference.get_or_insert_with(|| d.clone()), &d)
+        })
+    };
+    let (mut ref8, mut ref9) = (None, None);
+    std::env::set_var("RAYON_NUM_THREADS", "1");
+    let (w8_seq, ok8_seq) = leg(&run_fig8, &mut ref8);
+    let (w9_seq, ok9_seq) = leg(&run_fig9, &mut ref9);
+    match &saved {
+        Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
+        None => std::env::remove_var("RAYON_NUM_THREADS"),
+    }
+    let (w8_par, ok8_par) = leg(&run_fig8, &mut ref8);
+    let (w9_par, ok9_par) = leg(&run_fig9, &mut ref9);
+
     let sweep = |name, what: &str, traces: usize, seq: f64, par: f64, ok| {
         let speedup = seq / par.max(1e-9);
         eprintln!(
@@ -669,7 +681,9 @@ fn parallel_sweeps(quick: bool, cores: usize, threads: usize) -> [Scenario; 2] {
         );
         Scenario {
             name,
-            description: format!("{what}, {traces} traces, 1 thread vs {threads}"),
+            description: format!(
+                "{what}, {traces} traces, best of 3 walls each, 1 thread vs {threads}"
+            ),
             metrics: vec![
                 ("traces", traces as f64),
                 ("wall_s_1thread", seq),
@@ -688,7 +702,7 @@ fn parallel_sweeps(quick: bool, cores: usize, threads: usize) -> [Scenario; 2] {
             fig8_traces,
             w8_seq,
             w8_par,
-            identical(&d8_seq, &d8_par),
+            ok8_seq && ok8_par,
         ),
         sweep(
             "fig9_upper_traffic",
@@ -696,7 +710,7 @@ fn parallel_sweeps(quick: bool, cores: usize, threads: usize) -> [Scenario; 2] {
             fig9_traces,
             w9_seq,
             w9_par,
-            identical(&d9_seq, &d9_par),
+            ok9_seq && ok9_par,
         ),
     ]
 }

@@ -68,11 +68,6 @@ pub struct ClusterReport {
     /// Network simulations actually executed (iteration measurements that
     /// missed the failure-set cache).
     pub sim_invocations: u32,
-    /// Streaming histogram of completed-job wait times, fed as jobs
-    /// complete. O(1) per job; percentile queries never sort.
-    pub wait_hist: HistogramU64,
-    /// Streaming histogram of completed-job completion times.
-    pub jct_hist: HistogramU64,
 }
 
 impl ClusterReport {
@@ -97,28 +92,24 @@ impl ClusterReport {
     }
 
     /// `p`-quantile (0..=1) of completed-job wait times, nearest-rank,
-    /// answered from the streaming histogram — no sort, no Vec of waits.
+    /// answered from a histogram of `jobs` — no sort, no Vec of waits.
     /// Values below 128 ps are bucket-exact; larger ones are reported at
     /// their bucket's upper bound (relative error at most 1/64).
     pub fn wait_percentile_ps(&self, p: f64) -> u64 {
-        self.wait_hist.percentile(p)
+        self.histogram(JobRecord::wait_ps).percentile(p)
     }
 
     /// `p`-quantile (0..=1) of completed-job completion times.
     pub fn jct_percentile_ps(&self, p: f64) -> u64 {
-        self.jct_hist.percentile(p)
+        self.histogram(JobRecord::jct_ps).percentile(p)
     }
 
-    /// Refill the streaming histograms from `jobs`. `ClusterSim` feeds
-    /// them incrementally at completion time; reports assembled by hand
-    /// (tests, replay tooling) call this once before querying percentiles.
-    pub fn rebuild_histograms(&mut self) {
-        self.wait_hist = HistogramU64::new();
-        self.jct_hist = HistogramU64::new();
-        for j in self.jobs.iter().filter(|j| !j.rejected) {
-            self.wait_hist.record(j.wait_ps());
-            self.jct_hist.record(j.jct_ps());
+    fn histogram(&self, value: fn(&JobRecord) -> u64) -> HistogramU64 {
+        let mut h = HistogramU64::new();
+        for j in self.completed() {
+            h.record(value(j));
         }
+        h
     }
 
     /// CSV header shared by job and summary rows (`kind` discriminates).
@@ -199,12 +190,11 @@ mod tests {
 
     #[test]
     fn means_and_percentiles() {
-        let mut r = ClusterReport {
+        let r = ClusterReport {
             jobs: vec![rec(0, 0, 10, 110), rec(1, 5, 45, 145), rec(2, 10, 10, 20)],
             makespan_ps: 145,
             ..Default::default()
         };
-        r.rebuild_histograms();
         assert_eq!(r.mean_wait_ps(), (10.0 + 40.0 + 0.0) / 3.0);
         assert_eq!(r.mean_jct_ps(), (110.0 + 140.0 + 10.0) / 3.0);
         assert_eq!(r.wait_percentile_ps(0.5), 10);
@@ -223,9 +213,8 @@ mod tests {
             start_ps: u64::MAX,
             ..rec(1, 3, 0, 0)
         });
-        r.rebuild_histograms();
-        assert_eq!(r.wait_hist.count(), 1);
-        assert_eq!(r.wait_percentile_ps(1.0), 10);
+        assert_eq!(r.wait_percentile_ps(0.0), 10);
+        assert_eq!(r.jct_percentile_ps(0.0), 110);
     }
 
     #[test]

@@ -45,7 +45,7 @@ use hxnet::{Network, NodeId, PortId};
 use hxsim::{
     simulate, EngineKind, EventQueue, FailureSchedule, LinkEventKind, SimConfig, SimStats,
 };
-use hxtelemetry::{CounterId, GaugeId, HistId, HistogramU64, Registry, Sampler, TraceSink};
+use hxtelemetry::{CounterId, GaugeId, HistId, Registry, Sampler, TraceSink};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -220,10 +220,6 @@ pub struct ClusterSim {
     g_queue_depth: GaugeId,
     g_running_jobs: GaugeId,
     g_free_boards: GaugeId,
-    // Streaming wait/JCT histograms, fed in complete_job and handed to
-    // the report (plus merged into the registry when metrics are on).
-    wait_hist: HistogramU64,
-    jct_hist: HistogramU64,
 }
 
 impl ClusterSim {
@@ -298,8 +294,6 @@ impl ClusterSim {
             g_free_boards,
             reg,
             sampler,
-            wait_hist: HistogramU64::new(),
-            jct_hist: HistogramU64::new(),
         }
     }
 
@@ -377,8 +371,6 @@ impl ClusterSim {
         );
         if self.tel_any {
             if self.tel_metrics {
-                self.reg.merge_hist(self.h_wait, &self.wait_hist);
-                self.reg.merge_hist(self.h_jct, &self.jct_hist);
                 let fails = self.reg.counter("cable_fails");
                 self.reg.inc(fails, self.fail_events as u64);
                 let repairs = self.reg.counter("cable_repairs");
@@ -419,8 +411,6 @@ impl ClusterSim {
             rejected_jobs,
             defrag_passes: self.defrag_passes,
             sim_invocations: self.sim_invocations,
-            wait_hist: self.wait_hist,
-            jct_hist: self.jct_hist,
         }
     }
 
@@ -585,8 +575,10 @@ impl ClusterSim {
             "job {id}: cached placement drifted from the mesh"
         );
         self.mesh.free(id);
-        self.wait_hist.record(r.start_ps - r.spec.arrival_ps);
-        self.jct_hist.record(now - r.spec.arrival_ps);
+        if self.tel_metrics {
+            self.reg.record(self.h_wait, r.start_ps - r.spec.arrival_ps);
+            self.reg.record(self.h_jct, now - r.spec.arrival_ps);
+        }
         self.records.insert(
             id,
             JobRecord {
@@ -1007,33 +999,6 @@ mod tests {
             report.jobs.iter().filter(|j| !j.rejected).count() as u32 + report.rejected_jobs,
             24
         );
-    }
-
-    #[test]
-    fn streaming_histograms_match_job_records() {
-        let report = ClusterSim::new(tiny_cfg()).run();
-        let completed = report.jobs.iter().filter(|j| !j.rejected).count() as u64;
-        assert_eq!(report.wait_hist.count(), completed);
-        assert_eq!(report.jct_hist.count(), completed);
-        // The streaming percentile agrees with a sort within one bucket
-        // (exact below 128 ps, <= 1/64 relative error above).
-        let mut waits: Vec<u64> = report
-            .jobs
-            .iter()
-            .filter(|j| !j.rejected)
-            .map(|j| j.wait_ps())
-            .collect();
-        waits.sort_unstable();
-        for p in [0.5, 0.9, 1.0] {
-            let idx = ((waits.len() as f64 * p).ceil() as usize).clamp(1, waits.len()) - 1;
-            let exact = waits[idx];
-            let streamed = report.wait_percentile_ps(p);
-            assert!(streamed >= exact, "p{p}: {streamed} < {exact}");
-            assert!(
-                streamed - exact <= exact / 64 + 1,
-                "p{p}: {streamed} vs {exact}"
-            );
-        }
     }
 
     /// After every iteration sim the bound-app cache holds the shape just

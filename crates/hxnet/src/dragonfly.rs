@@ -14,7 +14,6 @@
 use crate::cable_link;
 use crate::graph::{Cable, Network, NodeId, PortId, Topology};
 use crate::route::{Hop, LoadProbe, Router};
-use std::collections::BTreeMap;
 
 #[derive(Clone, Debug)]
 pub struct DragonflyParams {
@@ -100,11 +99,15 @@ impl DragonflyParams {
                 }
             }
         }
-        // Local all-to-all within each group (DAC).
+        // Local all-to-all within each group (DAC). Per switch index and
+        // in-group switch: the local port (`None` toward itself).
+        let mut local: Vec<Option<PortId>> = vec![None; self.groups * self.a * self.a];
         for g in 0..self.groups {
             for s1 in 0..self.a {
                 for s2 in (s1 + 1)..self.a {
-                    topo.connect(sw(g, s1), sw(g, s2), cable_link(Cable::Dac));
+                    let (p1, p2) = topo.connect(sw(g, s1), sw(g, s2), cable_link(Cable::Dac));
+                    local[(g * self.a + s1) * self.a + s2] = Some(p1);
+                    local[(g * self.a + s2) * self.a + s1] = Some(p2);
                 }
             }
         }
@@ -116,8 +119,9 @@ impl DragonflyParams {
         // Table II).
         let mut budget = vec![self.h; self.groups * self.a];
         let mut covers = vec![false; self.groups * self.a * self.groups];
+        // Per switch index and target group: the direct global ports.
+        let mut direct: Vec<Vec<PortId>> = vec![Vec::new(); self.groups * self.a * self.groups];
         let mut next_switch = vec![0usize; self.groups]; // rotating pick
-        let mut global_ports: BTreeMap<NodeId, Vec<(PortId, u32)>> = BTreeMap::new();
         'outer: loop {
             let mut connected_any = false;
             for g1 in 0..self.groups {
@@ -158,14 +162,8 @@ impl DragonflyParams {
                     covers[(g1 * self.a + s1) * self.groups + g2] = true;
                     covers[(g2 * self.a + s2) * self.groups + g1] = true;
                     let (p1, p2) = topo.connect(sw(g1, s1), sw(g2, s2), cable_link(Cable::Aoc));
-                    global_ports
-                        .entry(sw(g1, s1))
-                        .or_default()
-                        .push((p1, g2 as u32));
-                    global_ports
-                        .entry(sw(g2, s2))
-                        .or_default()
-                        .push((p2, g1 as u32));
+                    direct[(g1 * self.a + s1) * self.groups + g2].push(p1);
+                    direct[(g2 * self.a + s2) * self.groups + g1].push(p2);
                     connected_any = true;
                 }
             }
@@ -174,54 +172,12 @@ impl DragonflyParams {
             }
         }
 
-        // Per-switch routing tables.
-        // to_group[switch] : target group -> (direct global ports, local ports toward switches owning such globals)
-        let mut direct: BTreeMap<NodeId, BTreeMap<u32, Vec<PortId>>> = BTreeMap::new();
-        for (node, ports) in &global_ports {
-            let m: &mut BTreeMap<u32, Vec<PortId>> = direct.entry(*node).or_default();
-            for (port, tg) in ports {
-                m.entry(*tg).or_default().push(*port);
-            }
-        }
-        // local port map: switch -> peer switch -> port
-        let mut local_port: BTreeMap<NodeId, BTreeMap<NodeId, PortId>> = BTreeMap::new();
-        for &s in &switches {
-            let mut m = BTreeMap::new();
-            for (pi, link) in topo.node(s).ports.iter().enumerate() {
-                let peer = link.peer.node;
-                if topo.kind(peer).is_switch() && link.spec.cable == Cable::Dac {
-                    m.insert(peer, PortId(pi as u16));
-                }
-            }
-            local_port.insert(s, m);
-        }
-        // endpoint port map: switch -> endpoint -> port
-        let mut endpoint_port: BTreeMap<NodeId, BTreeMap<NodeId, PortId>> = BTreeMap::new();
-        for &s in &switches {
-            let mut m = BTreeMap::new();
-            for (pi, link) in topo.node(s).ports.iter().enumerate() {
-                let peer = link.peer.node;
-                if topo.kind(peer).is_accelerator() {
-                    m.insert(peer, PortId(pi as u16));
-                }
-            }
-            endpoint_port.insert(s, m);
-        }
-        let group_of: BTreeMap<NodeId, u32> = switches
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| (s, (i / self.a) as u32))
-            .collect();
-
         let router = DragonflyRouter {
             groups: self.groups as u32,
-            switches: switches.clone(),
             a: self.a,
             endpoint_switch,
             direct,
-            local_port,
-            endpoint_port,
-            group_of,
+            local,
         };
         Network {
             topo,
@@ -244,28 +200,22 @@ impl DragonflyParams {
 /// intermediates the failure set leaves reachable.
 pub struct DragonflyRouter {
     groups: u32,
-    switches: Vec<NodeId>,
     a: usize,
     /// Per endpoint rank: its switch.
     endpoint_switch: Vec<NodeId>,
-    /// switch -> target group -> direct global ports.
-    direct: BTreeMap<NodeId, BTreeMap<u32, Vec<PortId>>>,
-    /// switch -> peer switch in group -> local port.
-    local_port: BTreeMap<NodeId, BTreeMap<NodeId, PortId>>,
-    /// switch -> attached endpoint -> port.
-    endpoint_port: BTreeMap<NodeId, BTreeMap<NodeId, PortId>>,
-    /// switch -> group id.
-    group_of: BTreeMap<NodeId, u32>,
+    /// Per switch index `s` and target group `g`, at `s * groups + g`: the
+    /// switch's direct global ports to `g`. Switches are the first nodes,
+    /// so a switch's index is its node index and its group is `s / a`.
+    direct: Vec<Vec<PortId>>,
+    /// Per switch index `s` and in-group switch `k`, at `s * a + k`: the
+    /// local port to `k` (`None` for `s` itself).
+    local: Vec<Option<PortId>>,
 }
 
 impl DragonflyRouter {
+    /// The group of a switch or of an endpoint's switch.
     fn group_of_node(&self, topo: &Topology, node: NodeId) -> u32 {
-        match topo.kind(node) {
-            crate::graph::NodeKind::Switch { .. } => self.group_of[&node],
-            crate::graph::NodeKind::Accelerator { rank } => {
-                self.group_of[&self.endpoint_switch[rank as usize]]
-            }
-        }
+        (self.switch_of_target(topo, node).idx() / self.a) as u32
     }
 
     /// Switch the target endpoint hangs off.
@@ -274,6 +224,10 @@ impl DragonflyRouter {
             crate::graph::NodeKind::Accelerator { rank } => self.endpoint_switch[rank as usize],
             crate::graph::NodeKind::Switch { .. } => target,
         }
+    }
+
+    fn direct(&self, s: usize, group: usize) -> &[PortId] {
+        &self.direct[s * self.groups as usize + group]
     }
 }
 
@@ -304,42 +258,36 @@ impl Router for DragonflyRouter {
             return;
         }
         let tsw = self.switch_of_target(topo, target);
-        let tgroup = self.group_of[&tsw];
-        let my_group = self.group_of[&node];
+        let (s, tgroup) = (node.idx(), tsw.idx() / self.a);
         let gvc = (vc + 1).min(self.num_vcs() - 1);
         if node == tsw {
-            if let Some(&p) = self.endpoint_port[&node].get(&target) {
-                out.push(Hop { port: p, vc });
-                return;
-            }
-            // target is this switch itself (waypoint): nothing to do.
+            // The switch end of the target endpoint's only link.
+            out.push(Hop {
+                port: topo.peer(target, PortId(0)).port,
+                vc,
+            });
             return;
         }
-        if my_group == tgroup {
+        if s / self.a == tgroup {
             // Direct local hop.
-            if let Some(&p) = self.local_port[&node].get(&tsw) {
-                out.push(Hop { port: p, vc });
+            if let Some(port) = self.local[s * self.a + tsw.idx() % self.a] {
+                out.push(Hop { port, vc });
             }
             return;
         }
         // Different group: direct global ports first.
-        if let Some(ports) = self.direct.get(&node).and_then(|m| m.get(&tgroup)) {
-            for &p in ports {
-                out.push(Hop { port: p, vc: gvc });
-            }
+        for &port in self.direct(s, tgroup) {
+            out.push(Hop { port, vc: gvc });
         }
-        // Local hops to switches with a direct global link. The map is a
-        // BTreeMap so this iteration — which fixes the candidate order the
-        // engines' adaptive tie-breaks see — is in NodeId order, not the
-        // per-process hash order that D001 exists to keep out of results.
-        for (peer, &p) in &self.local_port[&node] {
-            if self
-                .direct
-                .get(peer)
-                .and_then(|m| m.get(&tgroup))
-                .is_some_and(|v| !v.is_empty())
-            {
-                out.push(Hop { port: p, vc });
+        // Local hops to switches with a direct global link, in ascending
+        // switch index (= `NodeId`) order, which fixes the candidate order
+        // the engines' adaptive tie-breaks see.
+        let first = s - s % self.a;
+        for k in 0..self.a {
+            if let Some(port) = self.local[s * self.a + k] {
+                if !self.direct(first + k, tgroup).is_empty() {
+                    out.push(Hop { port, vc });
+                }
             }
         }
     }
@@ -377,7 +325,7 @@ impl Router for DragonflyRouter {
         while ig == sg || ig == dg {
             ig = rng.next_u32() % self.groups;
         }
-        let iw = self.switches[ig as usize * self.a + (rng.next_u32() as usize % self.a)];
+        let iw = NodeId((ig as usize * self.a + rng.next_u32() as usize % self.a) as u32);
         // Under fault injection, never steer a packet at an intermediate
         // the failure set cut off (in either phase of the Valiant path).
         if topo.has_failures() && !(topo.reachable(ssw, iw) && topo.reachable(iw, dst)) {

@@ -5,6 +5,12 @@
 //! paper's cost layouts prescribe). Tapering removes up links at the first
 //! level (§III-D: "fat trees are tapered beginning from the second level"
 //! means the reduction shows between level 1 and level 2).
+//!
+//! One two-level wiring (`FatTreeParams::wire_two_level`) builds every
+//! two-level tree: the two-level fat trees, the [`single_switch`] crossbar
+//! and each HammingMesh line network. The three-level tree wires its own
+//! pods. Either way the router's [`UpDownTable`] comes from the switches by
+//! level alone: a port points up iff its peer is a switch of a later level.
 
 use crate::cable_link;
 use crate::graph::{Cable, Network, NodeId, PortId, Topology};
@@ -139,55 +145,41 @@ impl FatTreeParams {
         }
     }
 
+    /// One `n`-port crossbar switch: a two-level tree with a single leaf
+    /// and no spines.
+    pub(crate) fn crossbar(n: usize) -> Self {
+        Self {
+            name: String::new(),
+            num_endpoints: n,
+            leaf_down: n.max(1),
+            leaf_up: 0,
+            levels: 2,
+            pod_leaves: 0,
+            pod_mid: 0,
+            mid_up: 0,
+            num_spines: 0,
+        }
+    }
+
     /// Construct the topology and its up/down router.
     pub fn build(&self) -> Network {
         let mut topo = Topology::new();
-        let mut endpoints = Vec::with_capacity(self.num_endpoints);
-        for r in 0..self.num_endpoints {
-            endpoints.push(topo.add_accelerator(r as u32));
-        }
-        let num_leaves = self.num_leaves();
-        let leaves: Vec<NodeId> = (0..num_leaves)
-            .map(|i| {
-                topo.add_switch(
-                    0,
-                    if self.levels == 3 {
-                        (i / self.pod_leaves) as u32
-                    } else {
-                        0
-                    },
-                    i as u32,
-                )
-            })
+        let endpoints: Vec<NodeId> = (0..self.num_endpoints)
+            .map(|r| topo.add_accelerator(r as u32))
             .collect();
-        // Endpoint attachment: DAC.
-        for (r, &e) in endpoints.iter().enumerate() {
-            let leaf = leaves[r / self.leaf_down];
-            topo.connect(e, leaf, cable_link(Cable::Dac));
-        }
-        let mut levels: Vec<Vec<NodeId>> = vec![leaves.clone()];
-
-        // Up ports start after the down ports on every switch; remember the
-        // boundary so the router can classify ports without lookups.
-        let mut up_start: Vec<(NodeId, usize)> = Vec::new();
-
-        if self.levels == 2 {
-            let spines: Vec<NodeId> = (0..self.num_spines)
-                .map(|i| topo.add_switch(1, 0, i as u32))
-                .collect();
-            for (li, &leaf) in leaves.iter().enumerate() {
-                up_start.push((leaf, topo.num_ports(leaf)));
-                for j in 0..self.leaf_up {
-                    let spine = spines[(li + j) % self.num_spines];
-                    topo.connect(leaf, spine, cable_link(Cable::Aoc));
-                }
-            }
-            for &s in &spines {
-                up_start.push((s, topo.num_ports(s)));
-            }
-            levels.push(spines);
+        let levels = if self.levels == 2 {
+            let mut levels = vec![Vec::new(); 2];
+            self.wire_two_level(&mut topo, 0, &endpoints, Cable::Dac, &mut levels, |_, _| {});
+            levels
         } else {
             assert_eq!(self.levels, 3, "only 2- and 3-level trees are supported");
+            let leaves: Vec<NodeId> = (0..self.num_leaves())
+                .map(|i| topo.add_switch(0, (i / self.pod_leaves) as u32, i as u32))
+                .collect();
+            // Endpoint attachment: DAC.
+            for (r, &e) in endpoints.iter().enumerate() {
+                topo.connect(e, leaves[r / self.leaf_down], cable_link(Cable::Dac));
+            }
             let num_pods = self.num_pods();
             let mids: Vec<NodeId> = (0..num_pods * self.pod_mid)
                 .map(|i| topo.add_switch(1, (i / self.pod_mid) as u32, i as u32))
@@ -197,7 +189,6 @@ impl FatTreeParams {
                 .collect();
             // Leaf -> pod mids.
             for (li, &leaf) in leaves.iter().enumerate() {
-                up_start.push((leaf, topo.num_ports(leaf)));
                 let pod = li / self.pod_leaves;
                 for j in 0..self.leaf_up {
                     let mid = mids[pod * self.pod_mid + (li + j) % self.pod_mid];
@@ -206,34 +197,56 @@ impl FatTreeParams {
             }
             // Mid -> spines.
             for (mi, &mid) in mids.iter().enumerate() {
-                up_start.push((mid, topo.num_ports(mid)));
                 for j in 0..self.mid_up {
                     let spine = spines[(mi + j) % self.num_spines];
                     topo.connect(mid, spine, cable_link(Cable::Aoc));
                 }
             }
-            for &s in &spines {
-                up_start.push((s, topo.num_ports(s)));
-            }
-            levels.push(mids);
-            levels.push(spines);
-        }
-
-        let boundary: std::collections::BTreeMap<NodeId, usize> = up_start.into_iter().collect();
-        let table = UpDownTable::build(
-            &topo,
-            &levels,
-            |sw, p| p.idx() >= boundary[&sw],
-            |sw, p| {
-                let peer = topo.peer(sw, p).node;
-                topo.kind(peer).is_accelerator().then_some(peer)
-            },
-        );
+            vec![leaves, mids, spines]
+        };
+        let table = UpDownTable::build(&topo, &levels);
         Network {
             router: Box::new(FatTreeRouter { table }),
             topo,
             endpoints,
             name: self.name.clone(),
+        }
+    }
+
+    /// The two-level wiring of every two-level tree: fat trees, the
+    /// [`single_switch`] crossbar and each HammingMesh line network.
+    /// Adds `num_leaves()` leaves, then `num_spines` spines, all in switch
+    /// group `group`, and appends them to `levels[0]` and `levels[1]`.
+    /// `attach[k]` hangs off leaf `k / leaf_down` by a `cable` link, and
+    /// `attached(k, port)` learns the port at `attach[k]`'s end; then leaf
+    /// `i`'s `j`-th up link goes to spine `(i + j) % num_spines` (AoC).
+    /// Every switch connects its attachments before its up links.
+    pub(crate) fn wire_two_level(
+        &self,
+        topo: &mut Topology,
+        group: u32,
+        attach: &[NodeId],
+        cable: Cable,
+        levels: &mut [Vec<NodeId>],
+        mut attached: impl FnMut(usize, PortId),
+    ) {
+        let (first_leaf, first_spine) = (levels[0].len(), levels[1].len());
+        for i in 0..self.num_leaves() {
+            levels[0].push(topo.add_switch(0, group, i as u32));
+        }
+        for i in 0..self.num_spines {
+            levels[1].push(topo.add_switch(1, group, i as u32));
+        }
+        let (leaves, spines) = (&levels[0][first_leaf..], &levels[1][first_spine..]);
+        for (k, &node) in attach.iter().enumerate() {
+            let (port, _) = topo.connect(node, leaves[k / self.leaf_down], cable_link(cable));
+            attached(k, port);
+        }
+        for (i, &leaf) in leaves.iter().enumerate() {
+            for j in 0..self.leaf_up {
+                let spine = spines[(i + j) % self.num_spines];
+                topo.connect(leaf, spine, cable_link(Cable::Aoc));
+            }
         }
     }
 }
@@ -281,27 +294,11 @@ impl Router for FatTreeRouter {
 /// A single `radix`-port crossbar switch connecting `n` endpoints — used by
 /// HammingMesh rows/columns when they fit in one switch, and handy in tests.
 pub fn single_switch(n: usize, name: &str) -> Network {
-    let mut topo = Topology::new();
-    let endpoints: Vec<NodeId> = (0..n).map(|r| topo.add_accelerator(r as u32)).collect();
-    let sw = topo.add_switch(0, 0, 0);
-    for &e in &endpoints {
-        topo.connect(e, sw, cable_link(Cable::Dac));
-    }
-    let table = UpDownTable::build(
-        &topo,
-        &[vec![sw]],
-        |_, _| false,
-        |sw_, p| {
-            let peer = topo.peer(sw_, p).node;
-            topo.kind(peer).is_accelerator().then_some(peer)
-        },
-    );
-    Network {
-        router: Box::new(FatTreeRouter { table }),
-        topo,
-        endpoints,
+    FatTreeParams {
         name: name.to_string(),
+        ..FatTreeParams::crossbar(n)
     }
+    .build()
 }
 
 #[cfg(test)]

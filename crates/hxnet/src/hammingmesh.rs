@@ -7,7 +7,11 @@
 //! `bi`, and the N/S ports of accelerator column `c` across board column
 //! `bj`) — "each plane fully-connected in x / y". A line's `2x` (or `2y`)
 //! ports are connected by a single 64-port switch when they fit, otherwise
-//! by a two-level fat tree (App. C), optionally tapered (§III-F).
+//! by a two-level fat tree (App. C), optionally tapered (§III-F): the shape
+//! of [`FatTreeParams::scaled_tapered`], wired by the fat tree's one
+//! two-level wiring. The up*/down* table over all lines reads each port's
+//! direction from the switch levels (a port points up iff its peer is a
+//! spine).
 //!
 //! Each accelerator forwards packets within a plane through its four ports
 //! (E, W, N, S) like a small 4x4 switch; we build and simulate a single
@@ -22,10 +26,10 @@
 //! at most two trees (wrap-around shortcuts are suppressed once the last
 //! VC is reached).
 
+use crate::fattree::FatTreeParams;
 use crate::graph::{Cable, Network, NodeId, PortId, Topology};
+use crate::pcb_link;
 use crate::route::{Hop, LoadProbe, Router, UpDownTable};
-use crate::{cable_link, pcb_link};
-use std::collections::BTreeMap;
 
 /// Compass direction of an accelerator port within a plane.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -61,8 +65,8 @@ pub struct HxMeshParams {
     pub x: usize,
     /// Boards per column of the global arrangement (number of board rows).
     pub y: usize,
-    /// Fraction of global-tree up links removed (§III-F). 0.0 = full
-    /// bandwidth. Ignored when a line fits in a single switch.
+    /// Fraction of global-tree up links removed (§III-F), in `[0, 1)`.
+    /// 0.0 = full bandwidth. Ignored when a line fits in a single switch.
     pub taper: f64,
     /// Switch radix (64 in the paper).
     pub radix: usize,
@@ -203,116 +207,60 @@ impl HxMeshParams {
             }
         }
 
-        // Global line networks. Row lines use DAC endpoint cables, column
-        // lines AoC (§III-D layout); inter-switch links are always AoC.
-        let mut leaves_all: Vec<NodeId> = Vec::new();
-        let mut spines_all: Vec<NodeId> = Vec::new();
-        let mut up_boundary: BTreeMap<NodeId, usize> = BTreeMap::new();
+        // Global line networks: one crossbar when a line fits the radix,
+        // else a two-level tapered fat tree. Row lines use DAC endpoint
+        // cables, column lines AoC (§III-D layout); inter-switch links are
+        // always AoC. Even attachments are a board's W (N) edge, odd ones
+        // its E (S) edge.
+        let shape = |q: usize| {
+            if q <= self.radix {
+                FatTreeParams::crossbar(q)
+            } else {
+                FatTreeParams::scaled_tapered(q, self.radix, self.taper)
+            }
+        };
+        let (row_shape, col_shape) = (shape(self.row_line_ports()), shape(self.col_line_ports()));
+        let mut levels = vec![Vec::new(); 2];
         // Switches are numbered after every accelerator, one line at a
         // time, so each line extends this to the topology's new size.
         let mut switch_net: Vec<Option<NetRef>> = vec![None; topo.num_nodes()];
         let mut group = 0u32;
-
-        let mut build_line = |topo: &mut Topology,
-                              ports: &mut Vec<[PortId; 4]>,
-                              attachments: Vec<(NodeId, Dir)>,
-                              cable: Cable,
-                              net: NetRef| {
-            let q = attachments.len();
+        let mut wire_line = |attach: &[NodeId], net: NetRef| {
+            let (shape, cable, dirs) = match net {
+                NetRef::RowLine { .. } => (&row_shape, Cable::Dac, [Dir::West, Dir::East]),
+                NetRef::ColLine { .. } => (&col_shape, Cable::Aoc, [Dir::North, Dir::South]),
+            };
             group += 1;
-            if q <= self.radix {
-                // Single crossbar switch for the whole line.
-                let sw = topo.add_switch(0, group, 0);
-                for (acc, dir) in attachments {
-                    let (pa, _) = topo.connect(acc, sw, cable_link(cable));
-                    ports[acc.idx()][dir as usize] = pa;
-                }
-                up_boundary.insert(sw, topo.num_ports(sw));
-                leaves_all.push(sw);
-            } else {
-                // Two-level fat tree over the line, optionally tapered.
-                let down = self.radix / 2;
-                let nleaves = q.div_ceil(down);
-                let up = (((self.radix / 2) as f64) * (1.0 - self.taper))
-                    .round()
-                    .max(1.0) as usize;
-                let nspines = (nleaves * up).div_ceil(self.radix).max(1);
-                let leaves: Vec<NodeId> = (0..nleaves)
-                    .map(|i| topo.add_switch(0, group, i as u32))
-                    .collect();
-                let spines: Vec<NodeId> = (0..nspines)
-                    .map(|i| topo.add_switch(1, group, i as u32))
-                    .collect();
-                for (k, (acc, dir)) in attachments.into_iter().enumerate() {
-                    let leaf = leaves[k / down];
-                    let (pa, _) = topo.connect(acc, leaf, cable_link(cable));
-                    ports[acc.idx()][dir as usize] = pa;
-                }
-                for (li, &leaf) in leaves.iter().enumerate() {
-                    up_boundary.insert(leaf, topo.num_ports(leaf));
-                    for j in 0..up {
-                        let spine = spines[(li + j) % nspines];
-                        topo.connect(leaf, spine, cable_link(Cable::Aoc));
-                    }
-                }
-                for &s in &spines {
-                    up_boundary.insert(s, topo.num_ports(s));
-                }
-                leaves_all.extend(leaves);
-                spines_all.extend(spines);
-            }
+            shape.wire_two_level(&mut topo, group, attach, cable, &mut levels, |k, port| {
+                ports[attach[k].idx()][dirs[k % 2] as usize] = port;
+            });
             switch_net.resize(topo.num_nodes(), Some(net));
         };
 
+        let mut attach = Vec::with_capacity(self.row_line_ports().max(self.col_line_ports()));
         for bi in 0..self.y {
             for r in 0..self.a {
-                let mut attach = Vec::with_capacity(self.row_line_ports());
+                attach.clear();
                 for bj in 0..self.x {
-                    attach.push((acc_at[acc_index(bi, bj, r, 0)], Dir::West));
-                    attach.push((acc_at[acc_index(bi, bj, r, self.b - 1)], Dir::East));
+                    attach.push(acc_at[acc_index(bi, bj, r, 0)]);
+                    attach.push(acc_at[acc_index(bi, bj, r, self.b - 1)]);
                 }
-                build_line(
-                    &mut topo,
-                    &mut ports,
-                    attach,
-                    Cable::Dac,
-                    NetRef::RowLine {
-                        bi: bi as u16,
-                        r: r as u16,
-                    },
-                );
+                let (bi, r) = (bi as u16, r as u16);
+                wire_line(&attach, NetRef::RowLine { bi, r });
             }
         }
         for bj in 0..self.x {
             for c in 0..self.b {
-                let mut attach = Vec::with_capacity(self.col_line_ports());
+                attach.clear();
                 for bi in 0..self.y {
-                    attach.push((acc_at[acc_index(bi, bj, 0, c)], Dir::North));
-                    attach.push((acc_at[acc_index(bi, bj, self.a - 1, c)], Dir::South));
+                    attach.push(acc_at[acc_index(bi, bj, 0, c)]);
+                    attach.push(acc_at[acc_index(bi, bj, self.a - 1, c)]);
                 }
-                build_line(
-                    &mut topo,
-                    &mut ports,
-                    attach,
-                    Cable::Aoc,
-                    NetRef::ColLine {
-                        bj: bj as u16,
-                        c: c as u16,
-                    },
-                );
+                let (bj, c) = (bj as u16, c as u16);
+                wire_line(&attach, NetRef::ColLine { bj, c });
             }
         }
-
-        let levels = vec![leaves_all, spines_all];
-        let table = UpDownTable::build(
-            &topo,
-            &levels,
-            |sw, p| p.idx() >= up_boundary[&sw],
-            |sw, p| {
-                let peer = topo.peer(sw, p).node;
-                topo.kind(peer).is_accelerator().then_some(peer)
-            },
-        );
+        let table = UpDownTable::build(&topo, &levels);
 
         let router = HxMeshRouter {
             a: self.a as u16,
@@ -939,6 +887,36 @@ mod tests {
         let net = p.build();
         assert!(net.topo.count_switches() > 4 * 2 + 80);
         walk(&net, 0, net.endpoints.len() - 1, 16);
+    }
+
+    #[test]
+    fn tapered_two_level_lines_pin_counts_and_routes() {
+        // Radix 8: the 12-port rows and 10-port columns are all two-level
+        // trees of 3 leaves with 4 up links each; tapering halves, then
+        // quarters those up links, and with them spines and AoC cables.
+        for (taper, switches, aoc) in [(0.0, 140, 516), (0.5, 112, 348), (0.75, 112, 264)] {
+            let net = HxMeshParams {
+                a: 2,
+                b: 3,
+                x: 6,
+                y: 5,
+                taper,
+                radix: 8,
+            }
+            .build();
+            assert_eq!(net.topo.count_switches(), switches, "taper {taper}");
+            assert_eq!(net.topo.count_cables(Cable::Dac), 120, "taper {taper}");
+            assert_eq!(net.topo.count_cables(Cable::Aoc), aoc, "taper {taper}");
+            // Two trees of up to 4 cables each plus the on-board hops.
+            let n = net.endpoints.len();
+            for s in 0..n {
+                for d in 0..n {
+                    if s != d {
+                        walk(&net, s, d, 12);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

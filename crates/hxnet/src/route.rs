@@ -198,10 +198,11 @@ fn healthy_descents(
 
 /// Up*/down* routing tables for tree-structured (sub)networks.
 ///
-/// Built by the fat-tree and HammingMesh constructors, which know which
-/// ports point "up". Routing is the classic scheme: while the target is not
-/// in this switch's down-table, go up (any up port, adaptively); once it
-/// is, follow the recorded down ports. One VC suffices (up/down is
+/// Built from the switches of the fat trees and HammingMesh lines by
+/// level; the levels alone say which ports point "up" (see
+/// [`UpDownTable::build`]). Routing is the classic scheme: while the target
+/// is not in this switch's down-table, go up (any up port, adaptively);
+/// once it is, follow the recorded down ports. One VC suffices (up/down is
 /// deadlock-free), so the table never changes VCs.
 ///
 /// Flat layout: every node id maps to its switch index (or to none, outside
@@ -224,43 +225,44 @@ pub struct UpDownTable {
 }
 
 impl UpDownTable {
-    /// Build from an explicit description of the tree:
-    /// `levels[0]` are the leaf switches, `levels.last()` the roots, and
-    /// `leaf_targets(leaf, port)` names the accelerator(s) served by a leaf
-    /// down port (`None` for up ports or ports outside the tree).
-    ///
-    /// `is_up(node, port)` must classify every port of every listed switch.
-    pub fn build(
-        topo: &Topology,
-        levels: &[Vec<NodeId>],
-        is_up: impl Fn(NodeId, PortId) -> bool,
-        leaf_target: impl Fn(NodeId, PortId) -> Option<NodeId>,
-    ) -> Self {
+    /// Build from the tree's switches by level: `levels[0]` are the leaf
+    /// switches, `levels.last()` the roots. A port points up iff its peer
+    /// is a switch of a later level. A leaf's port whose peer is an
+    /// accelerator serves that accelerator, and a down port toward a
+    /// switch of an earlier level serves every target that switch serves.
+    pub fn build(topo: &Topology, levels: &[Vec<NodeId>]) -> Self {
         let mut table = UpDownTable {
             switch_of: vec![u32::MAX; topo.num_nodes()],
             ..Self::default()
         };
+        // Switch indices ascend with the level, so a peer's level shows in
+        // where its index falls against this level's `start..end`.
+        for (s, &sw) in levels.iter().flatten().enumerate() {
+            table.switch_of[sw.idx()] = s as u32;
+        }
         // Levels in order, so a switch's children are complete when it
         // collects the targets below each of its down ports.
         let mut below: Vec<(NodeId, PortId)> = Vec::new();
+        let mut end = 0;
         for (lvl, switches) in levels.iter().enumerate() {
+            let start = end;
+            end += switches.len();
             for &sw in switches {
                 below.clear();
-                let up_start = table.ports.len() as u32;
+                let first_up = table.ports.len() as u32;
                 for p in 0..topo.num_ports(sw) {
                     let port = PortId(p as u16);
-                    if is_up(sw, port) {
-                        table.ports.push(port);
-                    } else if lvl == 0 {
-                        if let Some(t) = leaf_target(sw, port) {
-                            below.push((t, port));
-                        }
-                    } else {
-                        let child = topo.peer(sw, port).node;
-                        if let Some(c) = table.switch(child) {
+                    let peer = topo.peer(sw, port).node;
+                    match table.switch(peer) {
+                        Some(c) if c >= end => table.ports.push(port),
+                        Some(c) if c < start => {
                             let entries = table.entry_range(c);
                             below.extend(table.down[entries].iter().map(|e| (e.0, port)));
                         }
+                        None if lvl == 0 && topo.kind(peer).is_accelerator() => {
+                            below.push((peer, port));
+                        }
+                        _ => {}
                     }
                 }
                 let up_end = table.ports.len() as u32;
@@ -276,8 +278,7 @@ impl UpDownTable {
                     let last = table.down.len() - 1;
                     table.down[last].1.end = at + 1;
                 }
-                table.switch_of[sw.idx()] = table.up.len() as u32;
-                table.up.push(up_start..up_end);
+                table.up.push(first_up..up_end);
                 table.down_of.push(first_entry..table.down.len() as u32);
             }
         }
@@ -442,32 +443,7 @@ mod tests {
     #[test]
     fn updown_routes_through_root() {
         let (t, eps, levels) = tiny_tree();
-        let table = UpDownTable::build(
-            &t,
-            &levels,
-            |sw, p| {
-                // Leaf switches: port 1 is up; root has no up ports.
-                t.kind(sw)
-                    == crate::graph::NodeKind::Switch {
-                        level: 0,
-                        group: 0,
-                        pos: 0,
-                    }
-                    && p == PortId(1)
-                    || matches!(
-                        t.kind(sw),
-                        crate::graph::NodeKind::Switch {
-                            level: 0,
-                            pos: 1,
-                            ..
-                        }
-                    ) && p == PortId(1)
-            },
-            |sw, p| {
-                let peer = t.peer(sw, p).node;
-                t.kind(peer).is_accelerator().then_some(peer)
-            },
-        );
+        let table = UpDownTable::build(&t, &levels);
         // At leaf l0, target e1: must go up.
         let mut out = Vec::new();
         assert!(table.candidates(levels[0][0], eps[1], 0, &mut out));
@@ -599,7 +575,7 @@ mod tests {
                 t.kind(peer).is_accelerator().then_some(peer)
             };
             let levels = [leaves.clone(), mids.clone(), roots.clone()];
-            let flat = UpDownTable::build(&t, &levels, is_up, leaf_target);
+            let flat = UpDownTable::build(&t, &levels);
             let (up, down) = map_table(&t, &levels, is_up, leaf_target);
             let targets = eps.iter().chain(&leaves[..1]);
             for n in (0..t.num_nodes() as u32).map(NodeId) {

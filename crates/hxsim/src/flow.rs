@@ -427,29 +427,7 @@ impl<'n> FlowEngine<'n> {
                 fl.remaining = 0.0;
             }
             self.active.swap_remove(i);
-            // Release the NIC injection FIFOs and let successors through.
-            let mut candidates = std::mem::take(&mut self.nic_cand);
-            candidates.clear();
-            for li in Self::first_links(&self.flows[f as usize].routes) {
-                let q = &mut self.inj_queue[li as usize];
-                let pos = q
-                    .iter()
-                    .position(|&g| g == f)
-                    // hxlint: allow(P001) a gated flow is always parked in its NIC injection queue
-                    .expect("flow missing from NIC queue");
-                q.remove(pos);
-                for &g in q.iter() {
-                    if self.flows[g as usize].gated && !candidates.contains(&g) {
-                        candidates.push(g);
-                    }
-                }
-            }
-            for &g in &candidates {
-                if self.flows[g as usize].gated && self.nic_eligible(g) {
-                    self.activate(g);
-                }
-            }
-            self.nic_cand = candidates;
+            self.release_nic(f, |_| {});
             let fl = &self.flows[f as usize];
             let (msg, latency_ps) = (fl.msg, fl.latency_ps);
             self.flush_routes(f);
@@ -555,18 +533,10 @@ impl<'n> FlowEngine<'n> {
                     // stay stalled (their wait keeps accumulating).
                     let stalled = std::mem::take(&mut self.stalled);
                     for (f, since) in stalled {
-                        let info = self.msgs[self.flows[f as usize].msg as usize].info;
-                        let src_node = self.net.endpoints[info.src_rank as usize];
-                        let dst_node = self.net.endpoints[info.dst_rank as usize];
-                        let (routes, latency_ps) = self.build_routes(src_node, dst_node);
-                        if routes.is_empty() {
-                            self.spare_routes.push(routes);
-                            self.stalled.push((f, since));
-                            continue;
+                        if self.route_or_stall(f, since) {
+                            self.ledger.stats.flow_stall_ps +=
+                                (self.now - since).max(0.0).round() as u64;
                         }
-                        self.ledger.stats.flow_stall_ps +=
-                            (self.now - since).max(0.0).round() as u64;
-                        self.attach_routes(f, routes, latency_ps);
                     }
                 }
             }
@@ -582,48 +552,66 @@ impl<'n> FlowEngine<'n> {
                 self.active.swap_remove(pos);
             }
         }
-        // Leave the old NIC injection FIFOs, letting successors through
-        // exactly as a drain does.
+        // Leave the old NIC injection FIFOs exactly as a drain does, but
+        // let successors through only once `f` sits in its new ones.
+        self.release_nic(f, |s| {
+            s.flush_routes(f);
+            let fl = &mut s.flows[f as usize];
+            fl.rate = 0.0;
+            fl.gated = true;
+            if s.route_or_stall(f, s.now) {
+                let info = s.msgs[s.flows[f as usize].msg as usize].info;
+                s.ledger.flow_reroute(info, s.now.round() as Time);
+            }
+        });
+    }
+
+    /// Take `f` out of the NIC injection FIFOs of its routes' first links,
+    /// run `then`, and activate each gated flow queued in those FIFOs
+    /// that has routes and may now inject, in queue order.
+    fn release_nic(&mut self, f: FlowId, then: impl FnOnce(&mut Self)) {
         let mut candidates = std::mem::take(&mut self.nic_cand);
         candidates.clear();
         for li in Self::first_links(&self.flows[f as usize].routes) {
             let q = &mut self.inj_queue[li as usize];
-            if let Some(pos) = q.iter().position(|&g| g == f) {
-                q.remove(pos);
-                for &g in q.iter() {
-                    if self.flows[g as usize].gated && !candidates.contains(&g) {
-                        candidates.push(g);
-                    }
+            let pos = q
+                .iter()
+                .position(|&g| g == f)
+                // hxlint: allow(P001) a flow with routes is always parked in its NIC injection queues
+                .expect("flow missing from NIC queue");
+            q.remove(pos);
+            for &g in q.iter() {
+                if self.flows[g as usize].gated && !candidates.contains(&g) {
+                    candidates.push(g);
                 }
             }
         }
-        self.flush_routes(f);
-        {
-            let fl = &mut self.flows[f as usize];
-            fl.rate = 0.0;
-            fl.gated = true;
+        then(self);
+        for &g in &candidates {
+            let fl = &self.flows[g as usize];
+            if fl.gated && !fl.routes.is_empty() && self.nic_eligible(g) {
+                self.activate(g);
+            }
         }
+        self.nic_cand = candidates;
+    }
+
+    /// Build routes for `f`'s message over the failure-epoch topology and
+    /// attach them; if the destination is unreachable, park `f` in
+    /// `stalled` as waiting since `since` instead. Returns whether `f` got
+    /// routes.
+    fn route_or_stall(&mut self, f: FlowId, since: f64) -> bool {
         let info = self.msgs[self.flows[f as usize].msg as usize].info;
         let src_node = self.net.endpoints[info.src_rank as usize];
         let dst_node = self.net.endpoints[info.dst_rank as usize];
         let (routes, latency_ps) = self.build_routes(src_node, dst_node);
         if routes.is_empty() {
-            // Temporarily disconnected: wait for a scheduled repair.
             self.spare_routes.push(routes);
-            self.stalled.push((f, self.now));
-        } else {
-            self.attach_routes(f, routes, latency_ps);
-            self.ledger.flow_reroute(info, self.now.round() as Time);
+            self.stalled.push((f, since));
+            return false;
         }
-        for &g in &candidates {
-            if self.flows[g as usize].gated
-                && !self.flows[g as usize].routes.is_empty()
-                && self.nic_eligible(g)
-            {
-                self.activate(g);
-            }
-        }
-        self.nic_cand = candidates;
+        self.attach_routes(f, routes, latency_ps);
+        true
     }
 
     /// Install a freshly built route set on a gated flow: subscribe its
@@ -699,8 +687,6 @@ impl<'n> FlowEngine<'n> {
     /// route per waypoint class x distinct first-hop candidate).
     fn start_send(&mut self, src: u32, dst: u32, bytes: u64, tag: u64) {
         assert_ne!(src, dst, "self-sends are not modelled");
-        let src_node = self.net.endpoints[src as usize];
-        let dst_node = self.net.endpoints[dst as usize];
         let msg_id = self.msgs.len() as MsgId;
         let start_ps = self.now.round() as Time;
         let info = MsgInfo {
@@ -716,7 +702,6 @@ impl<'n> FlowEngine<'n> {
             start_ps,
         });
 
-        let (routes, latency_ps) = self.build_routes(src_node, dst_node);
         let f = self.alloc_flow(FlowState {
             msg: msg_id,
             routes: Vec::new(),
@@ -726,18 +711,13 @@ impl<'n> FlowEngine<'n> {
             gated: true,
             large: bytes >= self.cfg.nic_port_window_bytes,
         });
-        if routes.is_empty() {
-            // Destination currently disconnected: the flow stalls at the
-            // NIC and resumes if a scheduled repair reconnects it; a run
-            // ending with stalled flows reports [`SimError::Disconnected`].
-            self.spare_routes.push(routes);
-            self.stalled.push((f, self.now));
-            return;
-        }
         // Subscribe the links and enqueue on the NIC injection FIFOs of
         // the routes' first links; the flow drains once nothing
-        // window-sized sits ahead of it.
-        self.attach_routes(f, routes, latency_ps);
+        // window-sized sits ahead of it. A currently disconnected
+        // destination stalls the flow at the NIC until a scheduled repair
+        // reconnects it; a run ending with stalled flows reports
+        // [`SimError::Disconnected`].
+        self.route_or_stall(f, self.now);
     }
 
     /// Build the multipath route set from `src_node` to `dst_node` over

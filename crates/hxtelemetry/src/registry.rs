@@ -88,11 +88,6 @@ impl Registry {
         self.hists[id.0].1.record(value);
     }
 
-    /// Fold an externally maintained histogram into a registered one.
-    pub fn merge_hist(&mut self, id: HistId, h: &HistogramU64) {
-        self.hists[id.0].1.merge(h);
-    }
-
     pub fn counter_value(&self, id: CounterId) -> u64 {
         self.counters[id.0].1
     }
