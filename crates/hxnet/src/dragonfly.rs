@@ -308,18 +308,16 @@ impl Router for DragonflyRouter {
         // UGAL-L: compare the source switch's queue toward the minimal
         // route against the queue toward a random Valiant group, weighting
         // by path length (2 global hops for Valiant vs 1 minimal).
-        let ssw = self.endpoint_switch[match topo.kind(src) {
-            crate::graph::NodeKind::Accelerator { rank } => rank as usize,
-            _ => return None,
-        }];
-        let min_q = {
+        let ssw = self.switch_of_target(topo, src);
+        let queue = |target: NodeId| {
             let mut cand = Vec::new();
-            self.next_hops(topo, ssw, 0, dst, &mut cand);
+            self.next_hops(topo, ssw, 0, target, &mut cand);
             cand.iter()
                 .map(|h| probe.queued_bytes(ssw, h.port))
                 .min()
                 .unwrap_or(0)
         };
+        let min_q = queue(dst);
         // Pick a random intermediate group != sg, dg.
         let mut ig = rng.next_u32() % self.groups;
         while ig == sg || ig == dg {
@@ -331,14 +329,7 @@ impl Router for DragonflyRouter {
         if topo.has_failures() && !(topo.reachable(ssw, iw) && topo.reachable(iw, dst)) {
             return None;
         }
-        let val_q = {
-            let mut cand = Vec::new();
-            self.next_hops(topo, ssw, 0, iw, &mut cand);
-            cand.iter()
-                .map(|h| probe.queued_bytes(ssw, h.port))
-                .min()
-                .unwrap_or(0)
-        };
+        let val_q = queue(iw);
         // UGAL decision: go Valiant when the minimal queue is more than
         // twice the Valiant queue (hop-count ratio) plus a small offset.
         if min_q > 2 * val_q + 4096 {
@@ -356,6 +347,7 @@ impl Router for DragonflyRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::walk;
 
     #[test]
     fn small_dragonfly_shape() {
@@ -368,23 +360,6 @@ mod tests {
         // DAC: 1,024 endpoint + 8 * (16*15/2) local = 1,984.
         assert_eq!(net.topo.count_cables(Cable::Dac), 1024 + 8 * 120);
         net.topo.validate().unwrap();
-    }
-
-    fn walk(net: &Network, s: usize, d: usize) -> u32 {
-        let (sn, dn) = (net.endpoints[s], net.endpoints[d]);
-        let mut node = sn;
-        let mut vc = 0u8;
-        let mut hops = 0;
-        while node != dn {
-            let mut cand = Vec::new();
-            net.router.candidates(&net.topo, node, vc, dn, &mut cand);
-            assert!(!cand.is_empty(), "stuck at {node:?}");
-            node = net.topo.peer(node, cand[0].port).node;
-            vc = cand[0].vc;
-            hops += 1;
-            assert!(hops <= 6, "{s}->{d} exceeded diameter");
-        }
-        hops
     }
 
     #[test]
@@ -402,7 +377,7 @@ mod tests {
         for s in (0..n).step_by(3) {
             for d in (0..n).step_by(7) {
                 if s != d {
-                    walk(&net, s, d);
+                    walk(&net, s, d, 6);
                 }
             }
         }

@@ -305,6 +305,7 @@ pub fn single_switch(n: usize, name: &str) -> Network {
 mod tests {
     use super::*;
     use crate::route::ZeroLoad;
+    use crate::walk;
 
     #[test]
     fn small_nonblocking_counts_match_appendix_c() {
@@ -340,29 +341,12 @@ mod tests {
         assert_eq!(net.topo.count_cables(Cable::Aoc), 2 * 16384);
     }
 
-    /// Walk greedy (first candidate) routes between random pairs and check
-    /// they arrive within the tree diameter.
-    fn check_reachability(net: &Network, pairs: &[(usize, usize)], max_hops: u32) {
-        for &(s, d) in pairs {
-            let (src, dst) = (net.endpoints[s], net.endpoints[d]);
-            let mut node = src;
-            let mut hops = 0;
-            while node != dst {
-                let mut cand = Vec::new();
-                net.router.next_hops(&net.topo, node, 0, dst, &mut cand);
-                assert!(!cand.is_empty(), "stuck at {node:?} toward {dst:?}");
-                node = net.topo.peer(node, cand[0].port).node;
-                hops += 1;
-                assert!(hops <= max_hops, "route too long {src:?}->{dst:?}");
-            }
-        }
-    }
-
     #[test]
     fn routing_reaches_destination() {
         let net = FatTreeParams::small_nonblocking().build();
-        let pairs = [(0, 1), (0, 33), (5, 1000), (1023, 0), (512, 513)];
-        check_reachability(&net, &pairs, 4);
+        for (s, d) in [(0, 1), (0, 33), (5, 1000), (1023, 0), (512, 513)] {
+            walk(&net, s, d, 4);
+        }
     }
 
     #[test]
@@ -377,14 +361,16 @@ mod tests {
         p.mid_up = 4;
         p.num_spines = 8;
         let net = p.build();
-        let pairs = [(0, 255), (0, 15), (16, 17), (100, 200)];
-        check_reachability(&net, &pairs, 6);
+        for (s, d) in [(0, 255), (0, 15), (16, 17), (100, 200)] {
+            walk(&net, s, d, 6);
+        }
     }
 
     #[test]
     fn single_switch_routes_in_two_hops() {
         let net = single_switch(8, "sw");
-        check_reachability(&net, &[(0, 7), (3, 4)], 2);
+        walk(&net, 0, 7, 2);
+        walk(&net, 3, 4, 2);
     }
 
     #[test]
@@ -436,7 +422,7 @@ mod tests {
             .find(|&p| net.topo.peer(spine, p).node == dleaf)
             .expect("spine-down link");
         net.topo.fail_link(spine, down);
-        check_reachability(&net, &[(0, 31)], 6);
+        walk(&net, 0, 31, 6);
         // Isolating dst entirely makes the router report unreachable
         // (empty candidate set) instead of looping.
         net.topo.fail_link(dst, PortId(0));
@@ -450,7 +436,7 @@ mod tests {
         }
         net.router.next_hops(&net.topo, leaf, 0, dst, &mut cand);
         assert_eq!(cand.len(), ups.len());
-        check_reachability(&net, &[(0, 31)], 4);
+        walk(&net, 0, 31, 4);
     }
 
     use crate::graph::NodeKind;

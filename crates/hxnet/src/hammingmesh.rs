@@ -20,8 +20,14 @@
 //! Routing follows §IV-C: adaptive minimal within boards using the
 //! north-last turn model, up*/down* inside the global trees, and at most
 //! one intermediate board when source and destination differ in both board
-//! coordinates. Deadlock freedom uses the paper's scheme (§IV-C3): the VC
-//! is incremented every time a packet jumps from a board into a global
+//! coordinates. Rows and columns are routed alike: each rule (the walk
+//! along a board line, the exit into a line network, the tree entries) is
+//! stated once and takes the axis as a parameter. North-last is the one
+//! asymmetry in the rules: X is fixed before Y on a board, and a column
+//! exit taken before an east/west fix-up never goes north. Diagonal
+//! traffic goes row-first directly and column-first through a waypoint.
+//! Deadlock freedom uses the paper's scheme (§IV-C3): the VC is
+//! incremented every time a packet jumps from a board into a global
 //! network, which bounds the scheme at three VCs because any path crosses
 //! at most two trees (wrap-around shortcuts are suppressed once the last
 //! VC is reached).
@@ -156,10 +162,11 @@ impl HxMeshParams {
             };
             n
         ];
-        let acc_index = |bi: usize, bj: usize, r: usize, c: usize| {
-            ((bi * self.x + bj) * self.a + r) * self.b + c
+        // Accelerators are the first nodes, in (bi, bj, r, c) order, so the
+        // router finds them by arithmetic (`HxMeshRouter::acc`).
+        let acc = |bi: usize, bj: usize, r: usize, c: usize| {
+            NodeId((((bi * self.x + bj) * self.a + r) * self.b + c) as u32)
         };
-        let mut acc_at = vec![NodeId(0); n];
         for bi in 0..self.y {
             for bj in 0..self.x {
                 for r in 0..self.a {
@@ -172,9 +179,9 @@ impl HxMeshParams {
                         };
                         let rank = self.rank_of(co);
                         let node = topo.add_accelerator(rank as u32);
+                        debug_assert_eq!(node, acc(bi, bj, r, c));
                         endpoints[rank] = node;
                         coords[node.idx()] = co;
-                        acc_at[acc_index(bi, bj, r, c)] = node;
                     }
                 }
             }
@@ -188,8 +195,8 @@ impl HxMeshParams {
             for bj in 0..self.x {
                 for r in 0..self.a {
                     for c in 0..self.b.saturating_sub(1) {
-                        let west = acc_at[acc_index(bi, bj, r, c)];
-                        let east = acc_at[acc_index(bi, bj, r, c + 1)];
+                        let west = acc(bi, bj, r, c);
+                        let east = acc(bi, bj, r, c + 1);
                         let (pw, pe) = topo.connect(west, east, pcb_link());
                         ports[west.idx()][Dir::East as usize] = pw;
                         ports[east.idx()][Dir::West as usize] = pe;
@@ -197,8 +204,8 @@ impl HxMeshParams {
                 }
                 for c in 0..self.b {
                     for r in 0..self.a.saturating_sub(1) {
-                        let north = acc_at[acc_index(bi, bj, r, c)];
-                        let south = acc_at[acc_index(bi, bj, r + 1, c)];
+                        let north = acc(bi, bj, r, c);
+                        let south = acc(bi, bj, r + 1, c);
                         let (pn, ps) = topo.connect(north, south, pcb_link());
                         ports[north.idx()][Dir::South as usize] = pn;
                         ports[south.idx()][Dir::North as usize] = ps;
@@ -227,8 +234,8 @@ impl HxMeshParams {
         let mut group = 0u32;
         let mut wire_line = |attach: &[NodeId], net: NetRef| {
             let (shape, cable, dirs) = match net {
-                NetRef::RowLine { .. } => (&row_shape, Cable::Dac, [Dir::West, Dir::East]),
-                NetRef::ColLine { .. } => (&col_shape, Cable::Aoc, [Dir::North, Dir::South]),
+                NetRef::RowLine { .. } => (&row_shape, Cable::Dac, Axis::Row.dirs()),
+                NetRef::ColLine { .. } => (&col_shape, Cable::Aoc, Axis::Col.dirs()),
             };
             group += 1;
             shape.wire_two_level(&mut topo, group, attach, cable, &mut levels, |k, port| {
@@ -242,8 +249,8 @@ impl HxMeshParams {
             for r in 0..self.a {
                 attach.clear();
                 for bj in 0..self.x {
-                    attach.push(acc_at[acc_index(bi, bj, r, 0)]);
-                    attach.push(acc_at[acc_index(bi, bj, r, self.b - 1)]);
+                    attach.push(acc(bi, bj, r, 0));
+                    attach.push(acc(bi, bj, r, self.b - 1));
                 }
                 let (bi, r) = (bi as u16, r as u16);
                 wire_line(&attach, NetRef::RowLine { bi, r });
@@ -253,8 +260,8 @@ impl HxMeshParams {
             for c in 0..self.b {
                 attach.clear();
                 for bi in 0..self.y {
-                    attach.push(acc_at[acc_index(bi, bj, 0, c)]);
-                    attach.push(acc_at[acc_index(bi, bj, self.a - 1, c)]);
+                    attach.push(acc(bi, bj, 0, c));
+                    attach.push(acc(bi, bj, self.a - 1, c));
                 }
                 let (bj, c) = (bj as u16, c as u16);
                 wire_line(&attach, NetRef::ColLine { bj, c });
@@ -268,7 +275,6 @@ impl HxMeshParams {
             x: self.x as u16,
             coords,
             ports,
-            acc_at,
             table,
             switch_net,
         };
@@ -290,6 +296,31 @@ enum NetRef {
     ColLine { bj: u16, c: u16 },
 }
 
+/// The dimension of a board line: a row runs W to E over the board's `b`
+/// columns, a column N to S over its `a` rows. Routing states each rule
+/// once and takes the axis as a parameter.
+#[derive(Clone, Copy)]
+enum Axis {
+    Row,
+    Col,
+}
+
+impl Axis {
+    /// The line's two edge ports: toward its first, then its last
+    /// position.
+    fn dirs(self) -> [Dir; 2] {
+        match self {
+            Axis::Row => [Dir::West, Dir::East],
+            Axis::Col => [Dir::North, Dir::South],
+        }
+    }
+}
+
+/// The exit rule's axes as const generic arguments, so each axis gets its
+/// own copy of the rule with the axis folded in.
+const ROW: bool = false;
+const COL: bool = true;
+
 /// Adaptive minimal HxMesh routing (§IV-C) with the 3-VC deadlock scheme.
 pub struct HxMeshRouter {
     a: u16,
@@ -299,8 +330,6 @@ pub struct HxMeshRouter {
     coords: Vec<HxCoord>,
     /// E,W,N,S port ids per accelerator node index.
     ports: Vec<[PortId; 4]>,
-    /// Accelerator node at flattened (bi, bj, r, c).
-    acc_at: Vec<NodeId>,
     table: UpDownTable,
     /// The line network of each global switch, by node index (`None` for
     /// accelerators).
@@ -311,14 +340,20 @@ pub struct HxMeshRouter {
 const LAST_VC: u8 = 2;
 
 impl HxMeshRouter {
+    /// The accelerator at board `(bi, bj)`, row `r`, column `c`: the
+    /// builder numbers accelerators first, in that order.
     #[inline]
     fn acc(&self, bi: u16, bj: u16, r: u16, c: u16) -> NodeId {
-        let (a, b, x) = (self.a as usize, self.b as usize, self.x as usize);
-        self.acc_at[((bi as usize * x + bj as usize) * a + r as usize) * b + c as usize]
+        let (a, b, x) = (self.a as u32, self.b as u32, self.x as u32);
+        NodeId(((bi as u32 * x + bj as u32) * a + r as u32) * b + c as u32)
     }
 
-    pub fn coord(&self, node: NodeId) -> HxCoord {
-        self.coords[node.idx()]
+    /// `co`'s position on its `axis` line and the line's length.
+    fn on_line(&self, axis: Axis, co: HxCoord) -> (u16, u16) {
+        match axis {
+            Axis::Row => (co.c, self.b),
+            Axis::Col => (co.r, self.a),
+        }
     }
 
     /// Best-case walk length from a tree entry edge to offset `t` on a line
@@ -361,23 +396,24 @@ impl HxMeshRouter {
             .min((len - 1 - p) as u32 + 2 + e)
     }
 
-    /// Emit the minimal first hops along one line: `neg`/`pos` are the port
-    /// slots for decreasing/increasing coordinate; edge ports double as
-    /// tree ports (VC bump). `wrap_ok` allows the wrap-around through the
-    /// global line network (caller combines the VC bound with line health).
-    #[allow(clippy::too_many_arguments)]
+    /// Emit the minimal first hops from `co` along its `axis` line toward
+    /// `t`'s position on it; edge ports double as tree ports (VC bump).
+    /// The line may wrap around through its global network below
+    /// `LAST_VC` while both of its edge cables are healthy.
     fn line_candidates(
         &self,
+        topo: &Topology,
         node: NodeId,
-        p: u16,
-        t: u16,
-        len: u16,
-        neg: Dir,
-        pos: Dir,
+        co: HxCoord,
+        t: HxCoord,
+        axis: Axis,
         vc: u8,
-        wrap_ok: bool,
         out: &mut Vec<Hop>,
     ) {
+        let [neg, pos] = axis.dirs();
+        let (p, len) = self.on_line(axis, co);
+        let (t, _) = self.on_line(axis, t);
+        let wrap_ok = vc < LAST_VC && self.exit_ok(topo, co, neg) && self.exit_ok(topo, co, pos);
         let d = Self::line_dist(p, t, len, wrap_ok);
         debug_assert!(d > 0);
         let e = Self::edge_walk(t, len);
@@ -409,114 +445,53 @@ impl HxMeshRouter {
         }
     }
 
-    /// Candidates for leaving the board through the row (E/W) network of
-    /// the current accelerator row: adaptive toward the nearer edge,
-    /// skipping edges whose global cable has failed (unless both have, in
-    /// which case health is ignored — the line is unreachable either way).
-    fn exit_row_candidates(
+    /// Candidates for leaving the board through the global network of the
+    /// current accelerator row (`COLUMN` false) or column: adaptive toward
+    /// the nearer edge, skipping edges whose global cable has failed
+    /// (unless both have, in which case health is ignored — the line is
+    /// unreachable either way); the hop out of the edge bumps the VC. A
+    /// line one accelerator long offers both of its ports. `north_ok` is
+    /// false only for a column exit taken before an east/west fix-up,
+    /// which the north-last turn model (§IV-C3) keeps from going north.
+    fn exit_candidates<const COLUMN: bool>(
         &self,
         topo: &Topology,
         node: NodeId,
         co: HxCoord,
         vc: u8,
+        north_ok: bool,
         out: &mut Vec<Hop>,
     ) {
-        let mut ok_w = self.exit_ok(topo, co, Dir::West);
-        let mut ok_e = self.exit_ok(topo, co, Dir::East);
-        if !ok_w && !ok_e {
-            (ok_w, ok_e) = (true, true);
+        let axis = if COLUMN { Axis::Col } else { Axis::Row };
+        let dirs = axis.dirs();
+        let healthy = |dir| self.exit_ok(topo, co, dir);
+        let mut ok = [healthy(dirs[0]), healthy(dirs[1])];
+        if ok == [false, false] {
+            ok = [true, true];
         }
-        if self.b == 1 {
-            // Both E and W are ports into the same row network.
-            for (dir, ok) in [(Dir::West, ok_w), (Dir::East, ok_e)] {
+        let (p, len) = self.on_line(axis, co);
+        let bump = (vc + 1).min(LAST_VC);
+        if len == 1 {
+            // Both edge ports lead into the same line network.
+            for (dir, ok) in dirs.into_iter().zip(ok) {
                 if ok {
                     let port = self.ports[node.idx()][dir as usize];
-                    out.push(Hop {
-                        port,
-                        vc: (vc + 1).min(LAST_VC),
-                    });
+                    out.push(Hop { port, vc: bump });
                 }
             }
             return;
         }
-        let cost_w = if ok_w { co.c as u32 } else { u32::MAX };
-        let cost_e = if ok_e {
-            (self.b - 1 - co.c) as u32
-        } else {
-            u32::MAX
-        };
-        let best = cost_w.min(cost_e);
-        if cost_w == best {
-            let port = self.ports[node.idx()][Dir::West as usize];
-            let nvc = if co.c == 0 { (vc + 1).min(LAST_VC) } else { vc };
-            out.push(Hop { port, vc: nvc });
-        }
-        if cost_e == best {
-            let port = self.ports[node.idx()][Dir::East as usize];
-            let nvc = if co.c == self.b - 1 {
-                (vc + 1).min(LAST_VC)
-            } else {
-                vc
-            };
-            out.push(Hop { port, vc: nvc });
-        }
-    }
-
-    /// Candidates for leaving the board through the column (N/S) network of
-    /// the current accelerator column. `allow_north` enforces the
-    /// north-last turn restriction (§IV-C3). Edges with failed global
-    /// cables are skipped like in [`HxMeshRouter::exit_row_candidates`].
-    fn exit_col_candidates(
-        &self,
-        topo: &Topology,
-        node: NodeId,
-        co: HxCoord,
-        vc: u8,
-        allow_north: bool,
-        out: &mut Vec<Hop>,
-    ) {
-        let mut ok_n = self.exit_ok(topo, co, Dir::North);
-        let mut ok_s = self.exit_ok(topo, co, Dir::South);
-        if !ok_n && !ok_s {
-            (ok_n, ok_s) = (true, true);
-        }
-        if self.a == 1 {
-            // Both N and S are ports into the same column network.
-            for (dir, ok) in [(Dir::North, ok_n), (Dir::South, ok_s)] {
-                if ok {
-                    let port = self.ports[node.idx()][dir as usize];
-                    out.push(Hop {
-                        port,
-                        vc: (vc + 1).min(LAST_VC),
-                    });
-                }
+        // Walk to the nearer usable edge; at the edge the hop enters the
+        // line network. `u16::MAX` exceeds any walk on a `u16` line.
+        let first = if ok[0] && north_ok { p } else { u16::MAX };
+        let last = if ok[1] { len - 1 - p } else { u16::MAX };
+        let best = first.min(last);
+        for (dir, cost) in dirs.into_iter().zip([first, last]) {
+            if cost == best && best != u16::MAX {
+                let port = self.ports[node.idx()][dir as usize];
+                let nvc = if cost == 0 { bump } else { vc };
+                out.push(Hop { port, vc: nvc });
             }
-            return;
-        }
-        let cost_n = if ok_n { co.r as u32 } else { u32::MAX };
-        let cost_s = if ok_s {
-            (self.a - 1 - co.r) as u32
-        } else {
-            u32::MAX
-        };
-        let best = if allow_north {
-            cost_n.min(cost_s)
-        } else {
-            cost_s
-        };
-        if allow_north && cost_n == best {
-            let port = self.ports[node.idx()][Dir::North as usize];
-            let nvc = if co.r == 0 { (vc + 1).min(LAST_VC) } else { vc };
-            out.push(Hop { port, vc: nvc });
-        }
-        if cost_s == best && best != u32::MAX {
-            let port = self.ports[node.idx()][Dir::South as usize];
-            let nvc = if co.r == self.a - 1 {
-                (vc + 1).min(LAST_VC)
-            } else {
-                vc
-            };
-            out.push(Hop { port, vc: nvc });
         }
     }
 
@@ -526,26 +501,39 @@ impl HxMeshRouter {
     /// global cable failed are skipped, unless that would leave none.
     fn entries(&self, topo: &Topology, net: NetRef, t: HxCoord) -> ([NodeId; 2], usize) {
         let edges = match net {
-            NetRef::RowLine { bi, r } => [
-                (self.acc(bi, t.bj, r, 0), Dir::West),
-                (self.acc(bi, t.bj, r, self.b - 1), Dir::East),
-            ],
-            NetRef::ColLine { bj, c } => [
-                (self.acc(t.bi, bj, 0, c), Dir::North),
-                (self.acc(t.bi, bj, self.a - 1, c), Dir::South),
-            ],
+            NetRef::RowLine { bi, r } => {
+                let edge = |dir| self.edge_cable(HxCoord { bi, r, ..t }, dir);
+                [edge(Dir::West), edge(Dir::East)]
+            }
+            NetRef::ColLine { bj, c } => {
+                let edge = |dir| self.edge_cable(HxCoord { bj, c, ..t }, dir);
+                [edge(Dir::North), edge(Dir::South)]
+            }
         };
         let mut out = [edges[0].0; 2];
         let mut n = 0;
-        for (node, dir) in edges {
-            if !topo.link_failed(node, self.ports[node.idx()][dir as usize])
-                && !out[..n].contains(&node)
-            {
+        for (node, port) in edges {
+            if !topo.link_failed(node, port) && !out[..n].contains(&node) {
                 out[n] = node;
                 n += 1;
             }
         }
         (out, n.max(1))
+    }
+
+    /// The column-first path class of a diagonal pair: a waypoint on the
+    /// board `(d.bi, s.bj)`. `None` when the pair shares a board row or
+    /// column, or when the failure set cuts either phase (so neither
+    /// engine steers traffic through a cut-off board).
+    fn column_first(&self, topo: &Topology, src: NodeId, dst: NodeId) -> Option<NodeId> {
+        let s = self.coords[src.idx()];
+        let d = self.coords[dst.idx()];
+        if s.bi == d.bi || s.bj == d.bj {
+            return None;
+        }
+        let w = self.acc(d.bi, s.bj, d.r, d.c);
+        let cut = topo.has_failures() && !(topo.reachable(src, w) && topo.reachable(w, dst));
+        (!cut).then_some(w)
     }
 }
 
@@ -601,34 +589,13 @@ impl Router for HxMeshRouter {
         let t = self.coords[target.idx()];
 
         if co.bi == t.bi && co.bj == t.bj {
-            // Same board: X then Y (north-last), wraps below LAST_VC and
-            // only while both of the line's edge cables are healthy.
-            if co.c != t.c {
-                let wrap = vc < LAST_VC
-                    && self.exit_ok(topo, co, Dir::West)
-                    && self.exit_ok(topo, co, Dir::East);
-                self.line_candidates(node, co.c, t.c, self.b, Dir::West, Dir::East, vc, wrap, out);
-            } else {
-                debug_assert_ne!(co.r, t.r);
-                let wrap = vc < LAST_VC
-                    && self.exit_ok(topo, co, Dir::North)
-                    && self.exit_ok(topo, co, Dir::South);
-                self.line_candidates(
-                    node,
-                    co.r,
-                    t.r,
-                    self.a,
-                    Dir::North,
-                    Dir::South,
-                    vc,
-                    wrap,
-                    out,
-                );
-            }
+            // Same board: X then Y (north-last).
+            let axis = if co.c != t.c { Axis::Row } else { Axis::Col };
+            self.line_candidates(topo, node, co, t, axis, vc, out);
         } else if co.bi == t.bi {
             // Same board row: leave through this accelerator row's network;
             // the row fix-up (to t.r) can also start early going south.
-            self.exit_row_candidates(topo, node, co, vc, out);
+            self.exit_candidates::<ROW>(topo, node, co, vc, true, out);
             if t.r > co.r {
                 let port = self.ports[node.idx()][Dir::South as usize];
                 out.push(Hop { port, vc });
@@ -643,14 +610,17 @@ impl Router for HxMeshRouter {
                 let port = self.ports[node.idx()][dir as usize];
                 out.push(Hop { port, vc });
             }
-            self.exit_col_candidates(topo, node, co, vc, !need_ew, out);
+            self.exit_candidates::<COL>(topo, node, co, vc, !need_ew, out);
         } else {
             // Different row and column: row dimension first (the
             // column-first alternative is expressed via a waypoint).
-            self.exit_row_candidates(topo, node, co, vc, out);
+            self.exit_candidates::<ROW>(topo, node, co, vc, true, out);
         }
     }
 
+    /// Row-first (no waypoint) or column-first (a waypoint on the board
+    /// `(d.bi, s.bj)`) by the local queue occupancy of the two exits, with
+    /// a random tie-break — a UGAL-style local decision.
     fn select_waypoint(
         &self,
         topo: &Topology,
@@ -659,59 +629,25 @@ impl Router for HxMeshRouter {
         probe: &dyn LoadProbe,
         rng: &mut dyn rand::RngCore,
     ) -> Option<NodeId> {
-        let s = self.coords[src.idx()];
-        let d = self.coords[dst.idx()];
-        if s.bi == d.bi || s.bj == d.bj {
-            return None;
-        }
-        // Under fault injection, only offer the column-first class when
-        // the failure set leaves both phases of it routable.
-        if topo.has_failures() {
-            let w = self.acc(d.bi, s.bj, d.r, d.c);
-            if !(topo.reachable(src, w) && topo.reachable(w, dst)) {
-                return None;
-            }
-        }
-        // Choose row-first (no waypoint) or column-first (waypoint on the
-        // board (d.bi, s.bj)) by comparing local queue occupancy of the two
-        // exits, with a random tie-break — a UGAL-style local decision.
-        let node = src;
-        let row_q: u64 = [Dir::East, Dir::West]
-            .iter()
-            .map(|&dir| probe.queued_bytes(node, self.ports[node.idx()][dir as usize]))
-            .min()
-            .unwrap_or(0);
-        let col_q: u64 = [Dir::North, Dir::South]
-            .iter()
-            .map(|&dir| probe.queued_bytes(node, self.ports[node.idx()][dir as usize]))
-            .min()
-            .unwrap_or(0);
-        let column_first = match row_q.cmp(&col_q) {
+        let w = self.column_first(topo, src, dst)?;
+        let queue = |axis: Axis| {
+            let [q0, q1] = axis
+                .dirs()
+                .map(|dir| probe.queued_bytes(src, self.ports[src.idx()][dir as usize]));
+            q0.min(q1)
+        };
+        let column_first = match queue(Axis::Row).cmp(&queue(Axis::Col)) {
             std::cmp::Ordering::Less => false,
             std::cmp::Ordering::Greater => true,
             std::cmp::Ordering::Equal => (rng.next_u32() & 1) == 1,
         };
-        if column_first {
-            Some(self.acc(d.bi, s.bj, d.r, d.c))
-        } else {
-            None
-        }
+        column_first.then_some(w)
     }
 
+    /// Diagonal traffic has exactly two path classes: row-first (the
+    /// direct candidates) and column-first.
     fn waypoint_options(&self, topo: &Topology, src: NodeId, dst: NodeId, out: &mut Vec<NodeId>) {
-        // Diagonal traffic has exactly two path classes: row-first (the
-        // direct candidates) and column-first, expressed as a waypoint on
-        // the board (d.bi, s.bj) — mirrors select_waypoint's option set,
-        // including its fault-injection reachability guard (so the flow
-        // engine never builds a subflow through a cut-off board).
-        let s = self.coords[src.idx()];
-        let d = self.coords[dst.idx()];
-        if s.bi != d.bi && s.bj != d.bj {
-            let w = self.acc(d.bi, s.bj, d.r, d.c);
-            if !topo.has_failures() || (topo.reachable(src, w) && topo.reachable(w, dst)) {
-                out.push(w);
-            }
-        }
+        out.extend(self.column_first(topo, src, dst));
     }
 
     fn waypoint_reached(&self, _topo: &Topology, node: NodeId, waypoint: NodeId) -> bool {
@@ -731,25 +667,8 @@ impl Router for HxMeshRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::walk;
     use rand::SeedableRng;
-
-    fn walk(net: &Network, src: usize, dst: usize, max_hops: u32) -> u32 {
-        let (s, d) = (net.endpoints[src], net.endpoints[dst]);
-        let mut node = s;
-        let mut vc = 0u8;
-        let mut hops = 0;
-        while node != d {
-            let mut cand = Vec::new();
-            net.router.candidates(&net.topo, node, vc, d, &mut cand);
-            assert!(!cand.is_empty(), "stuck at {node:?} (vc {vc}) toward {d:?}");
-            let hop = cand[0];
-            node = net.topo.peer(node, hop.port).node;
-            vc = hop.vc;
-            hops += 1;
-            assert!(hops <= max_hops, "path too long {s:?}->{d:?} ({hops} hops)");
-        }
-        hops
-    }
 
     #[test]
     fn counts_match_appendix_c_hx2() {

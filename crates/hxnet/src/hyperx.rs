@@ -97,20 +97,7 @@ mod tests {
         net.topo.fail_link(src, dead);
         // Every destination is still reached, never over the dead link.
         for d in 1..net.endpoints.len() {
-            let dst = net.endpoints[d];
-            let (mut node, mut vc, mut hops) = (src, 0u8, 0u32);
-            while node != dst {
-                let mut cand = Vec::new();
-                net.router.next_hops(&net.topo, node, vc, dst, &mut cand);
-                assert!(!cand.is_empty(), "stuck at {node:?} toward {d}");
-                for h in &cand {
-                    assert!(!net.topo.link_failed(node, h.port));
-                }
-                node = net.topo.peer(node, cand[0].port).node;
-                vc = cand[0].vc;
-                hops += 1;
-                assert!(hops <= 8, "detour too long toward {d}");
-            }
+            crate::walk(&net, 0, d, 8);
         }
     }
 

@@ -70,3 +70,33 @@ pub fn pcb_link() -> LinkSpec {
         cable: Cable::Pcb,
     }
 }
+
+#[cfg(test)]
+/// Test helper: walk the first hop of [`Router::next_hops`] from endpoint
+/// `src` to endpoint `dst` and return the hop count. Every step asserts
+/// that the set is non-empty, that every offered hop is healthy and that
+/// every VC is below `num_vcs()` (the escape VC only while a cable is
+/// failed), and the walk may take at most `max_hops`. On a healthy
+/// network `next_hops` is `candidates`, so this is the scheme's own route.
+pub(crate) fn walk(net: &Network, src: usize, dst: usize, max_hops: u32) -> u32 {
+    let (s, d) = (net.endpoints[src], net.endpoints[dst]);
+    let vcs = net.router.num_vcs() + u8::from(net.topo.has_failures());
+    let (mut node, mut vc, mut hops) = (s, 0u8, 0u32);
+    let mut cand = Vec::new();
+    while node != d {
+        net.router.next_hops(&net.topo, node, vc, d, &mut cand);
+        assert!(!cand.is_empty(), "stuck at {node:?} (vc {vc}) toward {d:?}");
+        for h in &cand {
+            assert!(
+                !net.topo.link_failed(node, h.port),
+                "dead link offered at {node:?}"
+            );
+            assert!(h.vc < vcs, "vc {} out of range at {node:?}", h.vc);
+        }
+        node = net.topo.peer(node, cand[0].port).node;
+        vc = cand[0].vc;
+        hops += 1;
+        assert!(hops <= max_hops, "{src}->{dst} took over {max_hops} hops");
+    }
+    hops
+}

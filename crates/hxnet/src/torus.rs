@@ -131,15 +131,6 @@ impl TorusRouter {
         let i = node.idx() as u16;
         (i / self.cols, i % self.cols) // (row, col)
     }
-
-    /// Ring distance and minimal direction(s): returns (forward, backward)
-    /// distances on a ring of length `len`.
-    #[inline]
-    fn ring_dists(p: u16, t: u16, len: u16) -> (u16, u16) {
-        let fwd = (t + len - p) % len;
-        let bwd = (p + len - t) % len;
-        (fwd, bwd)
-    }
 }
 
 impl Router for TorusRouter {
@@ -161,45 +152,25 @@ impl Router for TorusRouter {
         let (r, c) = self.coord(node);
         let (tr, tc) = self.coord(target);
         let slots = &self.ports[node.idx()];
-        if c != tc {
-            // X phase: VCs {0,1}; dateline = wrap through column 0.
-            let base = vc & 1; // current dateline bit
-            let (fwd, bwd) = Self::ring_dists(c, tc, self.cols);
-            if fwd <= bwd {
-                // East; wraps when c == cols-1.
-                let nvc = if c == self.cols - 1 { 1 } else { base };
-                out.push(Hop {
-                    port: slots[EAST],
-                    vc: nvc,
-                });
-            }
-            if bwd <= fwd {
-                // West; wraps when c == 0.
-                let nvc = if c == 0 { 1 } else { base };
-                out.push(Hop {
-                    port: slots[WEST],
-                    vc: nvc,
-                });
-            }
+        // The ring being routed: position, target, length, forward and
+        // backward port, its first VC and the current dateline bit. X
+        // runs on VCs {0,1}, then Y on {2,3}; entering Y resets the bit.
+        let (p, t, len, fwd_port, bwd_port, first_vc, bit) = if c != tc {
+            (c, tc, self.cols, slots[EAST], slots[WEST], 0, vc & 1)
         } else {
-            // Y phase: VCs {2,3}; entering resets the dateline bit.
-            let base = if vc >= 2 { vc & 1 } else { 0 };
-            let (fwd, bwd) = Self::ring_dists(r, tr, self.rows);
-            if fwd <= bwd {
-                // South (increasing row); wraps when r == rows-1.
-                let nvc = 2 + if r == self.rows - 1 { 1 } else { base };
-                out.push(Hop {
-                    port: slots[SOUTH],
-                    vc: nvc,
-                });
-            }
-            if bwd <= fwd {
-                let nvc = 2 + if r == 0 { 1 } else { base };
-                out.push(Hop {
-                    port: slots[NORTH],
-                    vc: nvc,
-                });
-            }
+            let bit = if vc >= 2 { vc & 1 } else { 0 };
+            (r, tr, self.rows, slots[SOUTH], slots[NORTH], 2, bit)
+        };
+        // Minimal direction(s); crossing a wrap link sets the bit.
+        let fwd = (t + len - p) % len;
+        let bwd = (p + len - t) % len;
+        if fwd <= bwd {
+            let vc = first_vc + if p == len - 1 { 1 } else { bit };
+            out.push(Hop { port: fwd_port, vc });
+        }
+        if bwd <= fwd {
+            let vc = first_vc + if p == 0 { 1 } else { bit };
+            out.push(Hop { port: bwd_port, vc });
         }
     }
 }
@@ -207,6 +178,7 @@ impl Router for TorusRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::walk;
 
     #[test]
     fn small_torus_counts_match_appendix_c() {
@@ -220,23 +192,6 @@ mod tests {
         net.topo.validate().unwrap();
     }
 
-    fn walk(net: &Network, s: usize, d: usize) -> u32 {
-        let (sn, dn) = (net.endpoints[s], net.endpoints[d]);
-        let mut node = sn;
-        let mut vc = 0u8;
-        let mut hops = 0;
-        while node != dn {
-            let mut cand = Vec::new();
-            net.router.candidates(&net.topo, node, vc, dn, &mut cand);
-            assert!(!cand.is_empty());
-            node = net.topo.peer(node, cand[0].port).node;
-            vc = cand[0].vc;
-            hops += 1;
-            assert!(hops <= 64);
-        }
-        hops
-    }
-
     #[test]
     fn routing_takes_shortest_way_around() {
         let net = TorusParams {
@@ -246,11 +201,11 @@ mod tests {
         }
         .build();
         // col 0 -> col 7 is 1 hop west (wrap).
-        assert_eq!(walk(&net, 0, 7), 1);
+        assert_eq!(walk(&net, 0, 7, 64), 1);
         // col 0 -> col 4 is 4 hops either way.
-        assert_eq!(walk(&net, 0, 4), 4);
+        assert_eq!(walk(&net, 0, 4, 64), 4);
         // (0,0) -> (7,7): 1 west + 1 north = 2.
-        assert_eq!(walk(&net, 0, 63), 2);
+        assert_eq!(walk(&net, 0, 63, 64), 2);
     }
 
     #[test]
@@ -264,8 +219,7 @@ mod tests {
         for s in 0..16 {
             for d in 0..16 {
                 if s != d {
-                    let h = walk(&net, s, d);
-                    assert!(h <= 4, "{s}->{d} took {h}");
+                    walk(&net, s, d, 4);
                 }
             }
         }
@@ -279,22 +233,11 @@ mod tests {
             board: 2,
         }
         .build();
+        // The walk asserts every offered VC is below `num_vcs()`.
         for s in 0..36 {
             for d in 0..36 {
-                if s == d {
-                    continue;
-                }
-                let (sn, dn) = (net.endpoints[s], net.endpoints[d]);
-                let mut node = sn;
-                let mut vc = 0u8;
-                while node != dn {
-                    let mut cand = Vec::new();
-                    net.router.candidates(&net.topo, node, vc, dn, &mut cand);
-                    for h in &cand {
-                        assert!(h.vc < 4);
-                    }
-                    node = net.topo.peer(node, cand[0].port).node;
-                    vc = cand[0].vc;
+                if s != d {
+                    walk(&net, s, d, 64);
                 }
             }
         }
@@ -316,26 +259,10 @@ mod tests {
         assert_eq!(dead_peer, net.endpoints[7], "wrap wiring assumption");
         net.topo.fail_link(src, west);
         // Shortest healthy detour: south, west through row 1's wrap, north.
-        let (sn, dn) = (net.endpoints[0], net.endpoints[7]);
-        let mut node = sn;
-        let mut vc = 0u8;
-        let mut hops = 0;
-        while node != dn {
-            let mut cand = Vec::new();
-            net.router.next_hops(&net.topo, node, vc, dn, &mut cand);
-            assert!(!cand.is_empty(), "stuck at {node:?}");
-            for h in &cand {
-                assert!(!net.topo.link_failed(node, h.port), "dead link offered");
-            }
-            node = net.topo.peer(node, cand[0].port).node;
-            vc = cand[0].vc;
-            hops += 1;
-            assert!(hops <= 8);
-        }
-        assert_eq!(hops, 3, "expected the S-W-N detour");
+        assert_eq!(walk(&net, 0, 7, 8), 3, "expected the S-W-N detour");
         // Repair restores the single-hop wrap route.
         net.topo.restore_link(src, west);
-        assert_eq!(walk(&net, 0, 7), 1);
+        assert_eq!(walk(&net, 0, 7, 64), 1);
     }
 
     #[test]

@@ -175,7 +175,6 @@ impl Application for Permutation {
 pub struct UniformRandom {
     p: u32,
     bytes: u64,
-    count: u32,
     seed: u64,
     remaining: Vec<u32>,
 }
@@ -185,7 +184,6 @@ impl UniformRandom {
         Self {
             p: p as u32,
             bytes,
-            count,
             seed,
             remaining: vec![count; p],
         }
@@ -210,7 +208,6 @@ impl Application for UniformRandom {
         for r in 0..self.p {
             self.issue(ctx, r, &mut rng);
         }
-        let _ = self.count;
     }
 
     fn on_message(&mut self, _ctx: &mut Ctx, _info: MsgInfo) {}

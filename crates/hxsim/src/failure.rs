@@ -8,9 +8,12 @@
 //! at each epoch; the packet engine drops the packets in flight on the
 //! failed cable and recovers them with the configured
 //! [`RetransmitPolicy`]. An empty schedule costs one branch per event
-//! loop iteration — the no-failure fast path is pinned by the
-//! differential suite (`determinism.rs`) to be bitwise identical to a
-//! build that never heard of schedules.
+//! loop iteration, and a schedule whose events all fall after the traffic
+//! leaves the run bitwise as the empty one does:
+//! `tests_midrun.rs::after_horizon_schedule_is_bitwise_inert` pins that
+//! on both engines and rate modes, and
+//! `tests/proptests.rs::prop_after_horizon_schedule_counters_stay_zero`
+//! pins the recovery counters at zero.
 
 use crate::Time;
 use hxnet::{NodeId, PortId};

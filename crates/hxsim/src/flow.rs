@@ -185,8 +185,8 @@ pub struct FlowEngine<'n> {
     msgs: Vec<MsgState>,
     /// Dense directed-link index: `port_base[node] + port`.
     port_base: Vec<usize>,
-    /// Reverse of the dense index, for stats attribution.
-    link_owner: Vec<(NodeId, PortId)>,
+    /// The node that owns each directed link, for stats attribution.
+    link_owner: Vec<NodeId>,
     /// Per directed link: capacity in bytes/ps (from the link spec).
     link_cap: Vec<f64>,
     /// Per directed link: number of active routes crossing it.
@@ -207,13 +207,12 @@ pub struct FlowEngine<'n> {
     seed_flows: Vec<FlowId>,
     /// ... and links where a drain retired a shared subscription.
     seed_links: Vec<u32>,
-    /// Component-walk visited stamps, lazily invalidated by `comp_gen`.
+    /// Visited stamps, lazily invalidated by bumping `comp_gen`: the
+    /// component walk's, and between solves [`Self::activate`]'s link
+    /// dedup.
     flow_seen: Vec<u32>,
     link_seen: Vec<u32>,
     comp_gen: u32,
-    /// Dedup stamps for incidence registration within one [`Self::activate`].
-    inc_seen: Vec<u32>,
-    inc_gen: u32,
     /// NIC injection FIFO per directed link (indexed like `link_cap`; only
     /// endpoint injection ports are ever populated). Mirrors the packet
     /// engine's per-port NIC window: a message that fits the window
@@ -261,11 +260,11 @@ impl<'n> FlowEngine<'n> {
         }
         port_base.push(total);
         let mut link_cap = vec![0.0; total];
-        let mut link_owner = vec![(NodeId(0), PortId(0)); total];
+        let mut link_owner = vec![NodeId(0); total];
         for (id, n) in net.topo.nodes() {
             for (p, link) in n.ports.iter().enumerate() {
                 link_cap[port_base[id.idx()] + p] = 1.0 / link.spec.ps_per_byte;
-                link_owner[port_base[id.idx()] + p] = (id, PortId(p as u16));
+                link_owner[port_base[id.idx()] + p] = id;
             }
         }
         Self {
@@ -288,8 +287,6 @@ impl<'n> FlowEngine<'n> {
             flow_seen: Vec::new(),
             link_seen: vec![0; total],
             comp_gen: 0,
-            inc_seen: vec![0; total],
-            inc_gen: 0,
             inj_queue: vec![Vec::new(); total],
             spare_links: Vec::new(),
             spare_routes: Vec::new(),
@@ -464,7 +461,7 @@ impl<'n> FlowEngine<'n> {
             let stats = &mut self.ledger.stats;
             stats.packets_forwarded += pkts * r.links.len() as u64;
             for &li in &r.links {
-                let (n, _) = self.link_owner[li as usize];
+                let n = self.link_owner[li as usize];
                 stats.node_forwarded[n.idx()] += pkts;
                 stats.total_link_busy_ps += (r.carried / self.link_cap[li as usize]).round() as u64;
                 debug_assert!(self.link_nflows[li as usize] > 0);
@@ -766,18 +763,19 @@ impl<'n> FlowEngine<'n> {
 
     /// Activate a flow: mark it draining, register it on the incidence
     /// lists of every distinct link its routes cross, and seed it for the
-    /// next solver pass.
+    /// next solver pass. Activations run between solves, so the dedup
+    /// borrows the component walk's link stamps under a fresh `comp_gen`.
     fn activate(&mut self, f: FlowId) {
         self.flows[f as usize].gated = false;
         self.active.push(f);
-        self.inc_gen = self.inc_gen.wrapping_add(1);
-        let gen = self.inc_gen;
+        self.comp_gen = self.comp_gen.wrapping_add(1);
+        let gen = self.comp_gen;
         let fl = &self.flows[f as usize];
         for r in &fl.routes {
             for &li in &r.links {
                 let li = li as usize;
-                if self.inc_seen[li] != gen {
-                    self.inc_seen[li] = gen;
+                if self.link_seen[li] != gen {
+                    self.link_seen[li] = gen;
                     self.link_flows[li].push(f);
                 }
             }
