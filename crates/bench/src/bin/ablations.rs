@@ -1,4 +1,4 @@
-//! Ablation studies for the design choices DESIGN.md calls out:
+//! Ablation studies for three of the paper's design choices:
 //!
 //! 1. **Global-tree tapering** (§III-F): sweep the HxMesh taper factor and
 //!    measure alltoall (should degrade) vs allreduce (should not) and the

@@ -1,6 +1,6 @@
 //! Regenerates **Fig. 7**: the cumulative distribution of the proportion
 //! of boards allocated to jobs of a given size, for the synthetic stand-in
-//! of the Alibaba MLaaS trace (DESIGN.md substitution #3) and for the
+//! of the Alibaba MLaaS trace (README "Substitutions") and for the
 //! mixes actually sampled onto a cluster.
 
 use hammingmesh::hxalloc::workload::{JobMix, JobSizeDistribution};

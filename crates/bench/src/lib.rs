@@ -1,8 +1,8 @@
 //! Shared plumbing for the per-figure benchmark binaries.
 //!
-//! Every binary regenerates one table or figure of the paper (see
-//! DESIGN.md §3 for the index) and prints the same rows/series the paper
-//! reports. By default they run at a reduced scale that finishes in
+//! Every binary regenerates the table or figure of the paper its name
+//! gives (`fig11_alltoall` is Fig. 11) and prints the same rows/series the
+//! paper reports. By default they run at a reduced scale that finishes in
 //! seconds; pass `--full` for the paper-scale configuration (hours).
 //!
 //! The simulation-sweep binaries (fig10 routed, fig11–fig14) are thin

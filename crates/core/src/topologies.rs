@@ -1,5 +1,6 @@
 //! A uniform way to build all eight Table II topologies at paper scale or
-//! at a reduced "fits on a laptop" scale (DESIGN.md substitution #2).
+//! at a reduced "fits on a laptop" scale, where the figure binaries run
+//! unless given `--full` (README "Substitutions").
 
 use hxnet::dragonfly::DragonflyParams;
 use hxnet::fattree::FatTreeParams;

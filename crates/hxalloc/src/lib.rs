@@ -15,8 +15,8 @@
 //!   upper fat-tree levels (Fig. 9's metric),
 //!
 //! plus board failures (Fig. 10) and the synthetic job-size workload
-//! standing in for the Alibaba MLaaS trace (Fig. 7 — DESIGN.md
-//! substitution #3).
+//! standing in for the Alibaba MLaaS trace, which is not redistributable
+//! (Fig. 7; README "Substitutions").
 
 pub mod experiments;
 pub mod mesh;

@@ -1,5 +1,5 @@
 //! Synthetic job-size workload standing in for the Alibaba MLaaS trace
-//! (Fig. 7, DESIGN.md substitution #3).
+//! (Fig. 7; README "Substitutions").
 //!
 //! The paper samples job sizes from a two-month trace of a 6,742-GPU
 //! cluster; the trace itself is not redistributable, so we model its

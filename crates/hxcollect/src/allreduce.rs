@@ -2,7 +2,7 @@
 //!
 //! All generators are pure functions from parameters to a [`Schedule`]; the
 //! same schedule is checked for numerical correctness by the logical
-//! executor and timed by the packet simulator. Rings operate over an
+//! executor and timed by either simulation engine. Rings operate over an
 //! arbitrary rank *order*, so the same code drives plain rings, the two
 //! edge-disjoint Hamiltonian cycles, and the row/column phases of the 2D
 //! torus algorithm.
@@ -24,6 +24,11 @@ fn chunks(off: u32, len: u32, p: usize) -> Vec<(u32, u32)> {
     out
 }
 
+/// The segment payload of chunk `(off, len)`.
+fn segment((off, len): (u32, u32)) -> Payload {
+    Payload::Segment { off, len }
+}
+
 /// Pipelined ring reduce-scatter over `order` on `[off, off+len)`.
 ///
 /// After completion, the member at ring position `i` owns the fully
@@ -35,45 +40,28 @@ pub fn ring_reduce_scatter_on(
     order: &[u32],
     off: u32,
     len: u32,
-    tag_base: u64,
     entry: &[Vec<u32>],
 ) -> Vec<u32> {
     let p = order.len();
     assert!(p >= 2);
     let ch = chunks(off, len, p);
-    let mut last_recv: Vec<Option<u32>> = vec![None; p];
+    let mut last = Vec::new();
     for k in 0..p - 1 {
-        for i in 0..p {
-            let rank = order[i] as usize;
-            let next = order[(i + 1) % p];
-            let prev = order[(i + p - 1) % p];
-            let send_chunk = ch[(i + p - k) % p];
-            let mut deps: Vec<u32> = entry[i].clone();
-            if let Some(lr) = last_recv[i] {
-                deps = vec![lr];
-            }
-            s.send(
-                rank,
-                next,
-                tag_base + k as u64,
-                Payload::Segment {
-                    off: send_chunk.0,
-                    len: send_chunk.1,
-                },
-                deps,
-            );
-            let r = s.recv(
-                rank,
-                prev,
-                tag_base + k as u64,
-                RecvAction::Reduce,
-                entry[i].clone(),
-            );
-            last_recv[i] = Some(r);
-        }
+        last = s.shift_round(
+            order,
+            1,
+            |i| {
+                let deps = if k == 0 {
+                    entry[i].clone()
+                } else {
+                    vec![last[i]]
+                };
+                (segment(ch[(i + p - k) % p]), deps)
+            },
+            |i| (RecvAction::Reduce, entry[i].clone()),
+        );
     }
-    // hxlint: allow(P001) every rank recvs at least once when p >= 2 (asserted by build())
-    last_recv.into_iter().map(|o| o.expect("p >= 2")).collect()
+    last
 }
 
 /// Pipelined ring allgather over `order` on `[off, off+len)`, assuming the
@@ -84,46 +72,26 @@ pub fn ring_allgather_on(
     order: &[u32],
     off: u32,
     len: u32,
-    tag_base: u64,
     entry: &[Vec<u32>],
 ) -> Vec<u32> {
     let p = order.len();
     assert!(p >= 2);
     let ch = chunks(off, len, p);
-    let mut last: Vec<u32> = vec![0; p];
-    let mut last_recv: Vec<Option<u32>> = vec![None; p];
+    let mut last = Vec::new();
     for k in 0..p - 1 {
-        for i in 0..p {
-            let rank = order[i] as usize;
-            let next = order[(i + 1) % p];
-            let prev = order[(i + p - 1) % p];
-            let send_chunk = ch[(i + 1 + p - k) % p];
-            let deps = if k == 0 {
-                entry[i].clone()
-            } else {
-                // hxlint: allow(P001) k > 0: round k-1 recorded a recv for every rank
-                vec![last_recv[i].unwrap()]
-            };
-            s.send(
-                rank,
-                next,
-                tag_base + k as u64,
-                Payload::Segment {
-                    off: send_chunk.0,
-                    len: send_chunk.1,
-                },
-                deps,
-            );
-            let r = s.recv(
-                rank,
-                prev,
-                tag_base + k as u64,
-                RecvAction::Copy,
-                Vec::new(),
-            );
-            last_recv[i] = Some(r);
-            last[i] = r;
-        }
+        last = s.shift_round(
+            order,
+            1,
+            |i| {
+                let deps = if k == 0 {
+                    entry[i].clone()
+                } else {
+                    vec![last[i]]
+                };
+                (segment(ch[(i + 1 + p - k) % p]), deps)
+            },
+            |_| (RecvAction::Copy, Vec::new()),
+        );
     }
     last
 }
@@ -136,12 +104,11 @@ pub fn ring_allreduce_on(
     order: &[u32],
     off: u32,
     len: u32,
-    tag_base: u64,
     entry: &[Vec<u32>],
 ) -> Vec<u32> {
-    let rs = ring_reduce_scatter_on(s, order, off, len, tag_base, entry);
+    let rs = ring_reduce_scatter_on(s, order, off, len, entry);
     let gate: Vec<Vec<u32>> = rs.into_iter().map(|d| vec![d]).collect();
-    ring_allgather_on(s, order, off, len, tag_base + 1_000_000, &gate)
+    ring_allgather_on(s, order, off, len, &gate)
 }
 
 /// Unidirectional pipelined ring allreduce over `p` ranks and `n` elements.
@@ -149,7 +116,7 @@ pub fn ring_allreduce(p: usize, n: usize) -> Schedule {
     let mut s = Schedule::new(p, n);
     let order: Vec<u32> = (0..p as u32).collect();
     let entry = vec![Vec::new(); p];
-    ring_allreduce_on(&mut s, &order, 0, n as u32, 0, &entry);
+    ring_allreduce_on(&mut s, &order, 0, n as u32, &entry);
     s
 }
 
@@ -161,8 +128,8 @@ pub fn bidirectional_ring_allreduce(p: usize, n: usize) -> Schedule {
     let bwd: Vec<u32> = (0..p as u32).rev().collect();
     let entry = vec![Vec::new(); p];
     let half = (n / 2) as u32;
-    ring_allreduce_on(&mut s, &fwd, 0, half, 0, &entry);
-    ring_allreduce_on(&mut s, &bwd, half, n as u32 - half, 10_000_000, &entry);
+    ring_allreduce_on(&mut s, &fwd, 0, half, &entry);
+    ring_allreduce_on(&mut s, &bwd, half, n as u32 - half, &entry);
     s
 }
 
@@ -207,17 +174,17 @@ pub fn disjoint_rings_allreduce(r: usize, c: usize, n: usize) -> (Schedule, usiz
             let segs = [(0, q), (q, q), (2 * q, q), (3 * q, n as u32 - 3 * q)];
             let gr: Vec<u32> = g.iter().rev().copied().collect();
             let rr: Vec<u32> = red.iter().rev().copied().collect();
-            ring_allreduce_on(&mut s, &g, segs[0].0, segs[0].1, 0, &entry);
-            ring_allreduce_on(&mut s, &gr, segs[1].0, segs[1].1, 10_000_000, &entry);
-            ring_allreduce_on(&mut s, &red, segs[2].0, segs[2].1, 20_000_000, &entry);
-            ring_allreduce_on(&mut s, &rr, segs[3].0, segs[3].1, 30_000_000, &entry);
+            ring_allreduce_on(&mut s, &g, segs[0].0, segs[0].1, &entry);
+            ring_allreduce_on(&mut s, &gr, segs[1].0, segs[1].1, &entry);
+            ring_allreduce_on(&mut s, &red, segs[2].0, segs[2].1, &entry);
+            ring_allreduce_on(&mut s, &rr, segs[3].0, segs[3].1, &entry);
             (s, 2)
         }
         (g, None) => {
             let half = (n / 2) as u32;
             let gr: Vec<u32> = g.iter().rev().copied().collect();
-            ring_allreduce_on(&mut s, &g, 0, half, 0, &entry);
-            ring_allreduce_on(&mut s, &gr, half, n as u32 - half, 10_000_000, &entry);
+            ring_allreduce_on(&mut s, &g, 0, half, &entry);
+            ring_allreduce_on(&mut s, &gr, half, n as u32 - half, &entry);
             (s, 1)
         }
     }
@@ -234,12 +201,12 @@ pub fn torus2d_allreduce(rows: usize, cols: usize, n: usize, doubled: bool) -> S
         let half = n / 2;
         let a = torus2d_instance(rows, cols, 0, half as u32, false);
         let b = torus2d_instance(rows, cols, half as u32, (n - half) as u32, true);
-        s.merge(&a, 0);
-        s.merge(&b, 500_000_000);
+        s.merge(&a);
+        s.merge(&b);
         s
     } else {
         let inst = torus2d_instance(rows, cols, 0, n as u32, false);
-        s.merge(&inst, 0);
+        s.merge(&inst);
         s
     }
 }
@@ -269,7 +236,7 @@ fn torus2d_instance(rows: usize, cols: usize, off: u32, len: u32, transposed: bo
         // Degenerate: single column; just ring-allreduce each column.
         for j in 0..ec {
             let order: Vec<u32> = (0..er).map(|i| rank_of(i, j)).collect();
-            ring_allreduce_on(&mut s, &order, off, len, 0, &no_deps[..er]);
+            ring_allreduce_on(&mut s, &order, off, len, &no_deps[..er]);
         }
         return s;
     }
@@ -280,7 +247,7 @@ fn torus2d_instance(rows: usize, cols: usize, off: u32, len: u32, transposed: bo
     for i in 0..er {
         let order: Vec<u32> = (0..ec).map(|j| rank_of(i, j)).collect();
         let entry: Vec<Vec<u32>> = vec![Vec::new(); ec];
-        let exits = ring_reduce_scatter_on(&mut s, &order, off, len, (i as u64) << 16, &entry);
+        let exits = ring_reduce_scatter_on(&mut s, &order, off, len, &entry);
         for (pos, e) in exits.into_iter().enumerate() {
             rs_exit[order[pos] as usize] = vec![e];
         }
@@ -296,14 +263,7 @@ fn torus2d_instance(rows: usize, cols: usize, off: u32, len: u32, transposed: bo
                 .iter()
                 .map(|&rk| rs_exit[rk as usize].clone())
                 .collect();
-            let exits = ring_allreduce_on(
-                &mut s,
-                &order,
-                owned.0,
-                owned.1,
-                (1 << 32) | ((j as u64) << 16),
-                &entry,
-            );
+            let exits = ring_allreduce_on(&mut s, &order, owned.0, owned.1, &entry);
             for (pos, e) in exits.into_iter().enumerate() {
                 col_exit[order[pos] as usize] = vec![e];
             }
@@ -320,14 +280,7 @@ fn torus2d_instance(rows: usize, cols: usize, off: u32, len: u32, transposed: bo
             .iter()
             .map(|&rk| col_exit[rk as usize].clone())
             .collect();
-        ring_allgather_on(
-            &mut s,
-            &order,
-            off,
-            len,
-            (2 << 32) | ((i as u64) << 16),
-            &entry,
-        );
+        ring_allgather_on(&mut s, &order, off, len, &entry);
     }
     s
 }
@@ -344,7 +297,6 @@ pub fn binomial_tree_allreduce(p: usize, n: usize) -> Schedule {
     // Reduce phase.
     let mut gate: Vec<Option<u32>> = vec![None; p];
     let mut dist = 1usize;
-    let mut round = 0u64;
     while dist < p {
         for r in (0..p).step_by(2 * dist) {
             let peer = r + dist;
@@ -352,13 +304,12 @@ pub fn binomial_tree_allreduce(p: usize, n: usize) -> Schedule {
                 continue;
             }
             let deps_s: Vec<u32> = gate[peer].iter().copied().collect();
-            s.send(peer, r as u32, round, seg, deps_s);
+            let tx = s.send(peer, r as u32, seg, deps_s);
             let deps_r: Vec<u32> = gate[r].iter().copied().collect();
-            let rv = s.recv(r, peer as u32, round, RecvAction::Reduce, deps_r);
+            let rv = s.recv(r, peer as u32, tx, RecvAction::Reduce, deps_r);
             gate[r] = Some(rv);
         }
         dist *= 2;
-        round += 1;
     }
     // Broadcast phase (mirror).
     let mut levels = Vec::new();
@@ -374,11 +325,10 @@ pub fn binomial_tree_allreduce(p: usize, n: usize) -> Schedule {
                 continue;
             }
             let deps_s: Vec<u32> = gate[r].iter().copied().collect();
-            s.send(r, peer as u32, 1000 + round, seg, deps_s);
-            let rv = s.recv(peer, r as u32, 1000 + round, RecvAction::Copy, Vec::new());
+            let tx = s.send(r, peer as u32, seg, deps_s);
+            let rv = s.recv(peer, r as u32, tx, RecvAction::Copy, Vec::new());
             gate[peer] = Some(rv);
         }
-        round += 1;
     }
     s
 }
@@ -394,11 +344,10 @@ pub fn ring_broadcast(p: usize, n: usize, root: usize) -> Schedule {
     // Ring order starting at root.
     let order: Vec<u32> = (0..p).map(|i| ((root + i) % p) as u32).collect();
     let mut last_recv: Vec<Option<u32>> = vec![None; p];
-    for (seg_idx, &(o, l)) in ch.iter().enumerate() {
+    for &(o, l) in &ch {
         if l == 0 {
             continue;
         }
-        let tag = seg_idx as u64;
         for pos in 0..p - 1 {
             let rank = order[pos] as usize;
             let next = order[pos + 1];
@@ -408,14 +357,8 @@ pub fn ring_broadcast(p: usize, n: usize, root: usize) -> Schedule {
                 // hxlint: allow(P001) pos > 0: the previous ring position recorded a recv
                 vec![last_recv[rank].unwrap()]
             };
-            s.send(rank, next, tag, Payload::Segment { off: o, len: l }, deps);
-            let rv = s.recv(
-                next as usize,
-                rank as u32,
-                tag,
-                RecvAction::Copy,
-                Vec::new(),
-            );
+            let tx = s.send(rank, next, segment((o, l)), deps);
+            let rv = s.recv(next as usize, rank as u32, tx, RecvAction::Copy, Vec::new());
             last_recv[next as usize] = Some(rv);
         }
     }
@@ -427,7 +370,7 @@ pub fn ring_reduce_scatter(p: usize, n: usize) -> Schedule {
     let mut s = Schedule::new(p, n);
     let order: Vec<u32> = (0..p as u32).collect();
     let entry = vec![Vec::new(); p];
-    ring_reduce_scatter_on(&mut s, &order, 0, n as u32, 0, &entry);
+    ring_reduce_scatter_on(&mut s, &order, 0, n as u32, &entry);
     s
 }
 
@@ -436,7 +379,7 @@ pub fn ring_allgather(p: usize, n: usize) -> Schedule {
     let mut s = Schedule::new(p, n);
     let order: Vec<u32> = (0..p as u32).collect();
     let entry = vec![Vec::new(); p];
-    ring_allgather_on(&mut s, &order, 0, n as u32, 0, &entry);
+    ring_allgather_on(&mut s, &order, 0, n as u32, &entry);
     s
 }
 

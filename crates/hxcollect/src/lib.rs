@@ -1,13 +1,14 @@
 //! # hxcollect — collective communication for HammingMesh
 //!
 //! Implements the collective algorithms of §V-A2 as *schedules*: explicit
-//! per-rank dependency graphs of send/receive/compute operations. One
-//! schedule can be executed two ways:
+//! per-rank dependency graphs of send/receive/compute operations, in which
+//! every receive names the send it takes. One schedule can be executed two
+//! ways:
 //!
 //! * [`logical::execute`] runs it on real `f32` vectors and checks
 //!   numerical correctness (every allreduce really computes the global sum),
-//! * [`simapp::ScheduleApp`] replays it inside the [`hxsim`] packet
-//!   simulator to measure time on a concrete topology.
+//! * [`simapp::ScheduleApp`] replays it on either [`hxsim`] engine, packet
+//!   or flow, to measure time on a concrete topology.
 //!
 //! Provided algorithms:
 //!

@@ -3,11 +3,10 @@
 //! Runs a [`Schedule`] on real `f32` vectors to verify that the collective
 //! computes what it claims — e.g. after an allreduce schedule, every rank's
 //! buffer must equal the element-wise sum of all initial buffers. This is
-//! the correctness half of the dual-executor design; the packet simulator
-//! is the timing half.
+//! the correctness half of the dual-executor design; replay on either
+//! simulation engine is the timing half.
 
 use crate::schedule::{OpKind, Payload, RecvAction, Schedule};
-use std::collections::BTreeMap;
 
 /// Outcome of a logical execution.
 #[derive(Debug)]
@@ -31,10 +30,11 @@ pub fn execute(sched: &Schedule, inputs: &[Vec<f32>]) -> Result<LogicalResult, S
 
     let mut data: Vec<Vec<f32>> = inputs.to_vec();
     let mut done: Vec<Vec<bool>> = sched.ops.iter().map(|v| vec![false; v.len()]).collect();
-    // In-flight messages: (src, dst, tag) -> segment data + offset.
+    // The offset and data of the segment each executed send captured, by
+    // rank and op, until the recv that names the send takes it.
     #[allow(clippy::type_complexity)]
-    let mut mailbox: BTreeMap<(u32, u32, u64), Vec<(Option<(u32, Vec<f32>)>, u64)>> =
-        BTreeMap::new();
+    let mut sent: Vec<Vec<Option<(u32, Vec<f32>)>>> =
+        sched.ops.iter().map(|v| vec![None; v.len()]).collect();
     let mut messages = 0usize;
 
     let total: usize = sched.num_ops();
@@ -51,31 +51,20 @@ pub fn execute(sched: &Schedule, inputs: &[Vec<f32>]) -> Result<LogicalResult, S
                     continue;
                 }
                 match op.kind {
-                    OpKind::Compute { .. } => {
-                        done[r][i] = true;
-                    }
-                    OpKind::Send { to, tag, payload } => {
-                        let entry = match payload {
-                            Payload::Segment { off, len } => {
-                                let seg = data[r][off as usize..(off + len) as usize].to_vec();
-                                (Some((off, seg)), 0)
-                            }
-                            Payload::Opaque { bytes } => (None, bytes),
-                        };
-                        mailbox.entry((r as u32, to, tag)).or_default().push(entry);
+                    OpKind::Compute { .. } => {}
+                    OpKind::Send { payload, .. } => {
+                        if let Payload::Segment { off, len } = payload {
+                            let seg = data[r][off as usize..(off + len) as usize].to_vec();
+                            sent[r][i] = Some((off, seg));
+                        }
                         messages += 1;
-                        done[r][i] = true;
                     }
-                    OpKind::Recv { from, tag, action } => {
-                        let key = (from, r as u32, tag);
-                        let Some(queue) = mailbox.get_mut(&key) else {
-                            continue;
-                        };
-                        if queue.is_empty() {
+                    OpKind::Recv { from, send, action } => {
+                        let (from, send) = (from as usize, send as usize);
+                        if !done[from][send] {
                             continue;
                         }
-                        let (seg, _bytes) = queue.remove(0);
-                        match (action, seg) {
+                        match (action, sent[from][send].take()) {
                             (RecvAction::Discard, _) => {}
                             (RecvAction::Reduce, Some((off, vals))) => {
                                 for (k, v) in vals.iter().enumerate() {
@@ -90,13 +79,11 @@ pub fn execute(sched: &Schedule, inputs: &[Vec<f32>]) -> Result<LogicalResult, S
                                 return Err(format!("rank {r} op {i}: {a:?} on opaque payload"))
                             }
                         }
-                        done[r][i] = true;
                     }
                 }
-                if done[r][i] {
-                    completed += 1;
-                    progress = true;
-                }
+                done[r][i] = true;
+                completed += 1;
+                progress = true;
             }
         }
         if completed == total {
@@ -154,32 +141,38 @@ mod tests {
     use super::*;
     use crate::schedule::Schedule;
 
+    const WHOLE: Payload = Payload::Segment { off: 0, len: 4 };
+
     /// Hand-written 2-rank allreduce: exchange full vectors and reduce.
     #[test]
     fn two_rank_exchange_allreduce() {
         let mut s = Schedule::new(2, 4);
+        let sends = [0, 1].map(|r| s.send(r, 1 - r as u32, WHOLE, vec![]));
         for r in 0..2usize {
-            let peer = (1 - r) as u32;
-            s.send(r, peer, 0, Payload::Segment { off: 0, len: 4 }, vec![]);
-            s.recv(r, peer, 0, RecvAction::Reduce, vec![]);
+            s.recv(r, 1 - r as u32, sends[1 - r], RecvAction::Reduce, vec![]);
         }
         check_allreduce(&s).unwrap();
     }
 
+    /// Each rank's send waits for its recv, whose message is the other
+    /// rank's send.
     #[test]
     fn deadlock_detected() {
         let mut s = Schedule::new(2, 4);
-        // Recv with no matching send.
-        s.recv(0, 1, 0, RecvAction::Reduce, vec![]);
+        for r in 0..2usize {
+            let rv = s.recv(r, 1 - r as u32, 1, RecvAction::Reduce, vec![]);
+            s.send(r, 1 - r as u32, WHOLE, vec![rv]);
+        }
         let inputs = vec![vec![0.0; 4], vec![0.0; 4]];
-        assert!(execute(&s, &inputs).is_err());
+        let err = execute(&s, &inputs).unwrap_err();
+        assert!(err.starts_with("schedule deadlock"), "{err}");
     }
 
     #[test]
     fn copy_action_overwrites() {
         let mut s = Schedule::new(2, 2);
-        s.send(0, 1, 0, Payload::Segment { off: 0, len: 2 }, vec![]);
-        s.recv(1, 0, 0, RecvAction::Copy, vec![]);
+        let tx = s.send(0, 1, Payload::Segment { off: 0, len: 2 }, vec![]);
+        s.recv(1, 0, tx, RecvAction::Copy, vec![]);
         let res = execute(&s, &[vec![5.0, 6.0], vec![0.0, 0.0]]).unwrap();
         assert_eq!(res.data[1], vec![5.0, 6.0]);
     }
@@ -187,8 +180,8 @@ mod tests {
     #[test]
     fn opaque_discard_works() {
         let mut s = Schedule::new(2, 1);
-        s.send(0, 1, 3, Payload::Opaque { bytes: 1000 }, vec![]);
-        s.recv(1, 0, 3, RecvAction::Discard, vec![]);
+        let tx = s.send(0, 1, Payload::Opaque { bytes: 1000 }, vec![]);
+        s.recv(1, 0, tx, RecvAction::Discard, vec![]);
         let res = execute(&s, &[vec![1.0], vec![2.0]]).unwrap();
         assert_eq!(res.data[1], vec![2.0]);
         assert_eq!(res.messages, 1);

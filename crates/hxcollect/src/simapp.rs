@@ -1,4 +1,4 @@
-//! Replay a [`Schedule`] inside the simulators.
+//! Replay a [`Schedule`] on either simulation engine, packet or flow.
 //!
 //! Binding ([`ScheduleApp::with_mapping`]) flattens the schedule once into
 //! arrays indexed by an op id, and the [`Application`] callbacks then only
@@ -14,8 +14,8 @@
 //!   carries its id as the simulator tag.
 //! * **Action table.** `action[g]` is what issuing op `g` does. A send
 //!   holds its schedule source and destination ranks, its bytes and the
-//!   id of the recv it is matched to; a compute holds its schedule rank
-//!   and duration; a recv is passive and completes when its message lands.
+//!   id of the recv that names it; a compute holds its schedule rank and
+//!   duration; a recv is passive and completes when its message lands.
 //! * **CSR dependents.** The ops that wait on `g` are
 //!   `dependents[dep_start[g]..dep_start[g + 1]]`, in ascending op index,
 //!   and `indeg[g]` counts the dependencies of `g` still outstanding.
@@ -30,17 +30,14 @@
 //! apart, so nearly every callback's in-degree and dependent loads would
 //! miss the cache.
 //!
-//! Sends and receives are matched *statically*, by `(src, dst, tag)` in
-//! program order: the k-th send from `src` to `dst` with tag `t` pairs with
-//! the k-th recv on `dst` from `src` with tag `t`. Binding groups each
-//! side by `(src, dst)` with counting passes, program order kept inside a
-//! group, and sorts a group by `(tag, op)` only when its tags are not
-//! already ascending. A schedule with an unpaired send or recv is rejected
-//! at binding, naming the first in `(src, dst, tag, op)` order, so replay
-//! needs no runtime matching. `start` issues the ready ops rank by rank in
-//! op order, and each completion issues its newly ready dependents in CSR
-//! order. Neither order depends on the ids, so the command sequence the
-//! engines see depends only on the schedule.
+//! **Pairing is read, not matched.** Every recv names the send it takes,
+//! so binding writes the recv's id into that send's action and replay
+//! needs no matching at all. A schedule that [`Schedule::validate`]
+//! rejects, an unpaired send or recv among its errors, is rejected at
+//! binding. `start` issues the ready ops rank by rank in op order, and
+//! each completion issues its newly ready dependents in CSR order.
+//! Neither order depends on the ids, so the command sequence the engines
+//! see depends only on the schedule.
 //!
 //! **Placement is applied at issue.** The bound arrays hold schedule
 //! ranks; the app keeps the placement (`mapping[r]` is the simulator rank
@@ -65,7 +62,7 @@ enum Action {
     Send {
         src: u32,
         dst: u32,
-        /// Op id of the matched recv.
+        /// Op id of the recv that names this send.
         recv: u32,
         bytes: u64,
     },
@@ -131,116 +128,8 @@ impl OpIds {
     }
 }
 
-/// One end of a message, for static matching: its tag, its op index on
-/// its own rank, and the receiving schedule rank. The source rank is the
-/// range the end sits in.
-#[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
-struct End {
-    tag: u64,
-    op: u32,
-    dst: u32,
-}
-
-/// Scratch for spreading one rank's sends over its range grouped by
-/// destination: a counting pass over the destinations it sends to.
-struct Spread {
-    /// Per destination: sends counted, then the next write position.
-    /// All zero between calls.
-    at: Vec<u32>,
-    /// The destinations of the rank's sends, each once.
-    dsts: Vec<u32>,
-}
-
-impl Spread {
-    fn new(nranks: usize) -> Self {
-        Self {
-            at: vec![0; nranks],
-            dsts: Vec::with_capacity(nranks),
-        }
-    }
-
-    /// Write `sent`, one rank's sends in program order, to `out` grouped
-    /// by ascending destination, in program order inside a group.
-    fn by_dst(&mut self, sent: &[End], out: &mut [End]) {
-        for e in sent {
-            let c = &mut self.at[e.dst as usize];
-            if *c == 0 {
-                self.dsts.push(e.dst);
-            }
-            *c += 1;
-        }
-        self.dsts.sort_unstable();
-        let mut start = 0;
-        for &d in &self.dsts {
-            let c = &mut self.at[d as usize];
-            (start, *c) = (start + *c, start);
-        }
-        for e in sent {
-            let c = &mut self.at[e.dst as usize];
-            out[*c as usize] = *e;
-            *c += 1;
-        }
-        for &d in &self.dsts {
-            self.at[d as usize] = 0;
-        }
-        self.dsts.clear();
-    }
-}
-
-/// Split the leading group, the ends to `dst`, off `ends`, which are
-/// ordered by destination.
-fn take_group<'a>(ends: &mut &'a mut [End], dst: u32) -> &'a mut [End] {
-    let k = ends.partition_point(|e| e.dst == dst);
-    let (group, rest) = std::mem::take(ends).split_at_mut(k);
-    *ends = rest;
-    group
-}
-
-/// Pair the sends `tx` and the recvs `rx` of group `(src, dst)`, each in
-/// program order, and record each send's recv in `action`. A side whose
-/// tags are not ascending is sorted by `(tag, op)` first; then the k-th
-/// send and the k-th recv must share a tag. Otherwise panic naming the
-/// first unpaired end, as one walk over every group in `(src, dst)` order
-/// would (every earlier group paired in full).
-fn pair(ids: &OpIds, action: &mut [Action], src: usize, tx: &mut [End], rx: &mut [End]) {
-    for ends in [&mut *tx, &mut *rx] {
-        if !ends.is_sorted_by_key(|e| e.tag) {
-            ends.sort_unstable();
-        }
-    }
-    for k in 0..tx.len().max(rx.len()) {
-        match (tx.get(k), rx.get(k)) {
-            (Some(s), Some(r)) if s.tag == r.tag => {
-                if let Action::Send { recv, .. } = &mut action[ids.id(src, s.op as usize) as usize]
-                {
-                    *recv = ids.id(r.dst as usize, r.op as usize);
-                }
-            }
-            (Some(s), r) if r.is_none_or(|r| s.tag < r.tag) => {
-                let why = if k > 0 && tx[k - 1].tag == s.tag {
-                    "recv count mismatch"
-                } else {
-                    "no matching recv"
-                };
-                let key = (src, s.dst, s.tag);
-                // hxlint: allow(P001) static matching rejects malformed schedules loudly by design
-                panic!("send rank {src} op {}, key {key:?}: {why}", s.op);
-            }
-            _ => {
-                let r = &rx[k];
-                let key = (src, r.dst, r.tag);
-                // hxlint: allow(P001) static matching rejects malformed schedules loudly by design
-                panic!(
-                    "recv rank {} op {}, key {key:?}: unmatched recv",
-                    r.dst, r.op
-                );
-            }
-        }
-    }
-}
-
 /// A schedule bound for replay and placed on simulator ranks by its
-/// mapping, executable by [`hxsim::Engine`].
+/// mapping, executable by either engine ([`hxsim::simulate`]).
 pub struct ScheduleApp {
     ids: OpIds,
     action: Vec<Action>,
@@ -304,49 +193,42 @@ impl ScheduleApp {
         let ids = OpIds::new(sched);
         let (nranks, n) = (sched.nranks, ids.len());
 
-        // Count the dependents of every op, the sends of every rank and
-        // the recvs from every rank, then prefix-sum each count.
+        // Write every op's action and count its dependents, then
+        // prefix-sum the counts.
+        let mut action = vec![Action::Recv; n];
         let mut dep_start = vec![0u32; n + 1];
-        let mut send_start = vec![0u32; nranks + 1];
-        let mut recv_start = vec![0u32; nranks + 1];
         let mut edges = 0usize;
         for (r, ops) in sched.ops.iter().enumerate() {
-            for op in ops {
+            for (i, op) in ops.iter().enumerate() {
                 edges += op.deps.len();
                 for &d in &op.deps {
                     dep_start[ids.id(r, d as usize) as usize + 1] += 1;
                 }
-                match op.kind {
-                    OpKind::Send { .. } => send_start[r + 1] += 1,
-                    OpKind::Recv { from, .. } => recv_start[from as usize + 1] += 1,
-                    OpKind::Compute { .. } => {}
-                }
+                action[ids.id(r, i) as usize] = match op.kind {
+                    OpKind::Send { to, payload } => Action::Send {
+                        src: r as u32,
+                        dst: to,
+                        recv: u32::MAX,
+                        bytes: payload.bytes(sched.elem_bytes).max(1),
+                    },
+                    OpKind::Recv { .. } => Action::Recv,
+                    OpKind::Compute { ps } => Action::Compute { rank: r as u32, ps },
+                };
             }
         }
         assert!(
             n < u32::MAX as usize && edges <= u32::MAX as usize,
             "{n} ops with {edges} dependencies overflow u32 op ids"
         );
-        for counts in [&mut dep_start, &mut send_start, &mut recv_start] {
-            for k in 1..counts.len() {
-                counts[k] += counts[k - 1];
-            }
+        for k in 1..dep_start.len() {
+            dep_start[k] += dep_start[k - 1];
         }
 
-        // Fill in rank-major op order, so each dependent list stays in
-        // ascending op index. Message ends land grouped by `(src, dst)` in
-        // program order: a recv goes straight into its source's range,
-        // whose destinations come in ascending rank order; a rank's sends
-        // are gathered in `sent` and spread over its range by destination.
+        // Fill the dependent lists in rank-major op order, so each stays
+        // in ascending op index, and record each recv on the send it
+        // names.
         let mut cursor = dep_start.clone();
         let mut dependents = vec![0u32; edges];
-        let mut action = vec![Action::Recv; n];
-        let mut sends = vec![End::default(); send_start[nranks] as usize];
-        let mut recvs = vec![End::default(); recv_start[nranks] as usize];
-        let mut recv_at = recv_start.clone();
-        let most_sends = send_start.windows(2).map(|w| w[1] - w[0]).max();
-        let mut sent = Vec::with_capacity(most_sends.unwrap_or(0) as usize);
-        let mut spread = Spread::new(nranks);
         for (r, ops) in sched.ops.iter().enumerate() {
             for (i, op) in ops.iter().enumerate() {
                 let g = ids.id(r, i);
@@ -355,54 +237,12 @@ impl ScheduleApp {
                     dependents[*c as usize] = g;
                     *c += 1;
                 }
-                action[g as usize] = match op.kind {
-                    OpKind::Send { to, tag, payload } => {
-                        sent.push(End {
-                            tag,
-                            op: i as u32,
-                            dst: to,
-                        });
-                        Action::Send {
-                            src: r as u32,
-                            dst: to,
-                            recv: u32::MAX,
-                            bytes: payload.bytes(sched.elem_bytes).max(1),
-                        }
+                if let OpKind::Recv { from, send, .. } = op.kind {
+                    let tx = ids.id(from as usize, send as usize) as usize;
+                    if let Action::Send { recv, .. } = &mut action[tx] {
+                        *recv = g;
                     }
-                    OpKind::Recv { from, tag, .. } => {
-                        let k = &mut recv_at[from as usize];
-                        recvs[*k as usize] = End {
-                            tag,
-                            op: i as u32,
-                            dst: r as u32,
-                        };
-                        *k += 1;
-                        Action::Recv
-                    }
-                    OpKind::Compute { ps } => Action::Compute { rank: r as u32, ps },
-                };
-            }
-            let range = send_start[r] as usize..send_start[r + 1] as usize;
-            spread.by_dst(&sent, &mut sends[range]);
-            sent.clear();
-        }
-
-        // Static matching, one `(src, dst)` group at a time in ascending
-        // order, so the first unpaired end named is the first in
-        // `(src, dst, tag, op)` order.
-        for src in 0..nranks {
-            let mut tx = &mut sends[send_start[src] as usize..send_start[src + 1] as usize];
-            let mut rx = &mut recvs[recv_start[src] as usize..recv_start[src + 1] as usize];
-            while let Some(dst) = tx
-                .first()
-                .into_iter()
-                .chain(rx.first())
-                .map(|e| e.dst)
-                .min()
-            {
-                let group_tx = take_group(&mut tx, dst);
-                let group_rx = take_group(&mut rx, dst);
-                pair(&ids, &mut action, src, group_tx, group_rx);
+                }
             }
         }
 
@@ -430,7 +270,7 @@ impl ScheduleApp {
             Action::Send {
                 src, dst, bytes, ..
             } => ctx.send(at(src), at(dst), bytes, g as u64),
-            // Passive: completes when the matched message arrives.
+            // Passive: completes when its message arrives.
             Action::Recv => {}
             Action::Compute { rank, ps } => ctx.compute(at(rank), ps, g as u64),
         }
@@ -465,7 +305,7 @@ impl Application for ScheduleApp {
     }
 
     fn on_message(&mut self, ctx: &mut Ctx, info: MsgInfo) {
-        // The tag is the send's op id; its action names the matched recv.
+        // The tag is the send's op id; its action names its recv.
         let Action::Send { dst, recv, .. } = self.action[info.tag as usize] else {
             unreachable!("message tags are send op ids");
         };
@@ -539,35 +379,6 @@ mod tests {
     const BYTES: Payload = Payload::Opaque { bytes: 64 };
 
     #[test]
-    #[should_panic(expected = "send rank 0 op 0, key (0, 1, 7): no matching recv")]
-    fn send_without_recv_is_rejected() {
-        let mut s = Schedule::new(2, 4);
-        s.send(0, 1, 7, BYTES, vec![]);
-        s.recv(1, 0, 8, RecvAction::Discard, vec![]);
-        ScheduleApp::new(&s);
-    }
-
-    #[test]
-    #[should_panic(expected = "recv rank 1 op 1, key (0, 1, 9): unmatched recv")]
-    fn recv_without_send_is_rejected() {
-        let mut s = Schedule::new(2, 4);
-        s.send(0, 1, 7, BYTES, vec![]);
-        s.recv(1, 0, 7, RecvAction::Discard, vec![]);
-        s.recv(1, 0, 9, RecvAction::Discard, vec![]);
-        ScheduleApp::new(&s);
-    }
-
-    #[test]
-    #[should_panic(expected = "send rank 0 op 1, key (0, 1, 7): recv count mismatch")]
-    fn more_sends_than_recvs_is_rejected() {
-        let mut s = Schedule::new(2, 4);
-        s.send(0, 1, 7, BYTES, vec![]);
-        s.send(0, 1, 7, BYTES, vec![]);
-        s.recv(1, 0, 7, RecvAction::Discard, vec![]);
-        ScheduleApp::new(&s);
-    }
-
-    #[test]
     #[should_panic(expected = "mapping must be injective")]
     fn non_injective_mapping_is_rejected() {
         ScheduleApp::with_mapping(&ring_allreduce(4, 16), vec![3, 1, 0, 1]);
@@ -589,55 +400,84 @@ mod tests {
     #[should_panic(expected = "invalid schedule")]
     fn invalid_schedule_is_rejected() {
         let mut s = Schedule::new(2, 4);
-        s.send(0, 5, 7, BYTES, vec![]);
+        s.send(0, 5, BYTES, vec![]);
         ScheduleApp::new(&s);
     }
 
-    /// Repeated `(src, dst, tag)` keys pair the k-th send with the k-th
-    /// recv, each in program order, whatever else sits between them.
+    /// Binding rejects a send that no recv names.
+    #[test]
+    #[should_panic(expected = "rank 0 op 0: send never received")]
+    fn send_without_recv_is_rejected() {
+        let mut s = Schedule::new(2, 4);
+        s.send(0, 1, BYTES, vec![]);
+        s.compute(1, 10, vec![]);
+        ScheduleApp::new(&s);
+    }
+
+    /// Two sends from rank 0 to rank 1 and one recv: binding rejects the
+    /// send that the recv does not name.
+    #[test]
+    #[should_panic(expected = "rank 0 op 1: send never received")]
+    fn more_sends_than_recvs_is_rejected() {
+        let mut s = Schedule::new(2, 4);
+        let tx = s.send(0, 1, BYTES, vec![]);
+        s.send(0, 1, BYTES, vec![]);
+        s.recv(1, 0, tx, RecvAction::Discard, vec![]);
+        ScheduleApp::new(&s);
+    }
+
+    /// Repeated `(src, dst)` keys: the k-th send from rank 0 to rank 1 is
+    /// bound to the k-th recv, which names it, whatever else sits between
+    /// them.
     #[test]
     fn repeated_keys_pair_kth_send_with_kth_recv() {
-        let mut s = Schedule::new(2, 4);
-        let sends = [
-            s.send(0, 1, 5, BYTES, vec![]),
-            s.send(0, 1, 5, BYTES, vec![]),
-        ];
-        s.send(0, 1, 6, BYTES, vec![]);
-        let third = s.send(0, 1, 5, BYTES, vec![]);
+        let mut s = Schedule::new(3, 4);
+        let first = [(); 2].map(|_| s.send(0, 1, BYTES, vec![]));
+        let other = s.send(0, 2, BYTES, vec![]);
+        let sends = [first[0], first[1], s.send(0, 1, BYTES, vec![])];
+        s.recv(2, 0, other, RecvAction::Discard, vec![]);
         s.compute(1, 10, vec![]);
-        let first_recv = s.recv(1, 0, 5, RecvAction::Discard, vec![]);
-        s.recv(1, 0, 6, RecvAction::Discard, vec![]);
-        let recvs = [
-            first_recv,
-            s.recv(1, 0, 5, RecvAction::Discard, vec![]),
-            s.recv(1, 0, 5, RecvAction::Discard, vec![]),
-        ];
+        let recvs = sends.map(|tx| s.recv(1, 0, tx, RecvAction::Discard, vec![]));
         let app = ScheduleApp::new(&s);
-        let got = [sends[0], sends[1], third].map(|op| matched(&app, 0, op));
+        let got = sends.map(|op| bound_recv(&app, 0, op));
         assert_eq!(got, recvs.map(|op| app.ids.id(1, op as usize)));
     }
 
+    /// One `(src, dst)` group whose recvs name its sends in a different
+    /// order from the sends' program order: each send is bound to the recv
+    /// that names it. Binding visits the sending rank first here.
+    #[test]
+    fn group_with_unordered_tags_pairs_by_tag_in_program_order() {
+        let mut s = Schedule::new(2, 4);
+        let sends = [(); 4].map(|_| s.send(0, 1, BYTES, vec![]));
+        let order = [3, 0, 1, 2];
+        let recvs = order.map(|k| s.recv(1, 0, sends[k], RecvAction::Discard, vec![]));
+        let app = ScheduleApp::new(&s);
+        let got = order.map(|k| bound_recv(&app, 0, sends[k]));
+        assert_eq!(got, recvs.map(|op| app.ids.id(1, op as usize)));
+    }
+
+    /// Each send's action holds the op id of the recv that names it, also
+    /// when binding visits the receiving rank before the sending one.
+    #[test]
+    fn each_send_is_bound_to_the_recv_naming_it() {
+        let mut s = Schedule::new(2, 4);
+        let sends = [(); 4].map(|_| s.send(1, 0, BYTES, vec![]));
+        s.compute(0, 10, vec![]);
+        let order = [2, 0, 3, 1];
+        let recvs = order.map(|k| s.recv(0, 1, sends[k], RecvAction::Discard, vec![]));
+        let app = ScheduleApp::new(&s);
+        let got = order.map(|k| bound_recv(&app, 1, sends[k]));
+        assert_eq!(got, recvs.map(|op| app.ids.id(0, op as usize)));
+    }
+
     /// The op id of the recv that op `op` of schedule rank `src`, a send,
-    /// is matched to.
-    fn matched(app: &ScheduleApp, src: usize, op: u32) -> u32 {
+    /// is bound to.
+    fn bound_recv(app: &ScheduleApp, src: usize, op: u32) -> u32 {
         match app.action[app.ids.id(src, op as usize) as usize] {
             Action::Send { recv, .. } => recv,
             a => panic!("rank {src} op {op} is {a:?}"),
         }
-    }
-
-    /// One `(src, dst)` group whose tags come in different orders on the
-    /// send side and on the recv side still pairs the k-th send with a tag
-    /// with the k-th recv with that tag.
-    #[test]
-    fn group_with_unordered_tags_pairs_by_tag_in_program_order() {
-        let mut s = Schedule::new(2, 4);
-        let sends = [7, 5, 7, 6].map(|tag| s.send(0, 1, tag, BYTES, vec![]));
-        let recvs = [6, 7, 5, 7].map(|tag| s.recv(1, 0, tag, RecvAction::Discard, vec![]));
-        let app = ScheduleApp::new(&s);
-        let got = sends.map(|op| matched(&app, 0, op));
-        let want = [recvs[1], recvs[2], recvs[3], recvs[0]].map(|op| app.ids.id(1, op as usize));
-        assert_eq!(got, want);
     }
 
     /// Ranks of different lengths, ties included: the ids are a bijection

@@ -25,9 +25,9 @@ use rand::seq::SliceRandom;
 use rand::{Rng, RngCore, SeedableRng};
 use std::collections::BTreeMap;
 
-/// The replay before dense binding: per-rank nested dependents, and
-/// send/recv matching through `BTreeMap`s at bind and at every callback.
-/// Only well-formed schedules reach it, so its rejections are asserts.
+/// The replay before dense binding: per-rank nested dependents, and each
+/// send's recv looked up in a `BTreeMap` at every callback. Only
+/// well-formed schedules reach it, so its rejections are asserts.
 struct MapScheduleApp<'s> {
     sched: &'s Schedule,
     mapping: Vec<u32>,
@@ -64,30 +64,13 @@ impl<'s> MapScheduleApp<'s> {
             dependents.push(dep);
         }
 
-        let mut pending_recvs: BTreeMap<(u32, u32, u64), Vec<(u32, u32)>> = BTreeMap::new();
-        for (r, ops) in sched.ops.iter().enumerate() {
-            for (i, op) in ops.iter().enumerate() {
-                if let OpKind::Recv { from, tag, .. } = op.kind {
-                    pending_recvs
-                        .entry((from, r as u32, tag))
-                        .or_default()
-                        .push((r as u32, i as u32));
-                }
-            }
-        }
         let mut send_match: Vec<BTreeMap<u32, (u32, u32)>> = vec![BTreeMap::new(); sched.nranks];
         for (r, ops) in sched.ops.iter().enumerate() {
             for (i, op) in ops.iter().enumerate() {
-                if let OpKind::Send { to, tag, .. } = op.kind {
-                    let q = pending_recvs.entry((r as u32, to, tag)).or_default();
-                    assert!(!q.is_empty(), "send rank {r} op {i}: no matching recv");
-                    let m = q.remove(0);
-                    send_match[r].insert(i as u32, m);
+                if let OpKind::Recv { from, send, .. } = op.kind {
+                    send_match[from as usize].insert(send, (r as u32, i as u32));
                 }
             }
-        }
-        for (k, q) in &pending_recvs {
-            assert!(q.is_empty(), "unmatched recv {k:?}");
         }
 
         Self {
@@ -241,7 +224,7 @@ enum Source {
     /// A ring allreduce and a binomial tree, `merge`d.
     Merged,
     /// Random traffic with computes, opaque payloads, fan-outs and
-    /// repeated `(src, dst, tag)` keys (see [`hand_built`]).
+    /// repeated `(src, dst)` pairs (see [`hand_built`]).
     HandBuilt(u64),
 }
 
@@ -321,7 +304,7 @@ impl Case {
             Source::Job(r, c) => job_allreduce(r, c, r * c * self.elems_per_rank),
             Source::Merged => {
                 let mut s = ring_allreduce(p, n);
-                s.merge(&binomial_tree_allreduce(p, n), 1 << 40);
+                s.merge(&binomial_tree_allreduce(p, n));
                 s
             }
             Source::HandBuilt(seed) => hand_built(p, seed),
@@ -404,10 +387,9 @@ fn net_for(idx: usize) -> Network {
 }
 
 /// Random traffic over `p` ranks, built message by message so it cannot
-/// deadlock: each new op depends only on ops its rank already has. Tags
-/// come from a range of three, so `(src, dst, tag)` keys repeat; payloads
-/// are opaque (some zero-byte) or segments (some empty); computes fan out
-/// to several sends at once.
+/// deadlock: each new op depends only on ops its rank already has.
+/// `(src, dst)` pairs repeat; payloads are opaque (some zero-byte) or
+/// segments (some empty); computes fan out to several sends at once.
 fn hand_built(p: usize, seed: u64) -> Schedule {
     const DATA: u32 = 16;
     let mut rng = StdRng::seed_from_u64(seed);
@@ -427,7 +409,6 @@ fn hand_built(p: usize, seed: u64) -> Schedule {
     };
     let message = |s: &mut Schedule, src: usize, send_deps: Vec<u32>, rng: &mut StdRng| {
         let dst = (src + rng.random_range(1..p)) % p;
-        let tag = rng.random_range(0..3u64);
         let (payload, action) = if rng.random_bool(0.5) {
             let bytes = pick(rng, &[0, 100, 9000]);
             (Payload::Opaque { bytes }, RecvAction::Discard)
@@ -440,9 +421,9 @@ fn hand_built(p: usize, seed: u64) -> Schedule {
             );
             (Payload::Segment { off, len }, action)
         };
-        s.send(src, dst as u32, tag, payload, send_deps);
+        let tx = s.send(src, dst as u32, payload, send_deps);
         let recv_deps = deps(s, dst, rng);
-        s.recv(dst, src as u32, tag, action, recv_deps);
+        s.recv(dst, src as u32, tx, action, recv_deps);
     };
     for _ in 0..rng.random_range(1..24) {
         let src = rng.random_range(0..p);
@@ -539,23 +520,23 @@ fn every_source_replays_identically() {
 }
 
 /// The hand-built source reaches what the property is about: computes,
-/// opaque payloads, repeated keys and completions that release two or more
-/// sends at once.
+/// opaque payloads, repeated `(src, dst)` pairs and completions that
+/// release two or more sends at once.
 #[test]
 fn hand_built_schedules_cover_the_replay_paths() {
     let (mut computes, mut opaque, mut repeated, mut fan_out) = (0, 0, 0, 0);
     for seed in 0..16 {
         let s = hand_built(2 + seed as usize % 7, seed);
         s.validate().expect("hand-built schedules are valid");
-        let mut keys = BTreeMap::new();
+        let mut pairs = BTreeMap::new();
         for (r, ops) in s.ops.iter().enumerate() {
             let mut sends_after = vec![0; ops.len()];
             for op in ops {
                 match op.kind {
                     OpKind::Compute { .. } => computes += 1,
-                    OpKind::Send { to, tag, payload } => {
+                    OpKind::Send { to, payload } => {
                         opaque += matches!(payload, Payload::Opaque { .. }) as usize;
-                        *keys.entry((r, to, tag)).or_insert(0) += 1;
+                        *pairs.entry((r, to)).or_insert(0) += 1;
                         for &d in &op.deps {
                             sends_after[d as usize] += 1;
                         }
@@ -565,10 +546,10 @@ fn hand_built_schedules_cover_the_replay_paths() {
             }
             fan_out += sends_after.iter().filter(|&&n| n >= 2).count();
         }
-        repeated += keys.values().filter(|&&n| n >= 2).count();
+        repeated += pairs.values().filter(|&&n| n >= 2).count();
     }
     assert!(
         computes > 0 && opaque > 0 && repeated > 0 && fan_out > 0,
-        "computes {computes}, opaque {opaque}, repeated keys {repeated}, fan-outs {fan_out}"
+        "computes {computes}, opaque {opaque}, repeated pairs {repeated}, fan-outs {fan_out}"
     );
 }

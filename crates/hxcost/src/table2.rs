@@ -3,11 +3,11 @@
 //!
 //! Counts are the paper's closed forms (App. C1/C2); tests assert that the
 //! resulting costs reproduce the Table II cost column to within its
-//! printed precision. Two deliberate deviations are documented in
-//! DESIGN.md: the torus is priced with AoC inter-board cables (the paper's
-//! text says DAC but its dollar figure matches AoC), and the large-HyperX
-//! switch count follows the per-plane arithmetic that matches the paper's
-//! dollar figure (its prose doubles it inconsistently).
+//! printed precision. Two deliberate deviations (README "Substitutions"):
+//! the torus is priced with AoC inter-board cables (the paper's text says
+//! DAC but its dollar figure matches AoC), and the large-HyperX switch
+//! count follows the per-plane arithmetic that matches the paper's dollar
+//! figure (its prose doubles it inconsistently).
 
 use crate::diameter;
 use crate::inventory::{Inventory, Prices};
@@ -116,8 +116,8 @@ pub fn table2_entries(cluster: ClusterSize) -> Vec<Table2Entry> {
                 cluster,
                 endpoints: 1024,
                 // 4 planes of 1,024 inter-board cables, no switches.
-                // DESIGN.md substitution #6: AoC pricing matches the paper's
-                // $2.5M figure; its text says DAC.
+                // Priced as AoC: that matches the paper's $2.5M figure; its
+                // text says DAC.
                 inventory: Inventory::new(0, 0, 1024).planes(4),
                 diameter: diameter::torus_diameter(32, 32),
                 paper_cost_musd: 2.5,

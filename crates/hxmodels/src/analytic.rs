@@ -9,6 +9,7 @@
 //! our numbers against the paper's.
 
 use crate::workloads::{CommPhase, DnnWorkload};
+use hxcost::{table2_entries, ClusterSize};
 
 /// Per-topology performance inputs for the analytic model.
 #[derive(Clone, Debug)]
@@ -36,48 +37,54 @@ impl TopologyPerf {
     /// The small-cluster Table II rows with their measured bandwidth
     /// fractions, in row order.
     pub fn table2_small() -> Vec<TopologyPerf> {
-        let inj = 4.0 / 20.0; // 4 ports x 0.05 B/ps
-        let mk = |name, cost, ared: f64, glob: f64, diam| TopologyPerf {
-            name,
-            cost_musd: cost,
-            allreduce_frac: ared / 100.0,
-            alltoall_frac: glob / 100.0,
-            diameter: diam,
-            inj_bytes_per_ps: inj,
-        };
-        vec![
-            mk("nonblocking fat tree", 25.3, 98.9, 99.9, 4),
-            mk("50% tapered fat tree", 17.6, 98.9, 51.2, 4),
-            mk("75% tapered fat tree", 13.2, 98.9, 25.7, 4),
-            mk("Dragonfly", 27.9, 98.8, 62.9, 3),
-            mk("2D HyperX", 10.8, 98.1, 91.6, 4),
-            mk("Hx2Mesh", 5.4, 98.3, 25.4, 4),
-            mk("Hx4Mesh", 2.7, 98.4, 11.3, 8),
-            mk("2D torus", 2.5, 98.1, 2.0, 32),
-        ]
+        Self::table2(
+            ClusterSize::Small,
+            [
+                (98.9, 99.9),
+                (98.9, 51.2),
+                (98.9, 25.7),
+                (98.8, 62.9),
+                (98.1, 91.6),
+                (98.3, 25.4),
+                (98.4, 11.3),
+                (98.1, 2.0),
+            ],
+        )
     }
 
     /// The large-cluster Table II rows.
     pub fn table2_large() -> Vec<TopologyPerf> {
-        let inj = 4.0 / 20.0;
-        let mk = |name, cost, ared: f64, glob: f64, diam| TopologyPerf {
-            name,
-            cost_musd: cost,
-            allreduce_frac: ared / 100.0,
-            alltoall_frac: glob / 100.0,
-            diameter: diam,
-            inj_bytes_per_ps: inj,
-        };
-        vec![
-            mk("nonblocking fat tree", 680.0, 99.8, 98.9, 6),
-            mk("50% tapered fat tree", 419.0, 99.8, 47.6, 6),
-            mk("75% tapered fat tree", 271.0, 99.8, 24.0, 6),
-            mk("Dragonfly", 429.0, 98.6, 71.5, 5),
-            mk("2D HyperX", 448.0, 91.4, 95.8, 8),
-            mk("Hx2Mesh", 224.0, 92.3, 25.0, 8),
-            mk("Hx4Mesh", 43.3, 92.2, 10.5, 8),
-            mk("2D torus", 39.5, 91.4, 1.1, 128),
-        ]
+        Self::table2(
+            ClusterSize::Large,
+            [
+                (99.8, 98.9),
+                (99.8, 47.6),
+                (99.8, 24.0),
+                (98.6, 71.5),
+                (91.4, 95.8),
+                (92.3, 25.0),
+                (92.2, 10.5),
+                (91.4, 1.1),
+            ],
+        )
+    }
+
+    /// `cluster`'s Table II rows: name, cost and diameter as
+    /// [`table2_entries`] prints them, with each row's measured "ared."
+    /// and "glob." bandwidths in percent from `measured`.
+    fn table2(cluster: ClusterSize, measured: [(f64, f64); 8]) -> Vec<TopologyPerf> {
+        table2_entries(cluster)
+            .into_iter()
+            .zip(measured)
+            .map(|(e, (ared, glob))| TopologyPerf {
+                name: e.name,
+                cost_musd: e.paper_cost_musd,
+                allreduce_frac: ared / 100.0,
+                alltoall_frac: glob / 100.0,
+                diameter: e.paper_diameter,
+                inj_bytes_per_ps: 4.0 / 20.0, // 4 ports x 0.05 B/ps
+            })
+            .collect()
     }
 }
 
@@ -180,6 +187,27 @@ mod tests {
             .into_iter()
             .find(|t| t.name == name)
             .unwrap()
+    }
+
+    /// Both clusters give all eight Table II rows, in row order.
+    #[test]
+    fn table2_rows_are_complete() {
+        for rows in [TopologyPerf::table2_small(), TopologyPerf::table2_large()] {
+            let names: Vec<&str> = rows.iter().map(|t| t.name).collect();
+            assert_eq!(
+                names,
+                [
+                    "nonblocking fat tree",
+                    "50% tapered fat tree",
+                    "75% tapered fat tree",
+                    "Dragonfly",
+                    "2D HyperX",
+                    "Hx2Mesh",
+                    "Hx4Mesh",
+                    "2D torus"
+                ]
+            );
+        }
     }
 
     #[test]

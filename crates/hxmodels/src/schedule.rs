@@ -9,8 +9,8 @@
 //!
 //! Scaling: `ScaledConfig` shrinks the parallelism degrees while keeping
 //! per-accelerator communication volumes, so a laptop-size simulation
-//! exercises the same per-endpoint load as the paper's cluster (DESIGN.md
-//! substitution #2).
+//! exercises the same per-endpoint load as the paper's cluster (README
+//! "Substitutions").
 
 use crate::workloads::{CommPhase, DnnWorkload, Parallelism};
 use hxcollect::schedule::{Payload, RecvAction, Schedule};
@@ -60,13 +60,7 @@ fn scaled(bytes: u64, f: f64) -> u64 {
 
 /// Opaque unidirectional ring allreduce over `members`: 2(g-1) rounds of
 /// `total/g` bytes. Returns per-member final op indices.
-fn opaque_ring(
-    s: &mut Schedule,
-    members: &[u32],
-    total: u64,
-    tag_base: u64,
-    entry: &[Vec<u32>],
-) -> Vec<u32> {
+fn opaque_ring(s: &mut Schedule, members: &[u32], total: u64, entry: &[Vec<u32>]) -> Vec<u32> {
     let g = members.len();
     if g < 2 || total == 0 {
         return entry
@@ -74,69 +68,41 @@ fn opaque_ring(
             .map(|d| d.last().copied().unwrap_or(0))
             .collect();
     }
-    let chunk = (total / g as u64).max(1);
-    let mut last: Vec<Option<u32>> = vec![None; g];
+    let chunk = Payload::Opaque {
+        bytes: (total / g as u64).max(1),
+    };
+    let mut last = Vec::new();
     for k in 0..2 * (g - 1) {
-        for i in 0..g {
-            let me = members[i] as usize;
-            let next = members[(i + 1) % g];
-            let prev = members[(i + g - 1) % g];
-            let deps = match last[i] {
-                Some(r) => vec![r],
-                None => entry[i].clone(),
-            };
-            s.send(
-                me,
-                next,
-                tag_base + k as u64,
-                Payload::Opaque { bytes: chunk },
-                deps,
-            );
-            let r = s.recv(
-                me,
-                prev,
-                tag_base + k as u64,
-                RecvAction::Discard,
-                Vec::new(),
-            );
-            last[i] = Some(r);
-        }
+        last = s.shift_round(
+            members,
+            1,
+            |i| {
+                let deps = if k == 0 {
+                    entry[i].clone()
+                } else {
+                    vec![last[i]]
+                };
+                (chunk, deps)
+            },
+            |_| (RecvAction::Discard, Vec::new()),
+        );
     }
-    last.into_iter().map(Option::unwrap).collect()
+    last
 }
 
 /// Opaque balanced-shift alltoall over `members`, `bytes` per peer.
-fn opaque_alltoall(
-    s: &mut Schedule,
-    members: &[u32],
-    bytes: u64,
-    tag_base: u64,
-    entry: &[Vec<u32>],
-) {
+fn opaque_alltoall(s: &mut Schedule, members: &[u32], bytes: u64, entry: &[Vec<u32>]) {
     let g = members.len();
     if g < 2 || bytes == 0 {
         return;
     }
     for shift in 1..g {
-        for i in 0..g {
-            let me = members[i] as usize;
-            let to = members[(i + shift) % g];
-            let from = members[(i + g - shift) % g];
-            s.send(
-                me,
-                to,
-                tag_base + shift as u64,
-                Payload::Opaque { bytes },
-                entry[i].clone(),
-            );
-            s.recv(
-                me,
-                from,
-                tag_base + shift as u64,
-                RecvAction::Discard,
-                Vec::new(),
-            );
-        }
+        s.shift_round(
+            members,
+            shift,
+            |i| (Payload::Opaque { bytes }, entry[i].clone()),
+            |_| (RecvAction::Discard, Vec::new()),
+        );
     }
 }
 
@@ -155,12 +121,6 @@ pub fn build_iteration(w: &DnnWorkload, cfg: &ScaledConfig) -> Schedule {
 
     // Pipeline stage gating ops: gate[d][p][o] = ops that end stage work.
     let mut stage_gate: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let mut tag = 0u64;
-    let fresh_tag = |tag: &mut u64, span: u64| {
-        let t = *tag;
-        *tag += span;
-        t
-    };
 
     if par.p > 1 {
         // Explicit fill/drain pipeline: forward then backward per
@@ -178,8 +138,7 @@ pub fn build_iteration(w: &DnnWorkload, cfg: &ScaledConfig) -> Schedule {
                 // per (d, o) replica: a chain over p stages
                 let chain: Vec<u32> = (0..par.p).map(|pi| cfg.rank(di, pi, oi)).collect();
                 let mut prev_recv: Vec<Option<u32>> = vec![None; par.p];
-                for m in 0..mb {
-                    let t0 = fresh_tag(&mut tag, 2 * par.p as u64 + 4);
+                for _ in 0..mb {
                     // forward
                     for pi in 0..par.p {
                         let me = chain[pi] as usize;
@@ -187,17 +146,12 @@ pub fn build_iteration(w: &DnnWorkload, cfg: &ScaledConfig) -> Schedule {
                         let c = s.compute(me, compute_slice, deps.clone());
                         deps = vec![c];
                         if pi + 1 < par.p {
-                            s.send(
-                                me,
-                                chain[pi + 1],
-                                t0 + pi as u64,
-                                Payload::Opaque { bytes: handoff },
-                                deps,
-                            );
+                            let next = chain[pi + 1];
+                            let tx = s.send(me, next, Payload::Opaque { bytes: handoff }, deps);
                             let r = s.recv(
-                                chain[pi + 1] as usize,
+                                next as usize,
                                 chain[pi],
-                                t0 + pi as u64,
+                                tx,
                                 RecvAction::Discard,
                                 Vec::new(),
                             );
@@ -206,7 +160,6 @@ pub fn build_iteration(w: &DnnWorkload, cfg: &ScaledConfig) -> Schedule {
                             stage_gate[me].push(c);
                         }
                     }
-                    let _ = m;
                 }
             }
         }
@@ -232,8 +185,7 @@ pub fn build_iteration(w: &DnnWorkload, cfg: &ScaledConfig) -> Schedule {
                             .map(|&mm| stage_gate[mm as usize].clone())
                             .collect();
                         for _ in 0..chunks.max(1) {
-                            let t0 = fresh_tag(&mut tag, 2 * par.d as u64 + 4);
-                            opaque_ring(&mut s, &members, per_chunk * par.d as u64, t0, &entry);
+                            opaque_ring(&mut s, &members, per_chunk * par.d as u64, &entry);
                         }
                     }
                 }
@@ -251,8 +203,7 @@ pub fn build_iteration(w: &DnnWorkload, cfg: &ScaledConfig) -> Schedule {
                         let entry: Vec<Vec<u32>> = vec![Vec::new(); members.len()];
                         let mut gate = entry.clone();
                         for _ in 0..count.max(1) {
-                            let t0 = fresh_tag(&mut tag, 2 * par.o as u64 + 4);
-                            let exits = opaque_ring(&mut s, &members, scaled(bytes, f), t0, &gate);
+                            let exits = opaque_ring(&mut s, &members, scaled(bytes, f), &gate);
                             gate = exits.into_iter().map(|e| vec![e]).collect();
                         }
                     }
@@ -271,8 +222,7 @@ pub fn build_iteration(w: &DnnWorkload, cfg: &ScaledConfig) -> Schedule {
                     }
                     let entry: Vec<Vec<u32>> = vec![Vec::new(); members.len()];
                     for _ in 0..count.max(1) {
-                        let t0 = fresh_tag(&mut tag, members.len() as u64 + 4);
-                        opaque_alltoall(&mut s, &members, scaled(bytes, f), t0, &entry);
+                        opaque_alltoall(&mut s, &members, scaled(bytes, f), &entry);
                     }
                 }
             }
@@ -284,24 +234,16 @@ pub fn build_iteration(w: &DnnWorkload, cfg: &ScaledConfig) -> Schedule {
                 for di in 0..par.d {
                     for pi in 0..par.p {
                         let members: Vec<u32> = (0..par.o).map(|oi| cfg.rank(di, pi, oi)).collect();
-                        for k in 0..count.max(1) {
-                            let t0 = fresh_tag(&mut tag, 4);
-                            for i in 0..members.len() {
-                                let me = members[i] as usize;
-                                let nxt = members[(i + 1) % members.len()];
-                                let prv = members[(i + members.len() - 1) % members.len()];
-                                s.send(
-                                    me,
-                                    nxt,
-                                    t0,
-                                    Payload::Opaque {
-                                        bytes: scaled(bytes, f),
-                                    },
-                                    Vec::new(),
-                                );
-                                s.recv(me, prv, t0, RecvAction::Discard, Vec::new());
-                            }
-                            let _ = k;
+                        let halo = Payload::Opaque {
+                            bytes: scaled(bytes, f),
+                        };
+                        for _ in 0..count.max(1) {
+                            s.shift_round(
+                                &members,
+                                1,
+                                |_| (halo, Vec::new()),
+                                |_| (RecvAction::Discard, Vec::new()),
+                            );
                         }
                     }
                 }

@@ -4,8 +4,8 @@
 //! traces; links between boards are cables. §III-D describes DAC cables
 //! between boards, but the Table II cost figure ($2.5M for the small
 //! cluster) matches AoC pricing (4 planes x 1,024 cables x $603), so the
-//! builder uses AoC to stay faithful to the paper's numbers; see DESIGN.md
-//! substitution #6.
+//! builder uses AoC to stay faithful to the paper's numbers (README
+//! "Substitutions").
 //!
 //! Routing: strict dimension-order (X then Y) with minimal-direction
 //! adaptivity on each ring and dateline virtual channels for deadlock

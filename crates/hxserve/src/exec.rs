@@ -164,15 +164,13 @@ fn exec_cell(spec_src: &str, cell: &CellSpec, cache_dir: Option<&Path>) -> CellR
                 net.name
             );
             let id = fsid_u64(net.topo.failure_set_id());
-            if let CellKind::MidrunAlltoall { retransmit, .. } = cell.kind {
+            if let CellKind::MidrunAlltoall {
+                retransmit, times, ..
+            } = &cell.kind
+            {
                 // Same draw (and so the same fingerprint/cache identity) as
                 // the frozen cell, but the run starts on the pristine
                 // network and the drawn cables arrive as mid-run link events.
-                let times = cell
-                    .midrun
-                    .as_ref()
-                    // hxlint: allow(P001) expand_cells sets `midrun` on every MidrunAlltoall cell
-                    .expect("midrun cells carry times");
                 let drawn: Vec<_> = net
                     .topo
                     .cables()
@@ -187,7 +185,7 @@ fn exec_cell(spec_src: &str, cell: &CellSpec, cache_dir: Option<&Path>) -> CellR
                         cfg.failures = cfg.failures.repair(at(&times.repair_at_ps, i), n, p);
                     }
                 }
-                cfg.retransmit = retransmit;
+                cfg.retransmit = *retransmit;
             }
             (Some(net), id)
         }
@@ -222,7 +220,7 @@ fn exec_cell(spec_src: &str, cell: &CellSpec, cache_dir: Option<&Path>) -> CellR
         None => build_net(cell),
     };
     let info = net_info(&net);
-    let output = match cell.kind {
+    let output = match &cell.kind {
         CellKind::Alltoall => bw(experiments::alltoall_bandwidth(
             &net,
             cell.bytes,
@@ -231,11 +229,11 @@ fn exec_cell(spec_src: &str, cell: &CellSpec, cache_dir: Option<&Path>) -> CellR
             cfg,
         )),
         CellKind::Permutation { rounds } => CellOutput::Distribution(
-            experiments::permutation_bandwidths(&net, cell.bytes, rounds, cell.seed, cell.engine),
+            experiments::permutation_bandwidths(&net, cell.bytes, *rounds, cell.seed, cell.engine),
         ),
         CellKind::Allreduce { algo } => bw(experiments::allreduce_bandwidth(
             &net,
-            algo,
+            *algo,
             cell.bytes,
             cell.engine,
         )),

@@ -289,7 +289,7 @@ pub fn jsonl_row(plan: &Plan, row: &CellRow) -> String {
         row.net.ranks,
         row.spec.bytes,
     );
-    match row.spec.kind {
+    match &row.spec.kind {
         CellKind::Alltoall => {
             let _ = write!(out, ",\"kind\":\"alltoall\",\"window\":{}", row.spec.window);
         }
@@ -310,25 +310,24 @@ pub fn jsonl_row(plan: &Plan, row: &CellRow) -> String {
                 row.failure_set_id
             );
         }
-        CellKind::MidrunAlltoall { failures, draw, .. } => {
+        CellKind::MidrunAlltoall {
+            failures,
+            draw,
+            times,
+            ..
+        } => {
             let ints = |v: &[u64]| {
                 v.iter()
                     .map(|t| t.to_string())
                     .collect::<Vec<_>>()
                     .join(",")
             };
-            let t = row
-                .spec
-                .midrun
-                .as_ref()
-                // hxlint: allow(P001) expand_cells sets `midrun` on every MidrunAlltoall cell
-                .expect("midrun cells carry times");
             let _ = write!(
                 out,
                 ",\"kind\":\"midrun_alltoall\",\"failed_cables\":{failures},\"draw\":{draw},\"failure_set_id\":\"{:016x}\",\"fail_at_ps\":[{}],\"repair_at_ps\":[{}]",
                 row.failure_set_id,
-                ints(&t.fail_at_ps),
-                ints(&t.repair_at_ps)
+                ints(&times.fail_at_ps),
+                ints(&times.repair_at_ps)
             );
         }
     }
@@ -479,7 +478,6 @@ title = "t"
                     failures: 4,
                     draw: 1,
                 },
-                midrun: None,
             },
             net: NetInfo {
                 name: "8x8 2D torus".into(),
@@ -507,11 +505,11 @@ title = "t"
             failures: 4,
             draw: 1,
             retransmit: hammingmesh::hxsim::RetransmitPolicy::Timeout,
+            times: crate::spec::MidrunTimes {
+                fail_at_ps: vec![1_000_000],
+                repair_at_ps: Vec::new(),
+            },
         };
-        row.spec.midrun = Some(crate::spec::MidrunTimes {
-            fail_at_ps: vec![1_000_000],
-            repair_at_ps: Vec::new(),
-        });
         assert_eq!(
             csv_row(&compare, &row).unwrap(),
             "8x8 2D torus,flow,midrun,4,1,0.0822,123,true"

@@ -221,12 +221,10 @@ pub struct CellSpec {
     pub window: u32,
     pub seed: u64,
     pub kind: CellKind,
-    /// Fail/repair instants for `MidrunAlltoall` cells; `None` otherwise.
-    pub midrun: Option<MidrunTimes>,
 }
 
 /// The pattern-specific part of a cell.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CellKind {
     Alltoall,
     Permutation {
@@ -240,11 +238,12 @@ pub enum CellKind {
         draw: usize,
     },
     /// Same drawn cable set as `FailedAlltoall`, but injected as mid-run
-    /// link events (the cell's `midrun` times) on a pristine network.
+    /// link events at `times` on a pristine network.
     MidrunAlltoall {
         failures: usize,
         draw: usize,
         retransmit: RetransmitPolicy,
+        times: MidrunTimes,
     },
 }
 
@@ -254,7 +253,7 @@ impl CellSpec {
     /// and the failure-set fingerprint), and stored records embed it so a
     /// hash collision degrades to a miss instead of a wrong answer.
     pub fn descriptor(&self) -> String {
-        let kind = match self.kind {
+        let kind = match &self.kind {
             CellKind::Alltoall => "alltoall".to_string(),
             CellKind::Permutation { rounds } => format!("permutation:rounds={rounds}"),
             CellKind::Allreduce { algo } => format!("allreduce:{}", algo.spec_name()),
@@ -265,6 +264,7 @@ impl CellSpec {
                 failures,
                 draw,
                 retransmit,
+                times,
             } => {
                 let j = |v: &[u64]| {
                     v.iter()
@@ -272,15 +272,10 @@ impl CellSpec {
                         .collect::<Vec<_>>()
                         .join("|")
                 };
-                let t = self
-                    .midrun
-                    .as_ref()
-                    // hxlint: allow(P001) expand_cells sets `midrun` on every MidrunAlltoall cell
-                    .expect("midrun cells carry times");
                 format!(
                     "midrun_alltoall:f={failures},draw={draw},retransmit={retransmit},fail={},repair={}",
-                    j(&t.fail_at_ps),
-                    j(&t.repair_at_ps)
+                    j(&times.fail_at_ps),
+                    j(&times.repair_at_ps)
                 )
             }
         };
@@ -830,7 +825,7 @@ fn substitute(template: &str, n: usize, engine: EngineKind, bytes: u64, draws: u
 /// style's renderer walks (so `cells[i]` is the i-th thing printed).
 fn expand_cells(plan: &Plan) -> Vec<CellSpec> {
     let mut cells = Vec::new();
-    let mut push = |topology, engine, endpoints, bytes, kind, midrun: Option<MidrunTimes>| {
+    let mut push = |topology, engine, endpoints, bytes, kind| {
         let index = cells.len();
         cells.push(CellSpec {
             index,
@@ -841,7 +836,6 @@ fn expand_cells(plan: &Plan) -> Vec<CellSpec> {
             window: plan.window,
             seed: plan.seed,
             kind,
-            midrun,
         });
     };
     let engine = plan.engines[0];
@@ -849,7 +843,7 @@ fn expand_cells(plan: &Plan) -> Vec<CellSpec> {
         Style::Grid => {
             for &t in &plan.topologies {
                 for &b in &plan.bytes {
-                    push(t, engine, plan.endpoints, b, CellKind::Alltoall, None);
+                    push(t, engine, plan.endpoints, b, CellKind::Alltoall);
                 }
             }
         }
@@ -863,7 +857,6 @@ fn expand_cells(plan: &Plan) -> Vec<CellSpec> {
                     CellKind::Permutation {
                         rounds: plan.window,
                     },
-                    None,
                 );
             }
         }
@@ -871,14 +864,7 @@ fn expand_cells(plan: &Plan) -> Vec<CellSpec> {
             for &algo in &plan.algos {
                 for &t in &plan.topologies {
                     for &b in &plan.bytes {
-                        push(
-                            t,
-                            engine,
-                            plan.endpoints,
-                            b,
-                            CellKind::Allreduce { algo },
-                            None,
-                        );
+                        push(t, engine, plan.endpoints, b, CellKind::Allreduce { algo });
                     }
                 }
             }
@@ -887,14 +873,7 @@ fn expand_cells(plan: &Plan) -> Vec<CellSpec> {
             for &algo in &plan.algos {
                 for &t in &plan.topologies {
                     for &n in &plan.endpoints_axis {
-                        push(
-                            t,
-                            engine,
-                            n,
-                            plan.bytes[0],
-                            CellKind::Allreduce { algo },
-                            None,
-                        );
+                        push(t, engine, n, plan.bytes[0], CellKind::Allreduce { algo });
                     }
                 }
             }
@@ -905,24 +884,19 @@ fn expand_cells(plan: &Plan) -> Vec<CellSpec> {
                     for &e in &plan.engines {
                         for &mode in &plan.failures.modes {
                             for d in 0..plan.draws {
-                                let (kind, midrun) = match mode {
-                                    FailureMode::Frozen => (
-                                        CellKind::FailedAlltoall {
-                                            failures: f,
-                                            draw: d,
-                                        },
-                                        None,
-                                    ),
-                                    FailureMode::Midrun => (
-                                        CellKind::MidrunAlltoall {
-                                            failures: f,
-                                            draw: d,
-                                            retransmit: plan.failures.retransmit,
-                                        },
-                                        Some(plan.failures.times.clone()),
-                                    ),
+                                let kind = match mode {
+                                    FailureMode::Frozen => CellKind::FailedAlltoall {
+                                        failures: f,
+                                        draw: d,
+                                    },
+                                    FailureMode::Midrun => CellKind::MidrunAlltoall {
+                                        failures: f,
+                                        draw: d,
+                                        retransmit: plan.failures.retransmit,
+                                        times: plan.failures.times.clone(),
+                                    },
                                 };
-                                push(t, e, plan.endpoints, plan.bytes[0], kind, midrun);
+                                push(t, e, plan.endpoints, plan.bytes[0], kind);
                             }
                         }
                     }
@@ -1038,15 +1012,15 @@ title = "midrun"
                 failures: 0,
                 draw: 0,
                 retransmit: RetransmitPolicy::Timeout,
+                times: s.failures.times.clone(),
             }
         );
         assert_eq!(
-            plan.cells[2].midrun.as_ref().unwrap().fail_at_ps,
-            vec![1_000_000]
-        );
-        assert!(
-            plan.cells[0].midrun.is_none(),
-            "frozen cells carry no times"
+            plan.cells[0].kind,
+            CellKind::FailedAlltoall {
+                failures: 0,
+                draw: 0
+            }
         );
         let d_frozen = plan.cells[4].descriptor();
         let d_mid = plan.cells[6].descriptor();

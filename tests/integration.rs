@@ -167,8 +167,9 @@ fn scaled_gpt3_shape_across_topologies() {
     }
 }
 
-/// Cost model consistency: graph-derived inventories are within the
-/// packing differences documented in DESIGN.md of the closed forms.
+/// Cost model consistency: the inventory counted off the built Hx2Mesh
+/// has the closed forms' cables and at least their switches (the builder
+/// gives each line its own switch where App. C packs two per switch).
 #[test]
 fn cost_model_graph_consistency() {
     use hammingmesh::hxcost::{table2_entries, Inventory};
