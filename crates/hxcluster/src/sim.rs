@@ -508,7 +508,7 @@ impl ClusterSim {
                             }
                             r.placement = fresh;
                         }
-                        self.rerate_running(now);
+                        self.rerate_with_event(now, None);
                         continue; // retry the head on the compacted mesh
                     }
                     idx += 1;
@@ -626,13 +626,6 @@ impl ClusterSim {
             return;
         }
         // Every remaining cable is load-bearing: skip this failure draw.
-    }
-
-    /// A defrag moved the placements: bank each running job's progress at
-    /// its old rate, re-measure its iteration time on the current network,
-    /// and schedule a fresh completion.
-    fn rerate_running(&mut self, now: u64) {
-        self.rerate_with_event(now, None);
     }
 
     /// A link event arrived (or, with `event = None`, a defrag moved the

@@ -309,8 +309,9 @@ impl Router for DragonflyRouter {
         // route against the queue toward a random Valiant group, weighting
         // by path length (2 global hops for Valiant vs 1 minimal).
         let ssw = self.switch_of_target(topo, src);
-        let queue = |target: NodeId| {
-            let mut cand = Vec::new();
+        // Both probes route into one buffer (`next_hops` clears it).
+        let mut cand = Vec::new();
+        let mut queue = |target: NodeId| {
             self.next_hops(topo, ssw, 0, target, &mut cand);
             cand.iter()
                 .map(|h| probe.queued_bytes(ssw, h.port))

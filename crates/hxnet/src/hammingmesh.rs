@@ -102,16 +102,6 @@ impl HxMeshParams {
         Self::square(4, 8)
     }
 
-    /// The paper's large-cluster 64x64 Hx2Mesh (16,384 accelerators).
-    pub fn large_hx2() -> Self {
-        Self::square(2, 64)
-    }
-
-    /// The paper's large-cluster 32x32 Hx4Mesh (16,384 accelerators).
-    pub fn large_hx4() -> Self {
-        Self::square(4, 32)
-    }
-
     pub fn num_accelerators(&self) -> usize {
         self.a * self.b * self.x * self.y
     }

@@ -12,8 +12,7 @@
 //! [`Router::candidates`], over failure-aware distances the [`Topology`]
 //! keeps ([`Topology::hops_to`]).
 
-use crate::graph::{NodeId, PortId, Topology};
-use std::collections::BTreeMap;
+use crate::graph::{NodeId, NodeKind, PortId, Topology};
 use std::ops::Range;
 
 /// Congestion oracle the simulator exposes to routers for source-side
@@ -349,37 +348,32 @@ impl UpDownTable {
 /// [`Router::next_hops`] corrects it, so hops avoid failed links and
 /// re-route over the failure-aware shortest paths.
 pub struct ShortestPathRouter {
-    /// dist[node][target_endpoint_index]
+    /// `dist[rank][node]`: hops from `node` to the endpoint of `rank`.
     dist: Vec<Vec<u32>>,
-    /// endpoint node -> dense index
-    endpoint_index: BTreeMap<NodeId, usize>,
 }
 
 impl ShortestPathRouter {
+    /// BFS from every endpoint; `endpoints[i]` must be the endpoint of
+    /// rank `i`.
     pub fn build(topo: &Topology, endpoints: &[NodeId]) -> Self {
-        let endpoint_index: BTreeMap<NodeId, usize> =
-            endpoints.iter().enumerate().map(|(i, &n)| (n, i)).collect();
-        // dist[target][node], computed by BFS from each endpoint.
-        let mut per_target = vec![Vec::new(); endpoints.len()];
-        for (i, &e) in endpoints.iter().enumerate() {
-            per_target[i] = topo.bfs_hops(e);
-        }
-        // Transpose into dist[node][target].
-        let n = topo.num_nodes();
-        let mut dist = vec![vec![u32::MAX; endpoints.len()]; n];
-        for (t, d) in per_target.iter().enumerate() {
-            for (node, &dd) in d.iter().enumerate() {
-                dist[node][t] = dd;
-            }
-        }
-        Self {
-            dist,
-            endpoint_index,
-        }
+        let dist = endpoints
+            .iter()
+            .enumerate()
+            .map(|(i, &e)| {
+                assert_eq!(
+                    topo.kind(e),
+                    NodeKind::Accelerator { rank: i as u32 },
+                    "endpoint {i} is not the accelerator of rank {i}"
+                );
+                topo.bfs_hops(e)
+            })
+            .collect();
+        Self { dist }
     }
 
-    pub fn distance(&self, node: NodeId, target: NodeId) -> u32 {
-        self.dist[node.idx()][self.endpoint_index[&target]]
+    /// Hops from `node` to the endpoint of `rank`.
+    pub fn distance(&self, node: NodeId, rank: u32) -> u32 {
+        self.dist[rank as usize][node.idx()]
     }
 }
 
@@ -396,13 +390,16 @@ impl Router for ShortestPathRouter {
         target: NodeId,
         out: &mut Vec<Hop>,
     ) {
-        let ti = self.endpoint_index[&target];
-        let d = self.dist[node.idx()][ti];
+        let NodeKind::Accelerator { rank } = topo.kind(target) else {
+            unreachable!("shortest-path routing targets endpoints, not {target:?}");
+        };
+        let dist = &self.dist[rank as usize];
+        let d = dist[node.idx()];
         if d == 0 {
             return;
         }
         for (p, link) in topo.node(node).ports.iter().enumerate() {
-            if self.dist[link.peer.node.idx()][ti] + 1 == d {
+            if dist[link.peer.node.idx()] + 1 == d {
                 out.push(Hop {
                     port: PortId(p as u16),
                     vc,
@@ -416,6 +413,7 @@ impl Router for ShortestPathRouter {
 mod tests {
     use super::*;
     use crate::graph::{Cable, LinkSpec};
+    use std::collections::BTreeMap;
 
     fn spec() -> LinkSpec {
         LinkSpec {
@@ -566,7 +564,7 @@ mod tests {
                 t.connect(a, b, spec());
             }
             let level = |n: NodeId| match t.kind(n) {
-                crate::graph::NodeKind::Switch { level, .. } => Some(level),
+                NodeKind::Switch { level, .. } => Some(level),
                 _ => None,
             };
             let is_up = |sw: NodeId, p: PortId| level(t.peer(sw, p).node) > level(sw);
@@ -607,7 +605,7 @@ mod tests {
     fn shortest_path_router_is_minimal() {
         let (t, eps, _) = tiny_tree();
         let r = ShortestPathRouter::build(&t, &eps);
-        assert_eq!(r.distance(eps[0], eps[1]), 4); // e0-l0-r-l1-e1
+        assert_eq!(r.distance(eps[0], 1), 4); // e0-l0-r-l1-e1
         let mut out = Vec::new();
         r.candidates(&t, eps[0], 0, eps[1], &mut out);
         assert_eq!(out.len(), 1);

@@ -43,15 +43,6 @@ impl TorusParams {
         }
     }
 
-    /// The paper's large-cluster 128x128 torus with 2x2 boards.
-    pub fn large() -> Self {
-        Self {
-            cols: 128,
-            rows: 128,
-            board: 2,
-        }
-    }
-
     pub fn num_accelerators(&self) -> usize {
         self.cols * self.rows
     }

@@ -1,10 +1,10 @@
 //! The application callback surface shared by every simulation backend.
 //!
 //! Traffic generators implement [`Application`]; the engines (packet-level
-//! [`crate::Engine`], flow-level [`crate::FlowEngine`]) drive the callbacks
-//! and execute the [`Cmd`]s they enqueue through [`Ctx`]. Keeping this
-//! surface engine-agnostic is what makes the two backends drop-in
-//! interchangeable (see [`crate::simulate`]).
+//! [`crate::Engine`], flow-level [`crate::FlowEngine`]) drive the callbacks,
+//! each through one private path, and execute the [`Cmd`]s they enqueue
+//! through [`Ctx`]. Keeping this surface engine-agnostic is what makes the
+//! two backends drop-in interchangeable (see [`crate::simulate`]).
 
 use crate::Time;
 

@@ -2,7 +2,7 @@
 
 pub use crate::app::{Application, Cmd, Ctx, MsgInfo};
 use crate::failure::{LinkEvent, LinkEventKind};
-use crate::ledger::Ledger;
+use crate::ledger::{Ledger, MsgId};
 use crate::stats::SimStats;
 use crate::{EventQueue, RetransmitPolicy, Time};
 use hxnet::route::{Hop, LoadProbe};
@@ -89,7 +89,6 @@ impl Default for SimConfig {
 }
 
 type PacketId = u32;
-type MsgId = u32;
 
 /// Base retransmission timeout for the [`RetransmitPolicy::Timeout`]
 /// policy: 1 µs, a few round trips at App. F latencies. Doubles per
@@ -117,14 +116,11 @@ struct PacketState {
     gen: u32,
 }
 
+/// A message's packet counters; the ledger keeps the message itself.
 struct MsgState {
-    info: MsgInfo,
     num_packets: u32,
     delivered_packets: u32,
     injected_packets: u32,
-    delivered_bytes: u64,
-    /// Simulated send instant, for the delivery-latency histogram.
-    start_ps: Time,
     /// Packets of this message lost to cable failures so far; drives the
     /// exponential backoff of the Timeout retransmit policy.
     retransmits: u32,
@@ -234,24 +230,25 @@ pub struct Engine<'n> {
     nodes: Vec<NodeState>,
     packets: Vec<PacketState>,
     free_packets: Vec<PacketId>,
+    /// Indexed by [`MsgId`], like the ledger's messages.
     msgs: Vec<MsgState>,
     rng: StdRng,
     /// Scratch buffer for routing candidates.
     cand: Vec<Hop>,
     /// The NIC pump's route classes, recycled across pumps.
     classes: RouteClasses,
-    /// Recycled application-command buffer: every delivery/compute event
-    /// used to allocate a fresh `Vec<Cmd>`, which dominated the allocator
-    /// traffic of the hot loop. `apply_cmds` drains it, so it is always
-    /// empty between events.
+    /// Recycled application-command buffer of [`Self::call`]: every
+    /// delivery/compute event used to allocate a fresh `Vec<Cmd>`, which
+    /// dominated the allocator traffic of the hot loop. `apply_cmds`
+    /// drains it, so it is always empty between events.
     cmd_scratch: Vec<Cmd>,
     /// Recycled waiter list for `release_buffer`: buffers rotate between
     /// this scratch and the per-(port, vc) waiter slots instead of being
     /// freed and reallocated on every credit release.
     waiter_scratch: Vec<(NodeId, PortId)>,
-    /// The stats, the failure-epoch topology with its schedule cursor,
-    /// and the telemetry, kept the same way as the flow engine keeps
-    /// them (see `ledger.rs`).
+    /// The stats, the messages, the failure-epoch topology with its
+    /// schedule cursor, and the telemetry, kept the same way as the flow
+    /// engine keeps them (see `ledger.rs`).
     ledger: Ledger<'n>,
     /// Packets with no healthy path toward their target, as
     /// `(current node, packet)`. A parked transit packet keeps occupying
@@ -327,31 +324,14 @@ impl<'n> Engine<'n> {
 
     /// The event loop: runs until the queue drains or time runs out.
     fn run_events(&mut self, app: &mut dyn Application) {
-        let mut cmds = Vec::new();
-        {
-            let mut ctx = Ctx::new(0, &mut cmds);
-            app.start(&mut ctx);
-        }
-        self.apply_cmds(&mut cmds);
-
+        self.call(|ctx| app.start(ctx));
         loop {
-            // Merge the failure schedule with the event queue. When the
-            // queue drains, a pending scheduled event only keeps the run
-            // alive if a parked packet is waiting for a repair —
-            // otherwise the rest of the schedule lies beyond the traffic
-            // horizon and stays inert, keeping such runs bit-identical
-            // to runs with no schedule at all.
-            if let Some(ev) = self.ledger.next_link_event() {
-                let due = match self.queue.next_time() {
-                    Some(t) => ev.at_ps <= t,
-                    None => {
-                        if self.parked.is_empty() {
-                            break;
-                        }
-                        true
-                    }
-                };
-                if due {
+            // Merge the failure schedule with the event queue; a parked
+            // packet waits for a repair.
+            let next = self.queue.next_time();
+            let waiting = !self.parked.is_empty();
+            if let Some(ev) = self.ledger.live_link_event(next.is_some(), waiting) {
+                if next.is_none_or(|t| ev.at_ps <= t) {
                     self.now = self.now.max(ev.at_ps);
                     if self.now > self.cfg.max_time_ps {
                         self.ledger.stats.timed_out = true;
@@ -383,9 +363,7 @@ impl<'n> Engine<'n> {
                     }
                 }
                 Event::Retransmit(pkt) => {
-                    let src_rank = self.msgs[self.packets[pkt as usize].msg as usize]
-                        .info
-                        .src_rank;
+                    let src_rank = self.ledger.info(self.packets[pkt as usize].msg).src_rank;
                     let src_node = self.net.endpoints[src_rank as usize];
                     self.nic_push(src_node, pkt);
                     self.pump_nic(src_node);
@@ -397,17 +375,18 @@ impl<'n> Engine<'n> {
                     bytes,
                     release,
                 } => self.on_port_free(node, port, msg, bytes, release, app),
-                Event::Compute(rank, tag) => {
-                    let mut cmds = std::mem::take(&mut self.cmd_scratch);
-                    {
-                        let mut ctx = Ctx::new(self.now, &mut cmds);
-                        app.on_compute_done(&mut ctx, rank, tag);
-                    }
-                    self.apply_cmds(&mut cmds);
-                    self.cmd_scratch = cmds;
-                }
+                Event::Compute(rank, tag) => self.call(|ctx| app.on_compute_done(ctx, rank, tag)),
             }
         }
+    }
+
+    /// The one path to the application: run `callback` now and apply the
+    /// commands it enqueued.
+    fn call(&mut self, callback: impl FnOnce(&mut Ctx)) {
+        let mut cmds = std::mem::take(&mut self.cmd_scratch);
+        callback(&mut Ctx::new(self.now, &mut cmds));
+        self.apply_cmds(&mut cmds);
+        self.cmd_scratch = cmds;
     }
 
     /// Close the run: total the link busy time and hand the stats back
@@ -424,13 +403,8 @@ impl<'n> Engine<'n> {
         let stuck = self
             .parked
             .first()
-            .map(|&(_, pkt)| self.msgs[self.packets[pkt as usize].msg as usize].info);
-        let undelivered = self
-            .msgs
-            .iter()
-            .filter(|m| m.delivered_packets < m.num_packets)
-            .count();
-        self.ledger.finish(self.now, stuck, undelivered)
+            .map(|&(_, pkt)| self.packets[pkt as usize].msg);
+        self.ledger.finish(self.now, stuck)
     }
 
     /// React to a scheduled fail/repair event the ledger just applied to
@@ -546,8 +520,7 @@ impl<'n> Engine<'n> {
                 p.vc = 0;
                 p.waypoint = None;
             }
-            let info = self.msgs[msg as usize].info;
-            self.ledger.packet_retransmit(info, delay, self.now);
+            self.ledger.packet_retransmit(msg, delay, self.now);
             self.queue.push(self.now + delay, Event::Retransmit(pkt));
         }
     }
@@ -572,25 +545,14 @@ impl<'n> Engine<'n> {
     }
 
     fn start_send(&mut self, src: u32, dst: u32, bytes: u64, tag: u64) {
-        assert_ne!(src, dst, "self-sends are not modelled");
+        let msg_id = self.ledger.sent(src, dst, bytes, tag, self.now);
         let src_node = self.net.endpoints[src as usize];
         let dst_node = self.net.endpoints[dst as usize];
-        let msg_id = self.msgs.len() as MsgId;
         let num_packets = bytes.div_ceil(crate::PACKET_BYTES) as u32;
-        let info = MsgInfo {
-            src_rank: src,
-            dst_rank: dst,
-            bytes,
-            tag,
-        };
-        self.ledger.sent(info, self.now);
         self.msgs.push(MsgState {
-            info,
             num_packets,
             delivered_packets: 0,
             injected_packets: 0,
-            delivered_bytes: 0,
-            start_ps: self.now,
             retransmits: 0,
         });
         let mut remaining = bytes;
@@ -934,14 +896,8 @@ impl<'n> Engine<'n> {
             let m = &mut self.msgs[msg as usize];
             m.injected_packets += 1;
             if m.injected_packets == m.num_packets {
-                let info = m.info;
-                let mut cmds = std::mem::take(&mut self.cmd_scratch);
-                {
-                    let mut ctx = Ctx::new(self.now, &mut cmds);
-                    app.on_send_complete(&mut ctx, info);
-                }
-                self.apply_cmds(&mut cmds);
-                self.cmd_scratch = cmds;
+                let info = self.ledger.info(msg);
+                self.call(|ctx| app.on_send_complete(ctx, info));
             }
         }
         // Output queue space was freed: the local NIC (if any) may inject.
@@ -990,20 +946,11 @@ impl<'n> Engine<'n> {
             self.ledger.stats.bytes_delivered += bytes;
             let m = &mut self.msgs[msg as usize];
             m.delivered_packets += 1;
-            m.delivered_bytes += bytes;
             if m.delivered_packets == m.num_packets {
-                debug_assert_eq!(m.delivered_bytes, m.info.bytes);
-                let (info, start_ps) = (m.info, m.start_ps);
                 // A packet-level flow drains as its last packet arrives.
-                self.ledger.drained(info, self.now);
-                self.ledger.delivered(info, start_ps, self.now);
-                let mut cmds = std::mem::take(&mut self.cmd_scratch);
-                {
-                    let mut ctx = Ctx::new(self.now, &mut cmds);
-                    app.on_message(&mut ctx, info);
-                }
-                self.apply_cmds(&mut cmds);
-                self.cmd_scratch = cmds;
+                self.ledger.drained(msg, self.now);
+                let info = self.ledger.delivered(msg, self.now);
+                self.call(|ctx| app.on_message(ctx, info));
             }
             return;
         }

@@ -81,9 +81,9 @@
 //! instead of panicking; the same applies to a send injected while its
 //! destination is unreachable.
 
-use crate::app::{Application, Cmd, Ctx, MsgInfo};
+use crate::app::{Application, Cmd, Ctx};
 use crate::failure::LinkEventKind;
-use crate::ledger::Ledger;
+use crate::ledger::{Ledger, MsgId};
 use crate::stats::SimStats;
 use crate::{EventQueue, RateMode, SimConfig, Time};
 use fill::Fill;
@@ -94,7 +94,6 @@ use std::borrow::Cow;
 mod fill;
 
 type FlowId = u32;
-type MsgId = u32;
 
 /// Bytes below which a flow counts as drained (float slop guard).
 const DRAIN_EPS: f64 = 1e-3;
@@ -133,13 +132,6 @@ struct FlowState {
     /// Message exceeds the per-port NIC window: its packets would
     /// interleave with successors instead of passing as one FIFO burst.
     large: bool,
-}
-
-struct MsgState {
-    info: MsgInfo,
-    done: bool,
-    /// Simulated send instant, for the delivery-latency histogram.
-    start_ps: Time,
 }
 
 /// Timed events that are not flow drains (those are derived from rates).
@@ -182,7 +174,6 @@ pub struct FlowEngine<'n> {
     free_flows: Vec<FlowId>,
     /// Flows currently draining.
     active: Vec<FlowId>,
-    msgs: Vec<MsgState>,
     /// Dense directed-link index: `port_base[node] + port`.
     port_base: Vec<usize>,
     /// The node that owns each directed link, for stats attribution.
@@ -234,13 +225,14 @@ pub struct FlowEngine<'n> {
     visited: Vec<NodeId>,
     /// Scratch for waypoint classes.
     waypoints: Vec<NodeId>,
-    /// Scratch for the commands of one batch of application callbacks.
+    /// Scratch for the commands of one application callback
+    /// ([`Self::call`]) or of an epoch's drain batch.
     cmds: Vec<Cmd>,
     /// Scratch for the gated flows a NIC queue release may let through.
     nic_cand: Vec<FlowId>,
-    /// The stats, the failure-epoch topology with its schedule cursor,
-    /// and the telemetry, kept the same way as the packet engine keeps
-    /// them (see `ledger.rs`).
+    /// The stats, the messages, the failure-epoch topology with its
+    /// schedule cursor, and the telemetry, kept the same way as the
+    /// packet engine keeps them (see `ledger.rs`).
     ledger: Ledger<'n>,
     /// Flows whose rate bit pattern changed in the current epoch.
     epoch_changed: u64,
@@ -274,7 +266,6 @@ impl<'n> FlowEngine<'n> {
             flows: Vec::new(),
             free_flows: Vec::new(),
             active: Vec::new(),
-            msgs: Vec::new(),
             port_base,
             link_owner,
             link_cap,
@@ -310,13 +301,7 @@ impl<'n> FlowEngine<'n> {
 
     /// Run the application to completion. Returns the collected statistics.
     pub fn run(mut self, app: &mut dyn Application) -> SimStats {
-        let mut cmds = std::mem::take(&mut self.cmds);
-        {
-            let mut ctx = Ctx::new(0, &mut cmds);
-            app.start(&mut ctx);
-        }
-        self.apply_cmds(&mut cmds);
-        self.cmds = cmds;
+        self.call(|ctx| app.start(ctx));
         self.recompute_rates();
 
         loop {
@@ -331,20 +316,11 @@ impl<'n> FlowEngine<'n> {
             if let Some(TimeKey(t)) = self.queue.next_time() {
                 t_next = t_next.min(t);
             }
-            // Merge the failure schedule into the epoch instants. When
-            // traffic is exhausted (`t_next` infinite) a pending event
-            // only keeps the run alive if a stalled flow is waiting for
-            // a repair — otherwise the remaining schedule is beyond the
-            // traffic horizon and must stay inert, so runs whose events
-            // all land after completion are bitwise-identical to runs
-            // with no schedule at all.
-            if let Some(ev) = self.ledger.next_link_event() {
-                let st = (ev.at_ps as f64).max(self.now);
-                if t_next.is_finite() {
-                    t_next = t_next.min(st);
-                } else if !self.stalled.is_empty() {
-                    t_next = st;
-                }
+            // Merge the failure schedule into the epoch instants; a
+            // stalled flow waits for a repair.
+            let waiting = !self.stalled.is_empty();
+            if let Some(ev) = self.ledger.live_link_event(t_next.is_finite(), waiting) {
+                t_next = t_next.min((ev.at_ps as f64).max(self.now));
             }
             if !t_next.is_finite() {
                 break; // no active flows and no events: done (or stuck)
@@ -383,10 +359,17 @@ impl<'n> FlowEngine<'n> {
         let stuck = self
             .stalled
             .first()
-            .map(|&(f, _)| self.msgs[self.flows[f as usize].msg as usize].info);
-        let undelivered = self.msgs.iter().filter(|m| !m.done).count();
-        self.ledger
-            .finish(self.now.round() as Time, stuck, undelivered)
+            .map(|&(f, _)| self.flows[f as usize].msg);
+        self.ledger.finish(self.now.round() as Time, stuck)
+    }
+
+    /// The one path to the application outside the drain batch: run
+    /// `callback` now and apply the commands it enqueued.
+    fn call(&mut self, callback: impl FnOnce(&mut Ctx)) {
+        let mut cmds = std::mem::take(&mut self.cmds);
+        callback(&mut Ctx::new(self.now.round() as Time, &mut cmds));
+        self.apply_cmds(&mut cmds);
+        self.cmds = cmds;
     }
 
     /// Retire flows whose bytes have fully drained — or would drain within
@@ -394,6 +377,10 @@ impl<'n> FlowEngine<'n> {
     /// bytes are credited to the routes, so byte accounting stays exact
     /// and only the completion *instant* moves by < quantum). Fires local
     /// send completion and schedules the latency-delayed delivery.
+    ///
+    /// An epoch's send completions apply their commands once, after the
+    /// last drain: per drain, new sends would reuse other freed flow ids,
+    /// changing the canonical fill order and every rate.
     ///
     /// A retirement seeds the next solve only where it can change some
     /// remaining flow's rate: a link it shared with a still-draining flow
@@ -430,13 +417,9 @@ impl<'n> FlowEngine<'n> {
             self.flush_routes(f);
             self.free_flows.push(f);
 
-            let info = self.msgs[msg as usize].info;
             let now_ps = self.now.round() as Time;
-            self.ledger.drained(info, now_ps);
-            {
-                let mut ctx = Ctx::new(now_ps, &mut cmds);
-                app.on_send_complete(&mut ctx, info);
-            }
+            let info = self.ledger.drained(msg, now_ps);
+            app.on_send_complete(&mut Ctx::new(now_ps, &mut cmds), info);
             // The last byte still has to propagate down the route.
             self.queue
                 .push(TimeKey(self.now + latency_ps as f64), Event::Deliver(msg));
@@ -557,8 +540,8 @@ impl<'n> FlowEngine<'n> {
             fl.rate = 0.0;
             fl.gated = true;
             if s.route_or_stall(f, s.now) {
-                let info = s.msgs[s.flows[f as usize].msg as usize].info;
-                s.ledger.flow_reroute(info, s.now.round() as Time);
+                s.ledger
+                    .flow_reroute(s.flows[f as usize].msg, s.now.round() as Time);
             }
         });
     }
@@ -598,7 +581,7 @@ impl<'n> FlowEngine<'n> {
     /// `stalled` as waiting since `since` instead. Returns whether `f` got
     /// routes.
     fn route_or_stall(&mut self, f: FlowId, since: f64) -> bool {
-        let info = self.msgs[self.flows[f as usize].msg as usize].info;
+        let info = self.ledger.info(self.flows[f as usize].msg);
         let src_node = self.net.endpoints[info.src_rank as usize];
         let dst_node = self.net.endpoints[info.dst_rank as usize];
         let (routes, latency_ps) = self.build_routes(src_node, dst_node);
@@ -639,28 +622,16 @@ impl<'n> FlowEngine<'n> {
     /// Execute all queue events due at the current time, plus any within
     /// the coalescing `quantum` (they fire early by < quantum).
     fn pop_due_events(&mut self, quantum: f64, app: &mut dyn Application) {
-        let now_ps = self.now.round() as Time;
-        let mut cmds = std::mem::take(&mut self.cmds);
         while let Some((_, ev)) = self.queue.pop_due(TimeKey(self.now + quantum)) {
             match ev {
                 Event::Deliver(msg) => {
-                    let m = &mut self.msgs[msg as usize];
-                    debug_assert!(!m.done);
-                    m.done = true;
-                    let (info, start_ps) = (m.info, m.start_ps);
-                    self.ledger.delivered(info, start_ps, now_ps);
+                    let info = self.ledger.delivered(msg, self.now.round() as Time);
                     self.ledger.stats.bytes_delivered += info.bytes;
-                    let mut ctx = Ctx::new(now_ps, &mut cmds);
-                    app.on_message(&mut ctx, info);
+                    self.call(|ctx| app.on_message(ctx, info));
                 }
-                Event::Compute(rank, tag) => {
-                    let mut ctx = Ctx::new(now_ps, &mut cmds);
-                    app.on_compute_done(&mut ctx, rank, tag);
-                }
+                Event::Compute(rank, tag) => self.call(|ctx| app.on_compute_done(ctx, rank, tag)),
             }
-            self.apply_cmds(&mut cmds);
         }
-        self.cmds = cmds;
     }
 
     fn apply_cmds(&mut self, cmds: &mut Vec<Cmd>) {
@@ -683,24 +654,11 @@ impl<'n> FlowEngine<'n> {
     /// Start a message as one fluid flow spread over its route set (one
     /// route per waypoint class x distinct first-hop candidate).
     fn start_send(&mut self, src: u32, dst: u32, bytes: u64, tag: u64) {
-        assert_ne!(src, dst, "self-sends are not modelled");
-        let msg_id = self.msgs.len() as MsgId;
-        let start_ps = self.now.round() as Time;
-        let info = MsgInfo {
-            src_rank: src,
-            dst_rank: dst,
-            bytes,
-            tag,
-        };
-        self.ledger.sent(info, start_ps);
-        self.msgs.push(MsgState {
-            info,
-            done: false,
-            start_ps,
-        });
-
+        let msg = self
+            .ledger
+            .sent(src, dst, bytes, tag, self.now.round() as Time);
         let f = self.alloc_flow(FlowState {
-            msg: msg_id,
+            msg,
             routes: Vec::new(),
             latency_ps: 0,
             remaining: bytes as f64,
@@ -803,15 +761,13 @@ impl<'n> FlowEngine<'n> {
     /// earlier message's delivery (and any pipeline depending on it)
     /// behind the later one's bytes.
     fn nic_eligible(&self, f: FlowId) -> bool {
-        let dst = self.msgs[self.flows[f as usize].msg as usize].info.dst_rank;
+        let dst_of = |f: FlowId| self.ledger.info(self.flows[f as usize].msg).dst_rank;
+        let dst = dst_of(f);
         Self::first_links(&self.flows[f as usize].routes).all(|li| {
             self.inj_queue[li as usize]
                 .iter()
                 .take_while(|&&g| g != f)
-                .all(|&g| {
-                    self.flows[g as usize].large
-                        && self.msgs[self.flows[g as usize].msg as usize].info.dst_rank != dst
-                })
+                .all(|&g| self.flows[g as usize].large && dst_of(g) != dst)
         })
     }
 

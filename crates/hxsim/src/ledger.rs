@@ -18,11 +18,14 @@
 //!   submits. The process-wide enable flags are read once, at
 //!   construction: with both channels off a recording site costs one
 //!   branch and allocates nothing.
-//! * **Messages and the end of the run**: [`Ledger::sent`],
-//!   [`Ledger::delivered`] and [`Ledger::drained`] keep the message
-//!   bookkeeping both engines share, and [`Ledger::finish`] is the one
-//!   place a run reports [`SimError::Disconnected`] and submits its
-//!   telemetry.
+//! * **Messages**: [`Ledger::sent`] is the one place a message is born
+//!   (it refuses a self-send, builds the [`MsgInfo`] and records the send
+//!   instant); the engines report its drain, delivery, lost packets and
+//!   reroutes by the id it returns, and keep only its transport.
+//! * **The end of the run**: [`Ledger::live_link_event`] states when a
+//!   scheduled link event still counts, and [`Ledger::finish`] counts the
+//!   undelivered messages, reports [`SimError::Disconnected`] and submits
+//!   the telemetry.
 
 use crate::app::MsgInfo;
 use crate::failure::{FailureSchedule, LinkEvent, LinkEventKind};
@@ -42,9 +45,14 @@ struct Metrics {
     msg_latency_ps: HistId,
 }
 
-/// One run's statistics, failure-epoch topology and telemetry.
+/// A message's index in the order the application sent it.
+pub(crate) type MsgId = u32;
+
+/// One run's statistics, messages, failure-epoch topology and telemetry.
 pub(crate) struct Ledger<'n> {
     pub(crate) stats: SimStats,
+    /// Every message sent so far and its send instant, by [`MsgId`].
+    msgs: Vec<(MsgInfo, Time)>,
     /// The topology of the current failure epoch.
     pub(crate) topo: Cow<'n, Topology>,
     schedule: FailureSchedule,
@@ -79,6 +87,7 @@ impl<'n> Ledger<'n> {
                 rank_recv_bytes: vec![0; net.endpoints.len()],
                 ..SimStats::default()
             },
+            msgs: Vec::new(),
             topo: if schedule.is_empty() {
                 Cow::Borrowed(&net.topo)
             } else {
@@ -107,34 +116,56 @@ impl<'n> Ledger<'n> {
         }
     }
 
-    /// A message was sent at `now_ps`.
-    pub(crate) fn sent(&mut self, info: MsgInfo, now_ps: Time) {
+    /// The application sent `bytes` from rank `src` to rank `dst` with
+    /// `tag` at `now_ps`: record the message and return its id.
+    pub(crate) fn sent(&mut self, src: u32, dst: u32, bytes: u64, tag: u64, now_ps: Time) -> MsgId {
+        assert_ne!(src, dst, "self-sends are not modelled");
+        let id = self.msgs.len() as MsgId;
+        let info = MsgInfo {
+            src_rank: src,
+            dst_rank: dst,
+            bytes,
+            tag,
+        };
+        self.msgs.push((info, now_ps));
         self.stats.messages_sent += 1;
-        let (src, dst) = (info.src_rank as u64, info.dst_rank as u64);
-        let args = [("src", src), ("dst", dst), ("bytes", info.bytes)];
+        let args = [("src", src as u64), ("dst", dst as u64), ("bytes", bytes)];
         self.trace("flow_start", self.msg_cat, now_ps, &args);
+        id
     }
 
-    /// A message sent at `start_ps` was delivered at `now_ps`.
-    pub(crate) fn delivered(&mut self, info: MsgInfo, start_ps: Time, now_ps: Time) {
+    /// What the callbacks see of message `msg`.
+    #[inline]
+    pub(crate) fn info(&self, msg: MsgId) -> MsgInfo {
+        self.msgs[msg as usize].0
+    }
+
+    /// Message `msg` was delivered at `now_ps`; returns its info for the
+    /// delivery callback.
+    pub(crate) fn delivered(&mut self, msg: MsgId, now_ps: Time) -> MsgInfo {
+        let (info, sent_ps) = self.msgs[msg as usize];
         self.stats.messages_delivered += 1;
         self.stats.rank_recv_done_ps[info.dst_rank as usize] = now_ps;
         self.stats.rank_recv_bytes[info.dst_rank as usize] += info.bytes;
         if let Some(m) = &mut self.metrics {
             m.reg
-                .record(m.msg_latency_ps, now_ps.saturating_sub(start_ps));
+                .record(m.msg_latency_ps, now_ps.saturating_sub(sent_ps));
         }
+        info
     }
 
-    /// A message's flow drained at `now_ps`: at the delivery of its last
-    /// packet in the packet engine, when its source sent the last byte in
-    /// the flow engine.
-    pub(crate) fn drained(&mut self, info: MsgInfo, now_ps: Time) {
+    /// Message `msg`'s flow drained at `now_ps`: at the delivery of its
+    /// last packet in the packet engine, when its source sent the last
+    /// byte in the flow engine. Returns its info for the send-completion
+    /// callback.
+    pub(crate) fn drained(&mut self, msg: MsgId, now_ps: Time) -> MsgInfo {
+        let info = self.info(msg);
         if let Some(m) = &mut self.metrics {
             m.reg.inc(m.flows_drained, 1);
         }
         let args = [("src", info.src_rank as u64), ("dst", info.dst_rank as u64)];
         self.trace("flow_drain", self.msg_cat, now_ps, &args);
+        info
     }
 
     /// An output VC found no downstream credit and waits for it.
@@ -150,17 +181,19 @@ impl<'n> Ledger<'n> {
         self.trace("packet_stall", "packet", now_ps, &args);
     }
 
-    /// A packet of `info` was lost on a failed cable; its source
+    /// A packet of message `msg` was lost on a failed cable; its source
     /// re-injects it `delay_ps` later.
-    pub(crate) fn packet_retransmit(&mut self, info: MsgInfo, delay_ps: Time, now_ps: Time) {
+    pub(crate) fn packet_retransmit(&mut self, msg: MsgId, delay_ps: Time, now_ps: Time) {
+        let info = self.info(msg);
         self.stats.packet_retransmits += 1;
         let (src, dst) = (info.src_rank as u64, info.dst_rank as u64);
         let args = [("src", src), ("dst", dst), ("delay_ps", delay_ps)];
         self.trace("packet_retransmit", "fault", now_ps, &args);
     }
 
-    /// The flow of `info` left a failed cable over a new route set.
-    pub(crate) fn flow_reroute(&mut self, info: MsgInfo, now_ps: Time) {
+    /// The flow of message `msg` left a failed cable over a new route set.
+    pub(crate) fn flow_reroute(&mut self, msg: MsgId, now_ps: Time) {
+        let info = self.info(msg);
         self.stats.flows_rerouted += 1;
         let args = [("src", info.src_rank as u64), ("dst", info.dst_rank as u64)];
         self.trace("flow_reroute", "fault", now_ps, &args);
@@ -182,6 +215,14 @@ impl<'n> Ledger<'n> {
     /// The next scheduled link event, if any remains.
     pub(crate) fn next_link_event(&self) -> Option<LinkEvent> {
         self.schedule.events().get(self.next_event).copied()
+    }
+
+    /// The next scheduled link event while `traffic` is pending or a
+    /// parked packet or stalled flow is `waiting` for a repair. Past the
+    /// traffic horizon the schedule stays inert, so such a run is
+    /// bit-identical to one without a schedule.
+    pub(crate) fn live_link_event(&self, traffic: bool, waiting: bool) -> Option<LinkEvent> {
+        self.next_link_event().filter(|_| traffic || waiting)
     }
 
     /// Apply the next scheduled link event to the failure-epoch topology
@@ -217,16 +258,12 @@ impl<'n> Ledger<'n> {
         changed
     }
 
-    /// Close the run at `finish_ps` with `undelivered` messages left:
-    /// report the first message still `stuck` without a path as
-    /// [`SimError::Disconnected`], submit the telemetry and hand back the
-    /// stats.
-    pub(crate) fn finish(
-        self,
-        finish_ps: Time,
-        stuck: Option<MsgInfo>,
-        undelivered: usize,
-    ) -> SimStats {
+    /// Close the run at `finish_ps`: count the messages sent but never
+    /// delivered, report message `stuck`, the first still without a path,
+    /// as [`SimError::Disconnected`], submit the telemetry and hand back
+    /// the stats.
+    pub(crate) fn finish(self, finish_ps: Time, stuck: Option<MsgId>) -> SimStats {
+        let stuck = stuck.map(|msg| self.info(msg));
         let Ledger {
             mut stats,
             topo,
@@ -242,7 +279,7 @@ impl<'n> Ledger<'n> {
             });
         }
         stats.finish_ps = finish_ps;
-        stats.undelivered_messages = undelivered;
+        stats.undelivered_messages = (stats.messages_sent - stats.messages_delivered) as usize;
         if metrics.is_some() || sink.enabled() {
             let reg = metrics.map_or_else(Registry::new, |Metrics { mut reg, .. }| {
                 for (name, v) in [

@@ -19,10 +19,13 @@
 //!   [`flow`].
 //!
 //! Both backends keep the bookkeeping around a simulation in one private
-//! run ledger (`ledger.rs`): the [`SimStats`], the failure-epoch topology
-//! that in-run [`FailureSchedule`] events advance, and the hxtelemetry
-//! counters and trace events, whose names are spelled there once. So a
-//! packet run and a flow run report the same metrics schema. Both pop
+//! run ledger (`ledger.rs`): the [`SimStats`], every sent message with its
+//! send instant, the failure-epoch topology that in-run
+//! [`FailureSchedule`] events advance, the end-of-run rules, and the
+//! hxtelemetry counters and trace events, whose names are spelled there
+//! once. So a packet run and a flow run report the same metrics schema,
+//! and an engine keeps only transport (packets, flows, routes, queues)
+//! and one path to the [`Application`]. Both pop
 //! their timed events from one [`EventQueue`] (earliest first, push order
 //! among equal times), which hxcluster's lifetime loop uses too.
 //!

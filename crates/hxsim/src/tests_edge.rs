@@ -2,7 +2,7 @@
 //! effects, and timeouts.
 
 use crate::apps::{Alltoall, MessageBlast, UniformRandom};
-use crate::{Application, Ctx, Engine, MsgInfo, SimConfig, Time};
+use crate::{simulate, Application, Ctx, Engine, EngineKind, MsgInfo, SimConfig, Time};
 use hxnet::fattree::single_switch;
 use hxnet::hammingmesh::HxMeshParams;
 use hxnet::torus::TorusParams;
@@ -45,6 +45,8 @@ fn congestion_backpressure_reduces_bandwidth_not_correctness() {
     );
 }
 
+/// A run cut short by `max_time_ps` reports the timeout and counts the
+/// message it sent but never delivered, on both engines.
 #[test]
 fn max_time_guard_reports_timeout() {
     let net = single_switch(2, "pair");
@@ -52,10 +54,14 @@ fn max_time_guard_reports_timeout() {
         max_time_ps: 10,
         ..SimConfig::default()
     };
-    let mut app = MessageBlast::pairs(vec![(0, 1, 1 << 20)]);
-    let stats = Engine::new(&net, cfg).run(&mut app);
-    assert!(stats.timed_out);
-    assert!(!stats.clean());
+    for kind in EngineKind::all() {
+        let mut app = MessageBlast::pairs(vec![(0, 1, 1 << 20)]);
+        let stats = simulate(&net, cfg.clone(), kind, &mut app);
+        assert!(stats.timed_out, "{kind}");
+        assert!(!stats.clean(), "{kind}");
+        assert_eq!(stats.messages_sent, 1, "{kind}");
+        assert_eq!(stats.undelivered_messages, 1, "{kind}");
+    }
 }
 
 #[test]
